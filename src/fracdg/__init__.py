@@ -12,9 +12,6 @@ from .geometry import (
     FractureFrame,
     PermeabilityData,
     check_wellposedness,
-    continuous_jump_avg,
-    eval_aperture,
-    interface_normals,
     project_to_gamma,
 )
 from .mesh import Mesh, build_bulk_mesh, build_interface_grid
@@ -46,9 +43,6 @@ __all__ = [
     "FractureFrame",
     "PermeabilityData",
     "check_wellposedness",
-    "continuous_jump_avg",
-    "eval_aperture",
-    "interface_normals",
     "project_to_gamma",
     "Mesh",
     "build_bulk_mesh",

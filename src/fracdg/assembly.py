@@ -25,12 +25,15 @@ sign-flipped symmetrizing term and drops the permeability factor from the
 transport edge term, reproducing a formulation found in the literature
 that is inconsistent at inflow/outflow edges of the interface.  The flag
 exists for sensitivity studies.
+
+The variant table (:class:`ModelVariant`) is the single source of truth
+for what distinguishes the models, and :func:`resolve_mesh_mode` holds
+the one rule for which mesh each reduced variant may run on.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,23 +47,100 @@ from .mesh import (
     GAMMA_1,
     GAMMA_2,
     INTERIOR,
-    SIDE_1,
-    SIDE_2,
     InterfaceGrid,
     Mesh,
 )
 
 __all__ = [
+    "ModelVariant", "resolve_mesh_mode",
     "DGSpace", "SparseSystem",
     "triangle_rule", "segment_rule",
     "tri_basis", "tri_basis_grad", "seg_basis", "seg_basis_deriv",
-    "penalty_bulk", "dg_jump_avg",
+    "penalty_bulk",
     "interpolate_bulk", "interpolate_interface",
     "assemble_full", "assemble_reduced",
 ]
 
-VARIANTS = ("I", "I-R", "II", "II-R")
-MAX_DEGREE = 3
+MAX_DEGREE = 4
+EDGE_TERMS = ("consistent", "printed")
+
+
+# ---------------------------------------------------------------------------
+# variants
+
+@dataclass(frozen=True)
+class ModelVariant:
+    """One row of the model table.
+
+    ``uses_rectified_bulk``: bulk domains flattened onto the midline, so
+    the wall traces sit on the midline rather than on the curved walls.
+    ``gradient_terms_in_transport``: wall-slope terms kept in the
+    tangential transport equation.
+    """
+
+    name: str
+    uses_rectified_bulk: bool
+    gradient_terms_in_transport: bool
+
+    @property
+    def is_full(self) -> bool:
+        return self.name == "full"
+
+    @classmethod
+    def of(cls, name) -> "ModelVariant":
+        if isinstance(name, ModelVariant):
+            return name
+        try:
+            return _VARIANTS[name]
+        except KeyError:
+            raise ValueError(f"unknown model variant {name!r}, expected one "
+                             f"of {MODEL_NAMES}") from None
+
+
+_VARIANTS = {v.name: v for v in (
+    ModelVariant("full", False, False),
+    ModelVariant("I", False, True),
+    ModelVariant("I-R", True, True),
+    ModelVariant("II", False, False),
+    ModelVariant("II-R", True, False),
+)}
+MODEL_NAMES = tuple(_VARIANTS)
+VARIANTS = tuple(v.name for v in _VARIANTS.values() if not v.is_full)
+
+
+def resolve_mesh_mode(variant, profile: ApertureProfile,
+                      mesh_mode: str = "auto") -> str:
+    """Mesh mode of a reduced run; raises if ``mesh_mode`` does not fit.
+
+    "auto" picks the wall-conforming mesh for the wall-trace variants and
+    for any variant with a constant aperture (where the flattened and
+    wall-conforming descriptions carry the same model and the wall mesh
+    keeps the trace offsets exact); rectified variants with genuinely
+    varying walls get the rectified mesh.
+    """
+    var = ModelVariant.of(variant)
+    if var.is_full:
+        raise ValueError("the full model is not a reduced variant")
+    if mesh_mode == "auto":
+        if profile.is_constant or not var.uses_rectified_bulk:
+            return "curved-reduced"
+        return "rectified"
+    if mesh_mode == "full":
+        raise ValueError("reduced variants cannot use a full-dimensional mesh")
+    if mesh_mode not in ("curved-reduced", "rectified"):
+        raise ValueError(f"unknown mesh mode {mesh_mode!r}")
+    if var.uses_rectified_bulk:
+        # With a constant aperture the wall-conforming mesh carries the
+        # same model (every slope term vanishes and the trace offset is
+        # exact), so it is accepted as the canonical degenerate case.
+        if mesh_mode == "curved-reduced" and not profile.is_constant:
+            raise ValueError(f"variant {var.name} needs a rectified mesh for "
+                             "non-constant apertures")
+    elif mesh_mode != "curved-reduced":
+        raise ValueError(f"variant {var.name} evaluates traces on the "
+                         "fracture walls and needs a wall-conforming "
+                         f"mesh, got {mesh_mode!r}")
+    return mesh_mode
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +319,7 @@ def _basis_at(mesh_maps: _ElementMaps, space: DGSpace, e: int,
 
 
 # ---------------------------------------------------------------------------
-# penalty, jump/average and interpolation helpers
+# penalty
 
 def penalty_bulk(degrees, h_values, mu0: float, dim: int = 2) -> float:
     """Facet penalty: mu0 * max over adjacent elements of
@@ -254,27 +334,6 @@ def penalty_bulk(degrees, h_values, mu0: float, dim: int = 2) -> float:
     if np.any(h_values <= 0.0):
         raise ValueError("nonpositive element size")
     return float(mu0 * np.max((degrees + 1) * (degrees + dim) / h_values))
-
-
-def dg_jump_avg(values, normals, kind: str = "scalar"):
-    """Facet jump/average of two one-sided traces.
-
-    Scalar: jump = v1 n1 + v2 n2 (a vector), average = (v1 + v2)/2.
-    Vector: jump = z1 . n1 + z2 . n2 (a scalar), average = (z1 + z2)/2.
-    """
-    v1 = np.asarray(values[0], dtype=float)
-    v2 = np.asarray(values[1], dtype=float)
-    n1 = np.asarray(normals[0], dtype=float)
-    n2 = np.asarray(normals[1], dtype=float)
-    if kind == "scalar":
-        jump = v1[..., None] * n1 + v2[..., None] * n2
-        return jump, 0.5 * (v1 + v2)
-    if kind == "vector":
-        if v1.shape[-1] != n1.shape[-1] or v2.shape[-1] != n2.shape[-1]:
-            raise ValueError("trace and normal dimensions do not match")
-        jump = np.sum(v1 * n1, axis=-1) + np.sum(v2 * n2, axis=-1)
-        return jump, 0.5 * (v1 + v2)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +376,12 @@ def interpolate_interface(grid: InterfaceGrid, space: DGSpace, f) -> np.ndarray:
 
 @dataclass
 class SparseSystem:
-    """Assembled linear system with its dof bookkeeping.
-
-    ``dof_space``/``dof_element``/``dof_local`` map each global dof back
-    to (space id, element, local basis index); space id 0 is bulk, 1 the
-    interface."""
+    """Assembled linear system, blocked as [bulk dofs | interface dofs]."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     n_bulk: int
     n_iface: int
-    dof_space: np.ndarray
-    dof_element: np.ndarray
-    dof_local: np.ndarray
 
     @property
     def n_dofs(self) -> int:
@@ -341,18 +393,6 @@ class SparseSystem:
         denom = np.abs(self.matrix.data).max() if self.matrix.nnz else 1.0
         num = np.abs(d.data).max() if d.nnz else 0.0
         return float(num / denom)
-
-
-def _dof_maps(spaces_dims: list[tuple[int, np.ndarray, np.ndarray]], n_total: int):
-    dof_space = np.empty(n_total, dtype=np.int8)
-    dof_element = np.empty(n_total, dtype=np.int64)
-    dof_local = np.empty(n_total, dtype=np.int64)
-    for sid, offsets, dims in spaces_dims:
-        for e, (o, nd) in enumerate(zip(offsets, dims)):
-            dof_space[o:o + nd] = sid
-            dof_element[o:o + nd] = e
-            dof_local[o:o + nd] = np.arange(nd)
-    return dof_space, dof_element, dof_local
 
 
 class _Accumulator:
@@ -728,32 +768,8 @@ def assemble_full(mesh: Mesh, space: DGSpace, perm: PermeabilityData,
     acc = _Accumulator(space.n_dofs)
     _bulk_sipg(acc, mesh, space, perm, q, g, mu0,
                flux_classes=(INTERIOR, GAMMA_1, GAMMA_2))
-    dims = np.array([space.local_dim(e) for e in range(space.n_elements)])
-    dmaps = _dof_maps([(0, space.offsets, dims)], space.n_dofs)
     return SparseSystem(matrix=acc.matrix(), rhs=acc.rhs,
-                        n_bulk=space.n_dofs, n_iface=0,
-                        dof_space=dmaps[0], dof_element=dmaps[1],
-                        dof_local=dmaps[2])
-
-
-def _check_variant_mesh(variant: str, mesh: Mesh, profile: ApertureProfile):
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if mesh.mode == "full":
-        raise ValueError("reduced variants cannot use a full-dimensional mesh")
-    if variant.endswith("-R"):
-        # Rectified variants flatten the walls onto the midline.  With a
-        # constant aperture the wall-conforming mesh carries the same model
-        # (every slope term vanishes and the trace offset is exact), so it
-        # is accepted as the canonical degenerate configuration.
-        if mesh.mode == "curved-reduced" and not profile.is_constant:
-            raise ValueError(f"variant {variant} needs a rectified mesh for "
-                             "non-constant apertures")
-    else:
-        if mesh.mode != "curved-reduced":
-            raise ValueError(f"variant {variant} evaluates traces on the "
-                             "fracture walls and needs a wall-conforming "
-                             f"mesh, got {mesh.mode!r}")
+                        n_bulk=space.n_dofs, n_iface=0)
 
 
 def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
@@ -764,15 +780,17 @@ def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
                      edge_terms: str = "consistent") -> SparseSystem:
     """Assemble the coupled bulk/interface system of a reduced model.
 
-    The system is blocked as [bulk dofs | interface dofs].  Variants I and
-    I-R include the wall-trace transport form; all variants share the bulk
-    SIPG form, the tangential interface form and the coupling form.  Wall
-    traces are taken on the walls for curved meshes and on the midsurface
-    for rectified ones.
+    The system is blocked as [bulk dofs | interface dofs].  Variants
+    whose table row keeps ``gradient_terms_in_transport`` include the
+    wall-trace transport form; all variants share the bulk SIPG form, the
+    tangential interface form and the coupling form.  Wall traces are
+    taken on the walls for curved meshes and on the midsurface for
+    rectified ones.
     """
-    if edge_terms not in ("consistent", "printed"):
+    if edge_terms not in EDGE_TERMS:
         raise ValueError(f"unknown edge_terms {edge_terms!r}")
-    _check_variant_mesh(variant, mesh, profile)
+    var = ModelVariant.of(variant)
+    resolve_mesh_mode(var, profile, mesh.mode)
 
     n = bulk_space.n_dofs + iface_space.n_dofs
     off = bulk_space.n_dofs
@@ -785,17 +803,9 @@ def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
                  q_gamma, g_gamma, mu0_gamma, edge_terms)
     _coupling_form(acc, grid, mesh, bulk_space, iface_space, off, maps,
                    profile, perm)
-    if variant in ("I", "I-R"):
+    if var.gradient_terms_in_transport:
         _gamma2_form(acc, grid, mesh, bulk_space, iface_space, off, maps,
                      profile, perm, edge_terms)
 
-    bdims = np.array([bulk_space.local_dim(e)
-                      for e in range(bulk_space.n_elements)])
-    idims = np.array([iface_space.local_dim(e)
-                      for e in range(iface_space.n_elements)])
-    dmaps = _dof_maps([(0, bulk_space.offsets, bdims),
-                       (1, off + iface_space.offsets, idims)], n)
     return SparseSystem(matrix=acc.matrix(), rhs=acc.rhs,
-                        n_bulk=bulk_space.n_dofs, n_iface=iface_space.n_dofs,
-                        dof_space=dmaps[0], dof_element=dmaps[1],
-                        dof_local=dmaps[2])
+                        n_bulk=bulk_space.n_dofs, n_iface=iface_space.n_dofs)

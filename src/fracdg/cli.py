@@ -73,11 +73,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from . import models, postproc
+from . import models, postproc, solver
+from .assembly import EDGE_TERMS, MAX_DEGREE, VARIANTS
 
 logger = logging.getLogger("fracdg.cli")
 
-_VARIANT_CHOICES = ("I", "I-R", "II", "II-R")
 _LOG_FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
 
 
@@ -161,6 +161,14 @@ def _choice(*options):
 
 # named functions: the closed set of boundary/source data
 
+_NAMED_BULK = {
+    "boundary": {"inflow-bubble": models.inflow_bubble,
+                 "cosine-product": models.cosine_product},
+    "source": {"zero": None,
+               "cosine-product-source": models.cosine_product_source},
+}
+
+
 def _named_bulk_function(text: str, kind: str):
     """``kind`` is "boundary" or "source"; returns a callable on (m,2)."""
     head, _, tail = text.partition(":")
@@ -172,20 +180,13 @@ def _named_bulk_function(text: str, kind: str):
                              "coefficients: affine: c0, cx, cy")
         c0, cx, cy = coeff
         return lambda x: c0 + cx * x[:, 0] + cy * x[:, 1]
-    if kind == "boundary" and head == "inflow-bubble":
-        return lambda x: 4.0 * x[:, 0] * (1.0 - x[:, 0]) * (1.0 - x[:, 1])
-    if kind == "boundary" and head == "cosine-product":
-        return lambda x: np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
-    if kind == "source" and head == "zero":
-        return None
-    if kind == "source" and head == "cosine-product-source":
-        return lambda x: 2.0 * np.pi ** 2 * np.cos(np.pi * x[:, 0]) \
-            * np.cos(np.pi * x[:, 1])
-    names = {"boundary": "affine: c0, cx, cy | inflow-bubble | "
-                         "cosine-product",
-             "source": "zero | cosine-product-source"}
+    if head in _NAMED_BULK[kind]:
+        return _NAMED_BULK[kind][head]
+    names = " | ".join(_NAMED_BULK[kind])
+    if kind == "boundary":
+        names = "affine: c0, cx, cy | " + names
     raise ValueError(f"unknown {kind} function {text!r}; the named set is "
-                     f"{names[kind]}")
+                     f"{names}")
 
 
 def _named_gamma_function(text: str, kind: str):
@@ -245,15 +246,14 @@ _SCHEMA = {
     ("experiment", "xi"): _conv_float,
     ("experiment", "mesh_mode"): _choice("auto", "curved-reduced",
                                          "rectified"),
-    ("experiment", "reference"): _choice("full", "exact"),
+    ("experiment", "reference"): _choice(*postproc.REFERENCES),
     ("experiment", "ref_h"): _conv_spacing,
     ("experiment", "ref_degrees"): _conv_int,
     ("experiment", "ref_h_normal"): _conv_spacing,
     ("experiment", "fracture_layers"): _conv_int,
-    ("experiment", "edge_terms"): _choice("consistent", "printed"),
-    ("solver", "method"): _choice("auto", "direct-LU", "CG", "BiCGStab"),
-    ("solver", "ref_method"): _choice("auto", "direct-LU", "CG",
-                                      "BiCGStab"),
+    ("experiment", "edge_terms"): _choice(*EDGE_TERMS),
+    ("solver", "method"): _choice("auto", *solver.METHODS),
+    ("solver", "ref_method"): _choice("auto", *solver.METHODS),
     ("solver", "tol"): _conv_float,
     ("solver", "max_iter"): _conv_int,
     ("output", "directory"): _conv_str,
@@ -280,7 +280,7 @@ class ExperimentConfig:
     """Validated experiment description with all defaults filled."""
 
     preset: str
-    variants: tuple = _VARIANT_CHOICES
+    variants: tuple = VARIANTS
     d0_list: tuple = (1e-1, 3e-2, 1e-2)
     h: float = 1.0 / 16.0
     degrees: int = 1
@@ -295,7 +295,7 @@ class ExperimentConfig:
     fracture_layers: int = 4
     edge_terms: str = "consistent"
     method: str | None = None
-    ref_method: str = "direct-LU"
+    ref_method: str | None = "direct-LU"
     tol: float = 1e-10
     max_iter: int | None = None
     out_dir: str = "out"
@@ -355,12 +355,6 @@ def _scan(path: str) -> dict:
     return entries
 
 
-def _profile_is_constant(config: ExperimentConfig) -> bool:
-    if config.preset == "custom":
-        return config.problem.get("profile", "sinusoidal") == "constant"
-    return config.preset == "manufactured"
-
-
 def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
     def where(section, key):
         return lines.get((section, key))
@@ -373,10 +367,10 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
             fail("experiment", "variants",
                  "the full model is the comparison reference, not a sweep "
                  "variant; list reduced models only")
-        if name not in _VARIANT_CHOICES:
+        if name not in VARIANTS:
             fail("experiment", "variants",
                  f"unknown variant {name!r}; expected a subset of "
-                 f"{', '.join(_VARIANT_CHOICES)}")
+                 f"{', '.join(VARIANTS)}")
     if len(set(config.variants)) != len(config.variants):
         fail("experiment", "variants", "variants listed twice")
 
@@ -386,12 +380,11 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
         if not d0 > 0.0:
             fail("experiment", "d0", f"d0 must be positive, got {d0:g}")
 
-    if not 1 <= config.degrees <= 4:
-        fail("experiment", "degrees",
-             f"degrees must lie in 1..4, got {config.degrees}")
-    if config.ref_degrees is not None and not 1 <= config.ref_degrees <= 4:
-        fail("experiment", "ref_degrees",
-             f"ref_degrees must lie in 1..4, got {config.ref_degrees}")
+    for key in ("degrees", "ref_degrees"):
+        value = getattr(config, key)
+        if value is not None and not 1 <= value <= MAX_DEGREE:
+            fail("experiment", key,
+                 f"{key} must lie in 1..{MAX_DEGREE}, got {value}")
     if not config.mu0 > 0.0:
         fail("experiment", "mu0", "mu0 must be positive")
     if config.mu0_gamma is not None and not config.mu0_gamma > 0.0:
@@ -410,19 +403,6 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
     if config.max_iter is not None and config.max_iter < 0:
         fail("solver", "max_iter", "max_iter cannot be negative")
 
-    constant = _profile_is_constant(config)
-    for name in config.variants:
-        rectified_variant = name.endswith("-R")
-        if config.mesh_mode == "rectified" and not rectified_variant:
-            fail("experiment", "mesh_mode",
-                 f"variant {name} evaluates traces on the fracture walls "
-                 f"and cannot run on a rectified mesh")
-        if config.mesh_mode == "curved-reduced" and rectified_variant \
-                and not constant:
-            fail("experiment", "mesh_mode",
-                 f"variant {name} needs a rectified mesh for "
-                 f"non-constant apertures")
-
     if config.preset == "custom":
         if "g" not in config.problem:
             raise _err(path, None,
@@ -434,18 +414,17 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
                 raise _err(path, lineno,
                            f"[problem] keys are only read with preset = "
                            f"custom, not {config.preset!r}")
-        if config.reference == "exact":
-            trial = models.preset_by_name(config.preset,
-                                          d0=config.d0_list[0],
-                                          xi=config.xi)
-            if trial.gamma_reference is None:
-                fail("experiment", "reference",
-                     f"preset {config.preset!r} has no closed-form "
-                     f"interface reference; use reference = full")
-    if config.preset == "custom" and config.reference == "exact":
+
+    trial = _preset_factory(config)(config.d0_list[0])
+    for name in config.variants:
+        try:
+            models.resolve_mesh_mode(name, trial.profile, config.mesh_mode)
+        except ValueError as exc:
+            fail("experiment", "mesh_mode", str(exc))
+    if config.reference == "exact" and trial.gamma_reference is None:
         fail("experiment", "reference",
-             "custom problems have no closed-form interface reference; "
-             "use reference = full")
+             f"preset {config.preset!r} has no closed-form interface "
+             f"reference; use reference = full")
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -465,39 +444,19 @@ def parse_config(path: str) -> ExperimentConfig:
         raise _err(path, None,
                    "missing required key 'preset' in [experiment]")
 
-    def take(section, key, default):
-        return values.pop((section, key), default)
-
-    problem = {key: values.pop(("problem", key))
-               for section, key in list(values)
+    # config keys that name their ExperimentConfig field differently
+    renames = {"d0": "d0_list", "directory": "out_dir"}
+    fields = {renames.get(key, key): value
+              for (section, key), value in values.items()
+              if section != "problem"}
+    for key in ("method", "ref_method"):
+        if fields.get(key) == "auto":
+            fields[key] = None
+    if fields.get("max_iter") == 0:
+        fields["max_iter"] = None
+    problem = {key: value for (section, key), value in values.items()
                if section == "problem"}
-
-    config = ExperimentConfig(
-        preset=take("experiment", "preset", None),
-        variants=take("experiment", "variants", _VARIANT_CHOICES),
-        d0_list=take("experiment", "d0", (1e-1, 3e-2, 1e-2)),
-        h=take("experiment", "h", 1.0 / 16.0),
-        degrees=take("experiment", "degrees", 1),
-        mu0=take("experiment", "mu0", 10.0),
-        mu0_gamma=take("experiment", "mu0_gamma", None),
-        xi=take("experiment", "xi", 2.0 / 3.0),
-        mesh_mode=take("experiment", "mesh_mode", "auto"),
-        reference=take("experiment", "reference", "full"),
-        ref_h=take("experiment", "ref_h", None),
-        ref_degrees=take("experiment", "ref_degrees", None),
-        ref_h_normal=take("experiment", "ref_h_normal", None),
-        fracture_layers=take("experiment", "fracture_layers", 4),
-        edge_terms=take("experiment", "edge_terms", "consistent"),
-        method={"auto": None}.get(m := take("solver", "method", "auto"), m),
-        ref_method=take("solver", "ref_method", "direct-LU"),
-        tol=take("solver", "tol", 1e-10),
-        max_iter={0: None}.get(n := take("solver", "max_iter", 0), n),
-        out_dir=take("output", "directory", "out"),
-        dump_fields=take("output", "dump_fields", False),
-        dump_matrices=take("output", "dump_matrices", False),
-        problem=problem,
-        source=str(path),
-    )
+    config = ExperimentConfig(**fields, problem=problem, source=str(path))
     _validate(config, path, lines)
     return config
 

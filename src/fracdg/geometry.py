@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -21,11 +21,7 @@ __all__ = [
     "FractureFrame",
     "ApertureProfile",
     "PermeabilityData",
-    "ApertureValues",
     "WellposednessReport",
-    "eval_aperture",
-    "interface_normals",
-    "continuous_jump_avg",
     "project_to_gamma",
     "check_wellposedness",
 ]
@@ -49,8 +45,8 @@ class FractureFrame:
     Parameters
     ----------
     normal : unit normal of the hyperplane.
-    tangents : orthonormal tangent vectors completing the basis
-        (one vector in 2D, stored as rows).
+    tangents : the unit tangent completing the basis, stored as one row
+        (the package is two-dimensional).
     offset : position of the hyperplane along its normal (length).
     """
 
@@ -61,6 +57,9 @@ class FractureFrame:
     def __post_init__(self) -> None:
         n = _unit(self.normal)
         tau = np.atleast_2d(np.asarray(self.tangents, dtype=float))
+        if n.shape != (2,) or tau.shape != (1, 2):
+            raise ValueError("frames are two-dimensional: one normal and "
+                             "one tangent")
         basis = np.vstack([n, tau])
         gram = basis @ basis.T
         if not np.allclose(gram, np.eye(len(basis)), atol=_ORTHONORMAL_TOL):
@@ -85,9 +84,7 @@ class FractureFrame:
         coordinate(s) ``t``."""
         t = np.asarray(t, dtype=float)
         base = self.offset * self.normal
-        if self.tangents.shape[0] == 1:
-            return base + np.multiply.outer(t, self.tangents[0])
-        return base + np.tensordot(t, self.tangents, axes=([-1], [0]))
+        return base + np.multiply.outer(t, self.tangents[0])
 
     def eta(self, x: np.ndarray) -> np.ndarray:
         """Signed normal coordinate of ambient point(s) ``x``."""
@@ -95,19 +92,9 @@ class FractureFrame:
         return x @ self.normal - self.offset
 
     def tangential(self, x: np.ndarray) -> np.ndarray:
-        """Tangential coordinate(s) of ambient point(s) ``x``
-        (scalar per point in 2D)."""
-        x = np.asarray(x, dtype=float)
-        t = x @ self.tangents.T
-        return t[..., 0] if self.tangents.shape[0] == 1 else t
-
-
-class ApertureValues(NamedTuple):
-    d1: np.ndarray
-    d2: np.ndarray
-    d: np.ndarray
-    grad_d1: np.ndarray
-    grad_d2: np.ndarray
+        """Tangential coordinate (a scalar per point) of ambient point(s)
+        ``x``."""
+        return np.asarray(x, dtype=float) @ self.tangents[0]
 
 
 @dataclass(frozen=True)
@@ -208,77 +195,6 @@ class ApertureProfile:
         return cls(kind="custom", d1_fn=d1_fn, d2_fn=d2_fn,
                    dd1_fn=dd1_fn, dd2_fn=dd2_fn,
                    d_min=d_min, d_sup=d_sup, t_range=t_range)
-
-
-def _check_t(profile: ApertureProfile, t: np.ndarray) -> None:
-    lo, hi = profile.t_range
-    tol = 1e-12 * max(1.0, abs(hi - lo))
-    if np.any(t < lo - tol) or np.any(t > hi + tol):
-        raise ValueError(f"tangential coordinate outside [{lo}, {hi}]")
-
-
-def eval_aperture(profile: ApertureProfile, t, frame: FractureFrame) -> ApertureValues:
-    """Evaluate apertures and their ambient tangential gradients at ``t``.
-
-    Returns arrays shaped like ``t`` (gradients get a trailing space
-    dimension).  Raises if ``t`` leaves the parameter range or if the total
-    aperture is not positive at a queried point.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    _check_t(profile, t_arr)
-    d1 = np.asarray(profile.d1_fn(t_arr), dtype=float)
-    d2 = np.asarray(profile.d2_fn(t_arr), dtype=float)
-    d = d1 + d2
-    if np.any(d <= 0.0):
-        raise ValueError("total aperture is not positive at a queried point")
-    tau = frame.tangents[0]
-    g1 = np.multiply.outer(np.asarray(profile.dd1_fn(t_arr), dtype=float), tau)
-    g2 = np.multiply.outer(np.asarray(profile.dd2_fn(t_arr), dtype=float), tau)
-    return ApertureValues(d1=d1, d2=d2, d=d, grad_d1=g1, grad_d2=g2)
-
-
-def interface_normals(profile: ApertureProfile, frame: FractureFrame, t):
-    """Unit normals of the two fracture walls at tangential coordinate ``t``.
-
-    ``n1 = (-n - grad d1) / sqrt(1 + |grad d1|^2)`` points from the fracture
-    into the side-1 matrix, ``n2 = (n - grad d2) / sqrt(1 + |grad d2|^2)``
-    into side 2.  The normalization is exact because the gradients are
-    tangential, hence orthogonal to ``n``.
-    """
-    vals = eval_aperture(profile, t, frame)
-    n = frame.normal
-    s1 = np.sqrt(1.0 + np.sum(vals.grad_d1 ** 2, axis=-1))
-    s2 = np.sqrt(1.0 + np.sum(vals.grad_d2 ** 2, axis=-1))
-    n1 = (-n - vals.grad_d1) / s1[..., None]
-    n2 = (n - vals.grad_d2) / s2[..., None]
-    return n1, n2
-
-
-def continuous_jump_avg(trace1, trace2, profile: ApertureProfile,
-                        frame: FractureFrame, t, kind: str = "scalar"):
-    """Jump and average of wall traces across the fracture.
-
-    Scalar kind: ``jump = trace2 - trace1`` and the arithmetic mean.
-    Vector kind (fluxes): the wall-geometry factors enter,
-    ``jump = trace1 . (n + grad d1) - trace2 . (n - grad d2)`` and
-    ``avg = (trace1 . (n + grad d1) + trace2 . (n - grad d2)) / 2``.
-    """
-    if kind == "scalar":
-        t1 = np.asarray(trace1, dtype=float)
-        t2 = np.asarray(trace2, dtype=float)
-        return t2 - t1, 0.5 * (t1 + t2)
-    if kind == "vector":
-        vals = eval_aperture(profile, t, frame)
-        t1 = np.asarray(trace1, dtype=float)
-        t2 = np.asarray(trace2, dtype=float)
-        if t1.shape[-1] != frame.dim or t2.shape[-1] != frame.dim:
-            raise ValueError("vector traces must have the ambient dimension")
-        w1 = frame.normal + vals.grad_d1
-        w2 = frame.normal - vals.grad_d2
-        a = np.sum(t1 * w1, axis=-1)
-        b = np.sum(t2 * w2, axis=-1)
-        return a - b, 0.5 * (a + b)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def project_to_gamma(x, frame: FractureFrame) -> np.ndarray:

@@ -92,12 +92,6 @@ class StructuredLattice:
     def n_cols(self) -> int:
         return self.xs.shape[1] - 1
 
-    def locate_column(self, j: int, x: float) -> int:
-        """Column index of the cell in row ``j`` containing abscissa ``x``."""
-        row_x = self.xs[j]
-        i = int(np.searchsorted(row_x, x, side="right")) - 1
-        return min(max(i, 0), self.n_cols - 1)
-
 
 @dataclass(frozen=True)
 class Mesh:

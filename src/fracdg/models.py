@@ -1,11 +1,10 @@
 """End-to-end model runs: geometry, mesh, assembly, solve, evaluation.
 
-The variant table is the single source of truth for what distinguishes
-the reduced models: whether the bulk domains are rectified onto the
-midline, whether the tangential transport equation keeps the wall-slope
-terms, and whether the coupling works with wall traces (slope factors in
-the jump/average operators) or midline traces.  The problem presets bundle
-the data of the benchmark configurations.
+The variant table in :mod:`fracdg.assembly` (``ModelVariant``, re-exported
+here) is the single source of truth for what distinguishes the reduced
+models: whether the bulk domains are rectified onto the midline and
+whether the tangential transport equation keeps the wall-slope terms.
+The problem presets bundle the data of the benchmark configurations.
 """
 
 from __future__ import annotations
@@ -17,64 +16,19 @@ from typing import Callable
 import numpy as np
 
 from . import solver
-from .assembly import DGSpace, SparseSystem, _basis_at, _ElementMaps, \
-    _iface_local, _wall_points, assemble_full, assemble_reduced, seg_basis, \
-    seg_basis_deriv
+from .assembly import MODEL_NAMES, DGSpace, ModelVariant, SparseSystem, \
+    _basis_at, _ElementMaps, _iface_local, _wall_points, assemble_full, \
+    assemble_reduced, resolve_mesh_mode, seg_basis, seg_basis_deriv
 from .geometry import ApertureProfile, FractureFrame, PermeabilityData, \
     WellposednessReport, check_wellposedness
 from .mesh import InterfaceGrid, Mesh, build_bulk_mesh, build_interface_grid
 
 logger = logging.getLogger(__name__)
 
-MODEL_NAMES = ("full", "I", "I-R", "II", "II-R")
 PRESET_NAMES = ("perp-asym", "perp-sym", "tangential", "manufactured",
                 "custom")
 
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# variants
-
-@dataclass(frozen=True)
-class ModelVariant:
-    """One row of the model table.
-
-    ``uses_rectified_bulk``: bulk domains flattened onto the midline.
-    ``gradient_terms_in_transport``: wall-slope terms kept in the
-    tangential transport equation.
-    ``gradient_terms_in_coupling``: coupling evaluates wall traces (with
-    the slope factors in the jump/average weights) rather than midline
-    traces.
-    """
-
-    name: str
-    uses_rectified_bulk: bool
-    gradient_terms_in_transport: bool
-    gradient_terms_in_coupling: bool
-
-    @property
-    def is_full(self) -> bool:
-        return self.name == "full"
-
-    @classmethod
-    def of(cls, name) -> "ModelVariant":
-        if isinstance(name, ModelVariant):
-            return name
-        try:
-            return _VARIANTS[name]
-        except KeyError:
-            raise ValueError(f"unknown model {name!r}, expected one of "
-                             f"{MODEL_NAMES}") from None
-
-
-_VARIANTS = {
-    "full": ModelVariant("full", False, False, False),
-    "I": ModelVariant("I", False, True, True),
-    "I-R": ModelVariant("I-R", True, True, False),
-    "II": ModelVariant("II", False, False, True),
-    "II-R": ModelVariant("II-R", True, False, False),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +84,17 @@ def _g_linear(x):
     return 1.0 - x[:, 0]
 
 
-def _g_inflow(x):
+def inflow_bubble(x):
     return 4.0 * x[:, 0] * (1.0 - x[:, 0]) * (1.0 - x[:, 1])
+
+
+def cosine_product(x):
+    return np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
+
+
+def cosine_product_source(x):
+    """Source of ``cosine_product``: minus its Laplacian."""
+    return 2.0 * np.pi**2 * np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
 
 
 def preset_by_name(name: str, d0: float = 0.1,
@@ -160,20 +123,13 @@ def preset_by_name(name: str, d0: float = 0.1,
         return ProblemPreset(
             name=name,
             profile=ApertureProfile.sinusoidal(d0, asymmetry="symmetric"),
-            k1=eye, k2=eye, k_f=2.0 * eye, g=_g_inflow, xi=xi)
+            k1=eye, k2=eye, k_f=2.0 * eye, g=inflow_bubble, xi=xi)
     if name == "manufactured":
-        def exact(x):
-            return np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
-
-        def source(x):
-            return 2.0 * np.pi**2 * np.cos(np.pi * x[:, 0]) \
-                * np.cos(np.pi * x[:, 1])
-
         return ProblemPreset(
             name=name,
             profile=ApertureProfile.constant(d0 / 2.0, d0 / 2.0),
-            k1=eye, k2=eye, k_f=eye, g=exact, q=source, xi=xi,
-            exact_pressure=exact)
+            k1=eye, k2=eye, k_f=eye, g=cosine_product,
+            q=cosine_product_source, xi=xi, exact_pressure=cosine_product)
     raise ValueError(f"unknown preset {name!r}; custom problems are built "
                      "directly through ProblemPreset")
 
@@ -256,7 +212,7 @@ class FullSolution:
 
     @property
     def variant(self) -> ModelVariant:
-        return _VARIANTS["full"]
+        return ModelVariant.of("full")
 
     def _maps(self) -> _ElementMaps:
         if not hasattr(self, "_maps_cache"):
@@ -382,25 +338,6 @@ def _iface_degree(degrees) -> int:
             raise ValueError("degrees must be an int or (bulk, interface)")
         return int(degrees[1])
     return int(degrees)
-
-
-def resolve_mesh_mode(variant: ModelVariant, profile: ApertureProfile,
-                      mesh_mode: str = "auto") -> str:
-    """Mesh mode for a reduced run.
-
-    "auto" picks the wall-conforming mesh for the wall-trace variants and
-    for any variant with a constant aperture (where the flattened and
-    wall-conforming descriptions carry the same model and the wall mesh
-    keeps the trace offsets exact); rectified variants with genuinely
-    varying walls get the rectified mesh.
-    """
-    if mesh_mode != "auto":
-        if mesh_mode not in ("curved-reduced", "rectified"):
-            raise ValueError(f"unknown mesh mode {mesh_mode!r}")
-        return mesh_mode
-    if profile.is_constant or not variant.uses_rectified_bulk:
-        return "curved-reduced"
-    return "rectified"
 
 
 def prepare_full(preset: ProblemPreset, h: float, degrees=1,

@@ -16,13 +16,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import models
-from .assembly import DGSpace, _basis_at, _ElementMaps, segment_rule
+from .assembly import _basis_at, _ElementMaps, segment_rule
 from .geometry import ApertureProfile, FractureFrame
 from .mesh import FRACTURE, InterfaceGrid, Mesh
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_N_QUAD = 16
+REFERENCES = ("full", "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
         make = lambda d0: models.preset_by_name(preset, d0=d0, xi=xi
                                                 if xi is not None
                                                 else 2.0 / 3.0)
-    if reference not in ("full", "exact"):
+    if reference not in REFERENCES:
         raise ValueError(f"unknown reference {reference!r}")
 
     table = ErrorTable()

@@ -2,8 +2,9 @@
 
 Reduced systems with wall-trace transport terms are nonsymmetric, so the
 default there is a direct factorization; full-dimensional interior
-penalty systems are symmetric positive definite and default to conjugate
-gradients with diagonal preconditioning.  Whatever the path, the reported
+penalty systems are symmetric (positive definite only while the penalty
+dominates) and default to conjugate gradients with diagonal
+preconditioning.  Whatever the path, the reported
 relative residual is recomputed from the returned iterate, never taken
 from the iteration itself.
 """
@@ -14,7 +15,6 @@ import inspect
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SparseSystem

@@ -13,8 +13,6 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fracdg import assembly as asm
 from fracdg.geometry import ApertureProfile, FractureFrame, PermeabilityData
@@ -180,53 +178,6 @@ class TestPenalty:
 
 
 # ---------------------------------------------------------------------------
-# discrete jumps and averages
-
-
-class TestJumpAvg:
-    def test_scalar_example(self):
-        n = np.array([1.0, 0.0])
-        jump, avg = asm.dg_jump_avg((1.0, 3.0), (n, -n), kind="scalar")
-        np.testing.assert_allclose(jump, [-2.0, 0.0])
-        assert avg == pytest.approx(2.0)
-
-    def test_equal_scalar_traces(self):
-        n = np.array([0.6, 0.8])
-        jump, avg = asm.dg_jump_avg((2.0, 2.0), (n, -n), kind="scalar")
-        np.testing.assert_allclose(jump, 0.0, atol=1e-15)
-        assert avg == pytest.approx(2.0)
-
-    def test_continuous_vector_field(self):
-        n = np.array([0.6, 0.8])
-        z = np.array([1.5, -2.5])
-        jump, avg = asm.dg_jump_avg((z, z), (n, -n), kind="vector")
-        assert jump == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(avg, z)
-
-    def test_batched_scalar(self):
-        n = np.array([1.0, 0.0])
-        v1 = np.array([1.0, 2.0])
-        v2 = np.array([3.0, 2.0])
-        jump, avg = asm.dg_jump_avg((v1, v2), (n, -n), kind="scalar")
-        assert jump.shape == (2, 2)
-        np.testing.assert_allclose(jump[:, 0], [-2.0, 0.0])
-        np.testing.assert_allclose(avg, [2.0, 2.0])
-
-    @given(st.floats(-10, 10), st.floats(-10, 10))
-    @settings(max_examples=30, deadline=None)
-    def test_scalar_jump_antisymmetric_in_sides(self, a, b):
-        n = np.array([0.0, 1.0])
-        j1, _ = asm.dg_jump_avg((a, b), (n, -n), kind="scalar")
-        j2, _ = asm.dg_jump_avg((b, a), (-n, n), kind="scalar")
-        np.testing.assert_allclose(j1, j2, atol=1e-12)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            asm.dg_jump_avg((1.0, 2.0), (np.ones(2), -np.ones(2)),
-                            kind="tensor")
-
-
-# ---------------------------------------------------------------------------
 # spaces and interpolation
 
 
@@ -261,7 +212,7 @@ class TestSpaces:
         with pytest.raises(ValueError):
             asm.DGSpace.bulk(mesh, asm.MAX_DEGREE + 1)
         with pytest.raises(ValueError):
-            asm.DGSpace.interface(grid, 4)
+            asm.DGSpace.interface(grid, asm.MAX_DEGREE + 1)
 
     def test_bulk_interpolation_reproduces_polynomials(self):
         rng = np.random.default_rng(3)
@@ -318,8 +269,6 @@ class TestFullAssembly:
         assert sys_.matrix.shape == (n, n)
         assert sys_.rhs.shape == (n,)
         assert sys_.n_bulk == n and sys_.n_iface == 0
-        assert np.all(sys_.dof_space == 0)
-        assert len(sys_.dof_element) == n
 
     def test_symmetry(self):
         assert self.assemble().symmetry_defect() < 1e-12
@@ -377,8 +326,6 @@ class TestReducedAssembly:
         n = bs.n_dofs + ifs.n_dofs
         assert sys_.matrix.shape == (n, n)
         assert sys_.n_bulk == bs.n_dofs and sys_.n_iface == ifs.n_dofs
-        assert np.all(sys_.dof_space[:bs.n_dofs] == 0)
-        assert np.all(sys_.dof_space[bs.n_dofs:] == 1)
 
     def test_linear_field_is_discrete_solution_all_variants(self):
         # with matching boundary data, unit permeabilities and a constant

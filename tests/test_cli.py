@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fracdg import cli
+from fracdg import assembly, cli, solver
 
 
 def write_config(tmp_path, body, name="exp.cfg"):
@@ -228,6 +228,40 @@ class TestParseErrors:
                 [solver]
                 tol = 2.0
             """)
+
+
+class TestLibraryChoices:
+    """The CLI accepts exactly what the library can run."""
+
+    def parses(self, tmp_path, section, line):
+        try:
+            return parse(tmp_path, f"""
+                [experiment]
+                preset = perp-asym
+                [{section}]
+                {line}
+            """)
+        except cli.ConfigError:
+            return None
+
+    def test_choices_match_library(self, tmp_path):
+        assert self.parses(tmp_path, "experiment",
+                           "h = 1/16").variants == assembly.VARIANTS
+        for name in assembly.VARIANTS:
+            assert self.parses(tmp_path, "experiment", f"variants = {name}")
+        assert not self.parses(tmp_path, "experiment", "variants = full")
+        for degree in range(1, assembly.MAX_DEGREE + 1):
+            assert self.parses(tmp_path, "experiment", f"degrees = {degree}")
+        for degree in (0, assembly.MAX_DEGREE + 1):
+            assert not self.parses(tmp_path, "experiment",
+                                   f"degrees = {degree}")
+        for key in ("method", "ref_method"):
+            for method in solver.METHODS:
+                config = self.parses(tmp_path, "solver", f"{key} = {method}")
+                assert getattr(config, key) == method
+            assert getattr(self.parses(tmp_path, "solver", f"{key} = auto"),
+                           key) is None
+            assert not self.parses(tmp_path, "solver", f"{key} = GMRES")
 
 
 class TestMeshModeValidation:
@@ -452,6 +486,24 @@ class TestRun:
         rows = (out / "errors.csv").read_text().splitlines()[1:]
         assert len(rows) == 1 and ",nan," in rows[0]
         assert "failed" in capsys.readouterr().err
+
+    def test_degree_four_runs(self, tmp_path):
+        out = tmp_path / "res"
+        config = cli.parse_config(write_config(tmp_path, f"""
+            [experiment]
+            preset = perp-sym
+            variants = II-R
+            d0 = 1e-1
+            h = 1/8
+            degrees = 4
+            reference = exact
+
+            [output]
+            directory = {out}
+        """))
+        assert cli.run(config) == 0
+        (row,) = (out / "errors.csv").read_text().splitlines()[1:]
+        assert math.isfinite(float(row.split(",")[2]))
 
 
 class TestMain:

@@ -17,9 +17,6 @@ from fracdg.geometry import (
     FractureFrame,
     PermeabilityData,
     check_wellposedness,
-    continuous_jump_avg,
-    eval_aperture,
-    interface_normals,
     project_to_gamma,
 )
 
@@ -63,20 +60,19 @@ class TestFrame:
 class TestApertureProfiles:
     def test_constant_values(self):
         prof = ApertureProfile.constant(0.05, 0.15)
-        vals = eval_aperture(prof, np.array([0.0, 0.4, 1.0]), FRAME)
-        np.testing.assert_allclose(vals.d1, 0.05)
-        np.testing.assert_allclose(vals.d2, 0.15)
-        np.testing.assert_allclose(vals.d, 0.2)
-        np.testing.assert_allclose(vals.grad_d1, 0.0)
-        np.testing.assert_allclose(vals.grad_d2, 0.0)
+        t = np.array([0.0, 0.4, 1.0])
+        np.testing.assert_allclose(prof.d1_fn(t), 0.05)
+        np.testing.assert_allclose(prof.d2_fn(t), 0.15)
+        np.testing.assert_allclose(prof.d1_fn(t) + prof.d2_fn(t), 0.2)
+        np.testing.assert_allclose(prof.dd1_fn(t), 0.0)
+        np.testing.assert_allclose(prof.dd2_fn(t), 0.0)
         assert prof.is_constant
         assert prof.d_min == prof.d_sup == pytest.approx(0.2)
 
     def test_constant_allows_negative_side(self):
         # only the sum d1 + d2 must be positive
         prof = ApertureProfile.constant(-0.05, 0.2)
-        vals = eval_aperture(prof, 0.3, FRAME)
-        assert vals.d == pytest.approx(0.15)
+        assert prof.d1_fn(0.3) + prof.d2_fn(0.3) == pytest.approx(0.15)
 
     def test_constant_rejects_nonpositive_total(self):
         with pytest.raises(ValueError):
@@ -86,31 +82,29 @@ class TestApertureProfiles:
         d0 = 0.1
         prof = ApertureProfile.sinusoidal(d0, asymmetry="antisymmetric")
         # at t = 1/16 the oscillation sin(8 pi t) peaks at +1
-        vals = eval_aperture(prof, 1.0 / 16.0, FRAME)
-        assert vals.d1 == pytest.approx(0.15)
-        assert vals.d2 == pytest.approx(0.05)
-        assert vals.d == pytest.approx(0.2)
+        assert prof.d1_fn(1.0 / 16.0) == pytest.approx(0.15)
+        assert prof.d2_fn(1.0 / 16.0) == pytest.approx(0.05)
         # total aperture is constant for the antisymmetric pair
         t = np.linspace(0.0, 1.0, 101)
-        vals = eval_aperture(prof, t, FRAME)
-        np.testing.assert_allclose(vals.d, 2.0 * d0, atol=1e-15)
-        np.testing.assert_allclose(vals.grad_d1 + vals.grad_d2, 0.0, atol=1e-15)
+        np.testing.assert_allclose(prof.d1_fn(t) + prof.d2_fn(t), 2.0 * d0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(prof.dd1_fn(t) + prof.dd2_fn(t), 0.0,
+                                   atol=1e-15)
         assert prof.d_min == pytest.approx(2.0 * d0)
         assert prof.d_sup == pytest.approx(2.0 * d0)
 
     def test_sinusoidal_gradient_at_origin(self):
         prof = ApertureProfile.sinusoidal(0.1)
-        vals = eval_aperture(prof, 0.0, FRAME)
-        np.testing.assert_allclose(vals.grad_d1, [0.0, 0.4 * math.pi], rtol=1e-14)
+        assert prof.dd1_fn(0.0) == pytest.approx(0.4 * math.pi, rel=1e-14)
 
     def test_sinusoidal_symmetric_range(self):
         d0 = 0.01
         prof = ApertureProfile.sinusoidal(d0, asymmetry="symmetric")
         t = np.linspace(0.0, 1.0, 2001)
-        vals = eval_aperture(prof, t, FRAME)
-        np.testing.assert_allclose(vals.d1, vals.d2)
-        assert vals.d.min() == pytest.approx(prof.d_min, rel=1e-6)
-        assert vals.d.max() == pytest.approx(prof.d_sup, rel=1e-6)
+        d1, d2 = prof.d1_fn(t), prof.d2_fn(t)
+        np.testing.assert_allclose(d1, d2)
+        assert (d1 + d2).min() == pytest.approx(prof.d_min, rel=1e-6)
+        assert (d1 + d2).max() == pytest.approx(prof.d_sup, rel=1e-6)
         assert prof.d_min == pytest.approx(d0)
         assert prof.d_sup == pytest.approx(3.0 * d0)
 
@@ -138,105 +132,6 @@ class TestApertureProfiles:
                                    rtol=1e-6, atol=1e-10)
         np.testing.assert_allclose(prof.dd2_fn(t), central_diff(prof.d2_fn, t),
                                    rtol=1e-6, atol=1e-10)
-
-    def test_rejects_t_outside_range(self):
-        prof = ApertureProfile.constant(0.1, 0.1)
-        with pytest.raises(ValueError, match="outside"):
-            eval_aperture(prof, 1.5, FRAME)
-        with pytest.raises(ValueError, match="outside"):
-            eval_aperture(prof, np.array([0.5, -0.2]), FRAME)
-
-    def test_rejects_nonpositive_total_aperture_at_point(self):
-        # bounds claimed at construction cannot be trusted pointwise
-        prof = ApertureProfile.from_callables(
-            d1_fn=lambda t: np.asarray(t, dtype=float) - 0.5,
-            d2_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            dd1_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            dd2_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            d_min=0.1, d_sup=0.5)
-        with pytest.raises(ValueError, match="not positive"):
-            eval_aperture(prof, 0.2, FRAME)
-
-
-class TestInterfaceNormals:
-    def test_constant_profile_normals_align_with_frame(self):
-        prof = ApertureProfile.constant(0.1, 0.1)
-        n1, n2 = interface_normals(prof, FRAME, np.array([0.25, 0.75]))
-        np.testing.assert_allclose(n1, [[-1.0, 0.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(n2, [[1.0, 0.0], [1.0, 0.0]])
-
-    @settings(deadline=None, max_examples=30)
-    @given(d0=st.floats(0.001, 0.2), freq=st.floats(0.5, 30.0),
-           t=st.floats(0.0, 1.0))
-    def test_normals_are_unit_vectors(self, d0, freq, t):
-        prof = ApertureProfile.sinusoidal(d0, frequency=freq)
-        n1, n2 = interface_normals(prof, FRAME, t)
-        assert np.linalg.norm(n1) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(n2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_normals_orthogonal_to_wall_tangents(self):
-        prof = ApertureProfile.sinusoidal(0.1, asymmetry="symmetric")
-        t = np.linspace(0.0, 1.0, 33)
-        vals = eval_aperture(prof, t, FRAME)
-        n1, n2 = interface_normals(prof, FRAME, t)
-        tau = FRAME.tangents[0]
-        n = FRAME.normal
-        # wall curves: x1(t) = point(t) - d1(t) n, x2(t) = point(t) + d2(t) n
-        tang1 = tau[None, :] - np.sum(vals.grad_d1 * tau, axis=-1)[:, None] * n[None, :]
-        tang2 = tau[None, :] + np.sum(vals.grad_d2 * tau, axis=-1)[:, None] * n[None, :]
-        np.testing.assert_allclose(np.sum(n1 * tang1, axis=-1), 0.0, atol=1e-14)
-        np.testing.assert_allclose(np.sum(n2 * tang2, axis=-1), 0.0, atol=1e-14)
-
-    def test_normals_tilt_against_wall_slope(self):
-        prof = ApertureProfile.sinusoidal(0.1)
-        # at t = 0 the side-1 wall recedes with slope dd1 = 0.4 pi
-        n1, n2 = interface_normals(prof, FRAME, 0.0)
-        s = math.sqrt(1.0 + (0.4 * math.pi) ** 2)
-        np.testing.assert_allclose(n1, [-1.0 / s, -0.4 * math.pi / s], rtol=1e-14)
-        np.testing.assert_allclose(n2, [1.0 / s, 0.4 * math.pi / s], rtol=1e-14)
-
-
-class TestJumpAverage:
-    def test_scalar_jump_sign_and_average(self):
-        jump, avg = continuous_jump_avg(1.0, 3.0, None, FRAME, 0.5, kind="scalar")
-        assert jump == pytest.approx(2.0)
-        assert avg == pytest.approx(2.0)
-
-    def test_scalar_equal_traces_degenerate(self):
-        v = np.array([0.3, 0.7])
-        jump, avg = continuous_jump_avg(v, v, None, FRAME, None, kind="scalar")
-        np.testing.assert_allclose(jump, 0.0)
-        np.testing.assert_allclose(avg, v)
-
-    def test_vector_constant_profile_reduces_to_normal_flux(self):
-        prof = ApertureProfile.constant(0.1, 0.1)
-        F = np.array([[2.0, 5.0]])
-        jump, avg = continuous_jump_avg(F, F, prof, FRAME, np.array([0.5]),
-                                        kind="vector")
-        np.testing.assert_allclose(jump, 0.0, atol=1e-15)
-        np.testing.assert_allclose(avg, 2.0)
-
-    def test_vector_variable_profile_picks_up_wall_slopes(self):
-        prof = ApertureProfile.sinusoidal(0.1, asymmetry="symmetric")
-        t = np.array([0.0, 0.13])
-        vals = eval_aperture(prof, t, FRAME)
-        F = np.array([[1.0, 2.0], [0.5, -1.0]])
-        jump, avg = continuous_jump_avg(F, F, prof, FRAME, t, kind="vector")
-        n = FRAME.normal
-        exp_jump = (F @ n) * 0.0 + np.sum(F * (vals.grad_d1 + vals.grad_d2), axis=-1)
-        exp_avg = F @ n + 0.5 * np.sum(F * (vals.grad_d1 - vals.grad_d2), axis=-1)
-        np.testing.assert_allclose(jump, exp_jump, atol=1e-15)
-        np.testing.assert_allclose(avg, exp_avg, atol=1e-15)
-
-    def test_vector_kind_rejects_bad_shape(self):
-        prof = ApertureProfile.constant(0.1, 0.1)
-        with pytest.raises(ValueError):
-            continuous_jump_avg(np.zeros((2, 3)), np.zeros((2, 3)), prof, FRAME,
-                                np.array([0.1, 0.2]), kind="vector")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            continuous_jump_avg(1.0, 2.0, None, FRAME, 0.5, kind="tensor")
 
 
 class TestProjection:

@@ -21,17 +21,16 @@ from fracdg.geometry import ApertureProfile
 class TestVariantTable:
     def test_flag_table(self):
         rows = {
-            "full": (False, False, False),
-            "I": (False, True, True),
-            "I-R": (True, True, False),
-            "II": (False, False, True),
-            "II-R": (True, False, False),
+            "full": (False, False),
+            "I": (False, True),
+            "I-R": (True, True),
+            "II": (False, False),
+            "II-R": (True, False),
         }
         for name, flags in rows.items():
             v = models.ModelVariant.of(name)
             assert (v.uses_rectified_bulk,
-                    v.gradient_terms_in_transport,
-                    v.gradient_terms_in_coupling) == flags
+                    v.gradient_terms_in_transport) == flags
             assert v.name == name
         assert models.ModelVariant.of("full").is_full
         assert not models.ModelVariant.of("I").is_full

@@ -20,11 +20,8 @@ FRAME = FractureFrame.vertical_line(0.5)
 
 def raw_system(matrix, rhs):
     matrix = sp.csr_matrix(matrix)
-    n = matrix.shape[0]
-    z = np.zeros(n, dtype=np.int64)
     return asm.SparseSystem(matrix=matrix, rhs=np.asarray(rhs, dtype=float),
-                            n_bulk=n, n_iface=0, dof_space=z,
-                            dof_element=z, dof_local=z)
+                            n_bulk=matrix.shape[0], n_iface=0)
 
 
 def full_system(h=0.25):
