@@ -5,6 +5,12 @@ element; quadrature is Gauss-Legendre (segments) and a conical product of
 Gauss-Legendre with Gauss-Jacobi (triangles), with enough points to
 integrate products of two basis gradients exactly.
 
+The bulk SIPG form is assembled in batches: the volume term per element
+degree, boundary facets per degree and interior flux facets per pair of
+adjacent degrees, each batch one ``einsum`` over reference-element tables
+and one block of COO triplets.  Data functions are called once per batch
+on all of its quadrature points.
+
 Three coupled bilinear forms make up the reduced systems:
 
 * the bulk SIPG form on the two matrix blocks (wall facets carry no bulk
@@ -47,6 +53,7 @@ from .mesh import (
     GAMMA_1,
     GAMMA_2,
     INTERIOR,
+    MESH_MODES,
     InterfaceGrid,
     Mesh,
 )
@@ -63,6 +70,7 @@ __all__ = [
 
 MAX_DEGREE = 4
 EDGE_TERMS = ("consistent", "printed")
+REDUCED_MESH_MODES = tuple(mode for mode in MESH_MODES if mode != "full")
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +133,10 @@ def resolve_mesh_mode(variant, profile: ApertureProfile,
         if profile.is_constant or not var.uses_rectified_bulk:
             return "curved-reduced"
         return "rectified"
-    if mesh_mode == "full":
-        raise ValueError("reduced variants cannot use a full-dimensional mesh")
-    if mesh_mode not in ("curved-reduced", "rectified"):
+    if mesh_mode not in MESH_MODES:
         raise ValueError(f"unknown mesh mode {mesh_mode!r}")
+    if mesh_mode not in REDUCED_MESH_MODES:
+        raise ValueError("reduced variants cannot use a full-dimensional mesh")
     if var.uses_rectified_bulk:
         # With a constant aperture the wall-conforming mesh carries the
         # same model (every slope term vanishes and the trace offset is
@@ -301,39 +309,87 @@ class _ElementMaps:
         inv /= det[:, None, None]
         return cls(v0=v0, jac=jac, jac_inv=inv, det=det)
 
-    def to_reference(self, e: int, x: np.ndarray) -> np.ndarray:
-        return (x - self.v0[e]) @ self.jac_inv[e].T
+    def points(self, elems: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
+        """Physical images of reference points on each of the elements,
+        shape (N, m, 2)."""
+        return self.v0[elems, None] + ref_pts @ np.swapaxes(self.jac[elems],
+                                                            1, 2)
 
 
-def _basis_at(mesh_maps: _ElementMaps, space: DGSpace, e: int,
+def _by_degree(keys):
+    """Group items by degree: yields (key, indices) for every distinct
+    key, in ascending order.  ``keys`` holds one degree per item, shape
+    (N,), or one degree pair per item, shape (N, 2)."""
+    keys = np.asarray(keys)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    for i, key in enumerate(uniq):
+        yield (int(key) if key.ndim == 0 else tuple(int(v) for v in key),
+               np.flatnonzero(inverse == i))
+
+
+def _data_at(f, x: np.ndarray) -> np.ndarray:
+    """A data function of (m, 2) points, called once on all of ``x``
+    (shape (..., 2)); returns values of shape ``x.shape[:-1]``."""
+    pts = x.reshape(-1, 2)
+    vals = np.broadcast_to(np.asarray(f(pts), dtype=float), (len(pts),))
+    return vals.reshape(x.shape[:-1])
+
+
+def _element_dofs(space: DGSpace, elems: np.ndarray, k: int) -> np.ndarray:
+    """Dofs of elements of degree k, shape (N, tri_dim(k))."""
+    return space.offsets[elems, None] + np.arange(tri_dim(k))
+
+
+def _basis_at(mesh_maps: _ElementMaps, space: DGSpace, elems,
               x_phys: np.ndarray, grad: bool = False):
-    """Element basis (and physical gradients) at physical points."""
-    k = int(space.degrees[e])
-    ref = mesh_maps.to_reference(e, np.atleast_2d(x_phys))
-    vals = tri_basis(k, ref)
+    """Element bases (and physical gradients) at physical points.
+
+    ``elems`` is one element with points of shape (m, 2), or an array of
+    N elements of one degree with points of shape (N, m, 2) on each.
+    Values have shape (..., m, dim), gradients (..., m, dim, 2).  Items of
+    mixed degree are split with :func:`_by_degree` first.
+    """
+    jac_inv = mesh_maps.jac_inv[elems]
+    if np.ndim(elems) == 0:
+        k = int(space.degrees[elems])
+        ref = (np.atleast_2d(x_phys) - mesh_maps.v0[elems]) @ jac_inv.T
+    else:
+        k = int(space.degrees[elems[0]])
+        if np.any(space.degrees[elems] != k):
+            raise ValueError("_basis_at needs elements of a single degree")
+        ref = (x_phys - mesh_maps.v0[elems, None]) \
+            @ np.swapaxes(jac_inv, 1, 2)
+    flat = ref.reshape(-1, 2)
+    vals = tri_basis(k, flat).reshape(ref.shape[:-1] + (-1,))
     if not grad:
         return vals
-    g_ref = tri_basis_grad(k, ref)
-    g_phys = g_ref @ mesh_maps.jac_inv[e]
-    return vals, g_phys
+    g_ref = tri_basis_grad(k, flat).reshape(vals.shape + (2,))
+    return vals, g_ref @ jac_inv[..., None, :, :]
 
 
 # ---------------------------------------------------------------------------
 # penalty
 
+def _facet_penalty(degrees, h_values, mu0: float, dim: int = 2):
+    """mu0 * max over the last axis of (k+1)(k+dim)/h, the last axis
+    holding one (degree, h) pair per element adjacent to a facet."""
+    if mu0 <= 0.0:
+        raise ValueError("mu0 must be positive")
+    if np.any(h_values <= 0.0):
+        raise ValueError("nonpositive element size")
+    return mu0 * np.max((degrees + 1) * (degrees + dim) / h_values, axis=-1)
+
+
 def penalty_bulk(degrees, h_values, mu0: float, dim: int = 2) -> float:
     """Facet penalty: mu0 * max over adjacent elements of
     (k+1)(k+dim)/h.  One (degree, h) pair for boundary facets, two for
     interior ones."""
-    if mu0 <= 0.0:
-        raise ValueError("mu0 must be positive")
     degrees = np.atleast_1d(np.asarray(degrees))
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
     if len(degrees) != len(h_values) or len(degrees) not in (1, 2):
         raise ValueError("need one or two (degree, h) pairs")
-    if np.any(h_values <= 0.0):
-        raise ValueError("nonpositive element size")
-    return float(mu0 * np.max((degrees + 1) * (degrees + dim) / h_values))
+    return float(_facet_penalty(degrees, h_values, mu0, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +398,15 @@ def penalty_bulk(degrees, h_values, mu0: float, dim: int = 2) -> float:
 def interpolate_bulk(mesh: Mesh, space: DGSpace, f) -> np.ndarray:
     maps = _ElementMaps.build(mesh)
     coeffs = np.zeros(space.n_dofs)
-    for e in range(mesh.n_elements):
-        k = int(space.degrees[e])
+    for k, elems in _by_degree(space.degrees):
         pts, w = triangle_rule(k + 2)
         phi = tri_basis(k, pts)
-        x = maps.v0[e] + pts @ maps.jac[e].T
-        wq = w * maps.det[e]
-        mass = phi.T @ (phi * wq[:, None])
-        rhs = phi.T @ (np.asarray(f(x), dtype=float) * wq)
-        sl = slice(space.offsets[e], space.offsets[e] + tri_dim(k))
-        coeffs[sl] = np.linalg.solve(mass, rhs)
+        wq = w * maps.det[elems, None]
+        mass = np.einsum("qi,qj,eq->eij", phi, phi, wq)
+        rhs = np.einsum("qi,eq->ei",
+                        phi, _data_at(f, maps.points(elems, pts)) * wq)
+        coeffs[_element_dofs(space, elems, k)] = \
+            np.linalg.solve(mass, rhs[..., None])[..., 0]
     return coeffs
 
 
@@ -404,12 +459,25 @@ class _Accumulator:
         self.vals: list[np.ndarray] = []
         self.rhs = np.zeros(n)
         self.n = n
+        # 32-bit indices halve the triplet memory; scipy keeps them as is
+        self.index_dtype = np.int32 if n < 2**31 else np.int64
 
-    def add(self, rows: np.ndarray, cols: np.ndarray, block: np.ndarray) -> None:
-        r, c = np.meshgrid(rows, cols, indexing="ij")
-        self.rows.append(r.ravel())
-        self.cols.append(c.ravel())
-        self.vals.append(np.asarray(block, dtype=float).ravel())
+    def add(self, rows, cols, blocks) -> None:
+        """Add dense blocks: ``rows`` (..., m), ``cols`` (..., n) and
+        ``blocks`` (..., m, n) broadcast against each other."""
+        blocks = np.asarray(blocks, dtype=float)
+        rows = np.asarray(rows, dtype=self.index_dtype)
+        cols = np.asarray(cols, dtype=self.index_dtype)
+        self.rows.append(np.broadcast_to(rows[..., :, None],
+                                         blocks.shape).ravel())
+        self.cols.append(np.broadcast_to(cols[..., None, :],
+                                         blocks.shape).ravel())
+        self.vals.append(blocks.ravel())
+
+    def add_rhs(self, dofs, values) -> None:
+        """Add ``values`` at ``dofs`` (same shape; repeats accumulate)."""
+        self.rhs += np.bincount(np.ravel(dofs), np.ravel(values),
+                                minlength=self.n)
 
     def matrix(self) -> sp.csr_matrix:
         if not self.rows:
@@ -421,27 +489,29 @@ class _Accumulator:
 
 
 # ---------------------------------------------------------------------------
-# facet geometry
+# facet and element data
 
-def _facet_geometry(mesh: Mesh, maps: _ElementMaps, f: int):
-    """Vertices, length, and the unit normal pointing out of the first
-    adjacent element."""
-    va, vb = mesh.vertices[mesh.facets[f]]
+def _facet_geometry(mesh: Mesh):
+    """Start and end vertices, lengths and unit normals pointing out of
+    the first adjacent element, of all facets."""
+    va = mesh.vertices[mesh.facets[:, 0]]
+    vb = mesh.vertices[mesh.facets[:, 1]]
     tang = vb - va
-    length = float(np.linalg.norm(tang))
-    normal = np.array([tang[1], -tang[0]]) / length
-    e0 = mesh.facet_elements[f, 0]
-    centroid = mesh.vertices[mesh.elements[e0]].mean(axis=0)
-    if normal @ (0.5 * (va + vb) - centroid) < 0.0:
-        normal = -normal
+    length = np.linalg.norm(tang, axis=1)
+    normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
+    centroid = mesh.vertices[
+        mesh.elements[mesh.facet_elements[:, 0]]].mean(axis=1)
+    outward = np.einsum("fd,fd->f", normal, 0.5 * (va + vb) - centroid)
+    normal[outward < 0.0] *= -1.0
     return va, vb, length, normal
 
 
-def _perm_of_element(mesh: Mesh, perm: PermeabilityData, e: int) -> np.ndarray:
-    tag = int(mesh.subdomain[e])
-    if tag == FRACTURE:
-        return perm.k_f
-    return perm.bulk(tag)
+def _element_permeability(mesh: Mesh, perm: PermeabilityData) -> np.ndarray:
+    """Permeability tensor of every element, shape (n_elements, 2, 2)."""
+    tags = np.unique(mesh.subdomain)
+    table = np.stack([perm.k_f if tag == FRACTURE else perm.bulk(int(tag))
+                      for tag in tags])
+    return table[np.searchsorted(tags, mesh.subdomain)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,68 +528,77 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
     """
     maps = _ElementMaps.build(mesh)
     h_elem = mesh.element_h()
+    perm_elem = _element_permeability(mesh, perm)
+    degrees = space.degrees
 
-    for e in range(mesh.n_elements):
-        k = int(space.degrees[e])
-        K = _perm_of_element(mesh, perm, e)
+    for k, elems in _by_degree(degrees):
         pts, w = triangle_rule(k + 2)
-        wq = w * maps.det[e]
-        grad = tri_basis_grad(k, pts) @ maps.jac_inv[e]
-        kgrad = grad @ K.T
-        block = np.einsum("qid,qjd,q->ij", grad, kgrad, wq)
-        dofs = space.offsets[e] + np.arange(tri_dim(k))
-        acc.add(dofs, dofs, block)
+        wq = w * maps.det[elems, None]
+        grad = tri_basis_grad(k, pts) @ maps.jac_inv[elems, None]
+        kgrad = grad @ np.swapaxes(perm_elem[elems, None], -1, -2)
+        blocks = np.einsum("eqid,eqjd->eij", grad * wq[..., None, None],
+                           kgrad, optimize=True)
+        dofs = _element_dofs(space, elems, k)
+        acc.add(dofs, dofs, blocks)
         if q is not None:
-            phi = tri_basis(k, pts)
-            x = maps.v0[e] + pts @ maps.jac[e].T
-            acc.rhs[dofs] += phi.T @ (np.asarray(q(x), dtype=float) * wq)
+            qw = _data_at(q, maps.points(elems, pts)) * wq
+            acc.add_rhs(dofs, np.einsum("qi,eq->ei", tri_basis(k, pts), qw))
 
-    for f in range(mesh.n_facets):
-        cls = int(mesh.facet_class[f])
-        e0, e1 = mesh.facet_elements[f]
-        va, vb, length, normal = _facet_geometry(mesh, maps, f)
+    va, vb, length, normal = _facet_geometry(mesh)
+    e0, e1 = mesh.facet_elements[:, 0], mesh.facet_elements[:, 1]
 
-        if cls == BOUNDARY:
-            k = int(space.degrees[e0])
-            tq, w = segment_rule(k + 2)
-            x = va + np.outer(tq, vb - va)
-            wq = w * length
-            mu = penalty_bulk([k], [h_elem[e0]], mu0)
-            phi, gphi = _basis_at(maps, space, e0, x, grad=True)
-            K = _perm_of_element(mesh, perm, e0)
-            kdn = gphi @ (K @ normal)
-            dofs = space.offsets[e0] + np.arange(tri_dim(k))
-            block = mu * phi.T @ (phi * wq[:, None]) \
-                - phi.T @ (kdn * wq[:, None]) - (kdn * wq[:, None]).T @ phi
-            acc.add(dofs, dofs, block)
-            gv = np.asarray(g(x), dtype=float)
-            acc.rhs[dofs] += mu * phi.T @ (gv * wq) - kdn.T @ (gv * wq)
-            continue
+    def facet_rule(facets, n_pts):
+        tq, w = segment_rule(n_pts)
+        x = va[facets, None] + tq[:, None] * (vb - va)[facets, None]
+        return x, w * length[facets, None]
 
-        if cls not in flux_classes or e1 < 0:
-            continue
+    def side(elems, facets, x):
+        """Basis values, normal fluxes K grad phi . n and dofs of the
+        elements on one side of the facets."""
+        phi, gphi = _basis_at(maps, space, elems, x, grad=True)
+        kn = np.einsum("fds,fs->fd", perm_elem[elems], normal[facets])
+        kdn = np.einsum("fqnd,fd->fqn", gphi, kn)
+        return phi, kdn, _element_dofs(space, elems, int(degrees[elems[0]]))
 
-        ka, kb = int(space.degrees[e0]), int(space.degrees[e1])
-        tq, w = segment_rule(max(ka, kb) + 2)
-        x = va + np.outer(tq, vb - va)
-        wq = w * length
-        mu = penalty_bulk([ka, kb], [h_elem[e0], h_elem[e1]], mu0)
-        elems = (e0, e1)
+    def tmul(a, b):
+        """a^T b per facet: (F, q, m), (F, q, n) -> (F, m, n)."""
+        return np.swapaxes(a, -1, -2) @ b
+
+    boundary = np.flatnonzero(mesh.facet_class == BOUNDARY)
+    for k, sel in _by_degree(degrees[e0[boundary]]):
+        facets = boundary[sel]
+        elems = e0[facets]
+        x, wq = facet_rule(facets, k + 2)
+        mu = _facet_penalty(np.array([k]), h_elem[elems, None], mu0)
+        phi, kdn, dofs = side(elems, facets, x)
+        pw = phi * wq[..., None]
+        flux = tmul(pw, kdn)
+        acc.add(dofs, dofs, mu[:, None, None] * tmul(pw, phi)
+                - flux - np.swapaxes(flux, -1, -2))
+        gw = _data_at(g, x) * wq
+        acc.add_rhs(dofs, np.einsum("fqi,fq->fi",
+                                    mu[:, None, None] * phi - kdn, gw))
+
+    interior = np.flatnonzero(np.isin(mesh.facet_class, flux_classes)
+                              & (e1 >= 0))
+    pairs = np.column_stack([degrees[e0[interior]], degrees[e1[interior]]])
+    for (ka, kb), sel in _by_degree(pairs):
+        facets = interior[sel]
+        x, wq = facet_rule(facets, max(ka, kb) + 2)
+        mu = _facet_penalty(np.array([ka, kb]),
+                            np.column_stack([h_elem[e0[facets]],
+                                             h_elem[e1[facets]]]), mu0)
+        sides = [side(e0[facets], facets, x), side(e1[facets], facets, x)]
         signs = (1.0, -1.0)
-        phis, kdns, dof_sets = [], [], []
-        for e in elems:
-            phi, gphi = _basis_at(maps, space, e, x, grad=True)
-            K = _perm_of_element(mesh, perm, e)
-            phis.append(phi)
-            kdns.append(gphi @ (K @ normal))
-            dof_sets.append(space.offsets[e] + np.arange(space.local_dim(e)))
-        for i in range(2):
-            for j in range(2):
-                block = mu * signs[i] * signs[j] * \
-                    phis[i].T @ (phis[j] * wq[:, None]) \
-                    - 0.5 * signs[i] * phis[i].T @ (kdns[j] * wq[:, None]) \
-                    - 0.5 * signs[j] * (kdns[i] * wq[:, None]).T @ phis[j]
-                acc.add(dof_sets[i], dof_sets[j], block)
+        for i, (phi_i, kdn_i, dofs_i) in enumerate(sides):
+            pw_i = phi_i * wq[..., None]
+            kw_i = kdn_i * wq[..., None]
+            for j, (phi_j, kdn_j, dofs_j) in enumerate(sides):
+                block = (mu * signs[i] * signs[j])[:, None, None] \
+                    * tmul(pw_i, phi_j) \
+                    - 0.5 * signs[i] * tmul(pw_i, kdn_j) \
+                    - 0.5 * signs[j] * tmul(kw_i, phi_j)
+                acc.add(dofs_i, dofs_j, block)
 
 
 # ---------------------------------------------------------------------------

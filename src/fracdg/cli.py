@@ -74,7 +74,8 @@ import numpy as np
 from scipy import sparse
 
 from . import models, postproc, solver
-from .assembly import EDGE_TERMS, MAX_DEGREE, VARIANTS
+from .assembly import EDGE_TERMS, MAX_DEGREE, REDUCED_MESH_MODES, \
+    VARIANTS
 
 logger = logging.getLogger("fracdg.cli")
 
@@ -99,9 +100,12 @@ def _conv_str(text: str) -> str:
 
 def _conv_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _conv_spacing(text: str) -> float:
@@ -115,6 +119,8 @@ def _conv_spacing(text: str) -> float:
                              f"got {text!r}") from None
     else:
         value = _conv_float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite spacing, got {text!r}")
     if not value > 0.0:
         raise ValueError(f"spacing must be positive, got {text!r}")
     return value
@@ -244,8 +250,7 @@ _SCHEMA = {
     ("experiment", "mu0"): _conv_float,
     ("experiment", "mu0_gamma"): _conv_float,
     ("experiment", "xi"): _conv_float,
-    ("experiment", "mesh_mode"): _choice("auto", "curved-reduced",
-                                         "rectified"),
+    ("experiment", "mesh_mode"): _choice("auto", *REDUCED_MESH_MODES),
     ("experiment", "reference"): _choice(*postproc.REFERENCES),
     ("experiment", "ref_h"): _conv_spacing,
     ("experiment", "ref_degrees"): _conv_int,

@@ -35,7 +35,7 @@ from .geometry import ApertureProfile, FractureFrame
 
 __all__ = [
     "INTERIOR", "BOUNDARY", "GAMMA_1", "GAMMA_2",
-    "SIDE_1", "SIDE_2", "FRACTURE",
+    "SIDE_1", "SIDE_2", "FRACTURE", "MESH_MODES",
     "Mesh", "InterfaceGrid", "StructuredLattice",
     "build_bulk_mesh", "build_interface_grid", "classify_facets",
     "mesh_quality", "intersect_partitions",
@@ -51,6 +51,8 @@ GAMMA_2 = 3
 SIDE_1 = 1
 SIDE_2 = 2
 FRACTURE = 3
+
+MESH_MODES = ("full", "curved-reduced", "rectified")
 
 _FACET_NAMES = {INTERIOR: "interior", BOUNDARY: "exterior-boundary",
                 GAMMA_1: "gamma-side-1", GAMMA_2: "gamma-side-2"}
@@ -253,7 +255,7 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
     (xmin, ymin), (xmax, ymax) = domain
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("empty domain")
-    if mode not in ("full", "curved-reduced", "rectified"):
+    if mode not in MESH_MODES:
         raise ValueError(f"unknown mesh mode {mode!r}")
     if fracture_layers < 1:
         raise ValueError("fracture_layers must be at least 1")

@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import models
-from .assembly import _basis_at, _ElementMaps, segment_rule
+from .assembly import _basis_at, _by_degree, _data_at, _element_dofs, \
+    _ElementMaps, segment_rule, tri_basis, triangle_rule
 from .geometry import ApertureProfile, FractureFrame
 from .mesh import FRACTURE, InterfaceGrid, Mesh
 
@@ -51,61 +52,75 @@ class GammaAverage:
         self._cols = cols
         self._maps = _ElementMaps.build(mesh)
 
-    def _row(self, t: float) -> tuple[int, float]:
-        ys = self._lat.ys
-        if t < ys[0] - 1e-12 or t > ys[-1] + 1e-12:
-            raise ValueError(f"coordinate {t} leaves the fracture block")
-        j = min(max(int(np.searchsorted(ys, t, side="right")) - 1, 0),
-                self._lat.n_rows - 1)
-        s = (t - ys[j]) / (ys[j + 1] - ys[j])
-        return j, s
+    def _field_at(self, elems: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Values of the full solution at points ``pts`` (..., m, 2), the
+        points of each item lying in the matching element of ``elems``."""
+        space, coeffs = self.full.space, self.full.coefficients
+        flat_elems = elems.reshape(-1)
+        flat_pts = pts.reshape((-1,) + pts.shape[-2:])
+        out = np.empty(flat_pts.shape[:-1])
+        for k, idx in _by_degree(space.degrees[flat_elems]):
+            el = flat_elems[idx]
+            phi = _basis_at(self._maps, space, el, flat_pts[idx])
+            c = coeffs[_element_dofs(space, el, k)]
+            out[idx] = (phi @ c[..., None])[..., 0]
+        return out.reshape(pts.shape[:-1])
 
-    def _line_average(self, t: float) -> float:
+    def _average(self, t: np.ndarray) -> np.ndarray:
+        """Averages over the transversal lines at coordinates ``t``.
+
+        Every line is split at the lattice lines and the cell diagonals
+        it crosses, 2 * ncols + 1 breakpoints clipped to the walls [a, b],
+        so each piece lies in one triangle; pieces shorter than 1e-14
+        contribute nothing.
+        """
         lat, cols = self._lat, self._cols
+        ys = lat.ys
+        outside = ~((t >= ys[0] - 1e-12) & (t <= ys[-1] + 1e-12))
+        if np.any(outside):
+            raise ValueError(f"coordinate {t[outside][0]} leaves the "
+                             "fracture block")
+        j = np.clip(np.searchsorted(ys, t, side="right") - 1, 0,
+                    lat.n_rows - 1)
+        s = ((t - ys[j]) / (ys[j + 1] - ys[j]))[:, None]
         gamma0 = self.frame.offset
-        d1 = float(self.profile.d1_fn(t))
-        d2 = float(self.profile.d2_fn(t))
+        d1 = np.broadcast_to(np.asarray(self.profile.d1_fn(t), dtype=float),
+                             t.shape)
+        d2 = np.broadcast_to(np.asarray(self.profile.d2_fn(t), dtype=float),
+                             t.shape)
         a, b = gamma0 - d1, gamma0 + d2
-        j, s = self._row(t)
 
         lines = np.arange(cols[0], cols[-1] + 2)
-        edges = (1.0 - s) * lat.xs[j, lines] + s * lat.xs[j + 1, lines]
-        width = np.diff(edges).min()
-        if abs(edges[0] - a) > 0.5 * width or abs(edges[-1] - b) > 0.5 * width:
+        lower, upper = lat.xs[j][:, lines], lat.xs[j + 1][:, lines]
+        edges = (1.0 - s) * lower + s * upper
+        width = np.diff(edges, axis=1).min(axis=1)
+        if np.any((np.abs(edges[:, 0] - a) > 0.5 * width)
+                  | (np.abs(edges[:, -1] - b) > 0.5 * width)):
             raise ValueError("transversal segment exits the fracture block; "
                              "the mesh does not match the aperture profile")
 
         # diagonal crossings: each cell's lower-left to upper-right split
-        diag = (1.0 - s) * lat.xs[j, lines[:-1]] + s * lat.xs[j + 1,
-                                                              lines[1:]]
-        breaks = np.concatenate([[a], edges[1:-1], diag, [b]])
-        breaks = np.unique(np.clip(breaks, min(a, edges[0]) - 1e-12,
-                                   max(b, edges[-1]) + 1e-12))
-        breaks = breaks[(breaks >= a - 1e-12) & (breaks <= b + 1e-12)]
-        breaks[0], breaks[-1] = a, b
+        diag = (1.0 - s) * lower[:, :-1] + s * upper[:, 1:]
+        breaks = np.column_stack([a, edges[:, 1:-1], diag, b])
+        breaks = np.sort(np.clip(breaks, a[:, None], b[:, None]), axis=1)
+        lo, hi = breaks[:, :-1], breaks[:, 1:]
+        size = hi - lo
+        mid = 0.5 * (lo + hi)
+        col = np.clip((edges[:, None, :] <= mid[..., None]).sum(axis=-1) - 1,
+                      0, len(cols) - 1)
+        which = (mid <= np.take_along_axis(diag, col, axis=1)).astype(int)
+        elems = lat.elem_ids[j[:, None], cols[col], which]
 
         tq, wq = segment_rule(self.n_quad)
-        space, coeffs = self.full.space, self.full.coefficients
-        total = 0.0
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            if hi - lo < 1e-14:
-                continue
-            xs = lo + tq * (hi - lo)
-            mid = 0.5 * (lo + hi)
-            i = min(max(int(np.searchsorted(edges, mid, side="right")) - 1,
-                        0), len(cols) - 1)
-            col = cols[i]
-            which = 1 if mid <= diag[i] else 0
-            e = int(lat.elem_ids[j, col][which])
-            pts = np.column_stack([xs, np.full_like(xs, t)])
-            phi = _basis_at(self._maps, space, e, pts)
-            vals = phi @ coeffs[space.element_dofs(e)]
-            total += float(wq @ vals) * (hi - lo)
-        return total / (d1 + d2)
+        xs = lo[..., None] + tq * size[..., None]
+        pts = np.stack([xs, np.broadcast_to(t[:, None, None], xs.shape)],
+                       axis=-1)
+        pieces = (self._field_at(elems, pts) @ wq) \
+            * np.where(size < 1e-14, 0.0, size)
+        return pieces.sum(axis=1) / (d1 + d2)
 
     def __call__(self, t) -> np.ndarray:
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([self._line_average(float(ti)) for ti in tt])
+        out = self._average(np.atleast_1d(np.asarray(t, dtype=float)))
         return out if np.ndim(t) else float(out[0])
 
 
@@ -142,21 +157,16 @@ def l2_error_gamma(field_a, field_b, grid: InterfaceGrid,
     """
     fa, fb = _as_gamma_callable(field_a), _as_gamma_callable(field_b)
     tq, wq = segment_rule(n_quad)
-    total = 0.0
-    for e in range(grid.n_elements):
-        t0, t1 = grid.t_breaks[e], grid.t_breaks[e + 1]
-        ts = t0 + tq * (t1 - t0)
-        diff = np.asarray(fa(ts), dtype=float) - np.asarray(fb(ts),
-                                                            dtype=float)
-        total += float(wq @ diff**2) * (t1 - t0)
-    return float(np.sqrt(total))
+    lengths = np.diff(grid.t_breaks)
+    ts = (grid.t_breaks[:-1, None] + tq * lengths[:, None]).ravel()
+    diff = np.asarray(fa(ts), dtype=float) - np.asarray(fb(ts), dtype=float)
+    diff = np.broadcast_to(diff, ts.shape).reshape(len(lengths), len(tq))
+    return float(np.sqrt(np.sum((diff**2 @ wq) * lengths)))
 
 
 def l2_error_bulk(solution, exact: Callable,
                   n_quad: int | None = None) -> float:
     """L2 norm of (discrete - exact) over the meshed bulk domain."""
-    from .assembly import triangle_rule, tri_basis
-
     if isinstance(solution, models.FullSolution):
         mesh, space, coeffs = solution.mesh, solution.space, \
             solution.coefficients
@@ -165,14 +175,11 @@ def l2_error_bulk(solution, exact: Callable,
             solution.bulk_coefficients
     maps = _ElementMaps.build(mesh)
     total = 0.0
-    for e in range(mesh.n_elements):
-        k = int(space.degrees[e])
+    for k, elems in _by_degree(space.degrees):
         pts, w = triangle_rule(k + 2 if n_quad is None else n_quad)
-        phys = maps.v0[e] + pts @ maps.jac[e].T
-        phi = tri_basis(k, pts)
-        vals = phi @ coeffs[space.element_dofs(e)]
-        diff = vals - np.asarray(exact(phys), dtype=float)
-        total += float(w @ diff**2) * abs(maps.det[e])
+        vals = coeffs[_element_dofs(space, elems, k)] @ tri_basis(k, pts).T
+        diff = vals - _data_at(exact, maps.points(elems, pts))
+        total += float((diff**2 @ w) @ np.abs(maps.det[elems]))
     return float(np.sqrt(total))
 
 
@@ -228,6 +235,13 @@ class ErrorTable:
             fh.write(self.to_csv())
 
 
+def _require_converged(report, tol: float) -> None:
+    """Raise when a solve stopped short of its residual target."""
+    if not report.converged:
+        raise RuntimeError(f"solve did not converge: relative residual "
+                           f"{report.relative_residual:.3e} > tol {tol:g}")
+
+
 def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                    h: float, *, degrees=1, mu0: float = 10.0,
                    mu0_gamma: float | None = None, xi: float | None = None,
@@ -247,7 +261,8 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
     against that same reference field.  ``reference="exact"`` uses the
     preset's closed-form interface reference instead and skips the full
     run.  Failures are recorded per row and leave the rest of the sweep
-    intact.
+    intact; a solve that misses its residual target ``tol`` fails its row
+    (or, for the reference, every row of its d0).
 
     ``on_solution(d0, tag, solution)`` is invoked after every successful
     solve with tag "reference" for the full run and the variant name for
@@ -281,6 +296,7 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                                        h_normal=ref_h_normal,
                                        method=ref_method, tol=tol,
                                        max_iter=max_iter)
+                _require_converged(full.report, tol)
                 ref = average_across_fracture(full, n_quad=n_quad)
                 logger.info("d0=%g: reference %s", d0, full.report.summary())
                 if on_solution is not None:
@@ -300,6 +316,7 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                                          edge_terms=edge_terms,
                                          method=method, tol=tol,
                                          max_iter=max_iter)
+                _require_converged(sol.report, tol)
                 err = l2_error_gamma(sol, ref, sol.grid, n_quad)
                 table.add(ErrorRow(d0, str(variant), err,
                                    sol.bulk_space.n_dofs,

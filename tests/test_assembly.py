@@ -16,8 +16,8 @@ import scipy.sparse.linalg as spla
 
 from fracdg import assembly as asm
 from fracdg.geometry import ApertureProfile, FractureFrame, PermeabilityData
-from fracdg.mesh import FRACTURE, SIDE_1, SIDE_2, build_bulk_mesh, \
-    build_interface_grid
+from fracdg.mesh import BOUNDARY, FRACTURE, GAMMA_1, GAMMA_2, INTERIOR, \
+    SIDE_1, SIDE_2, build_bulk_mesh, build_interface_grid
 
 DOMAIN = ((0.0, 0.0), (1.0, 1.0))
 FRAME = FractureFrame.vertical_line(0.5)
@@ -248,6 +248,101 @@ class TestSpaces:
 
 
 # ---------------------------------------------------------------------------
+# batched bulk form against a per-element, per-facet reference
+
+
+def looped_bulk_sipg(mesh, space, perm, q, g, mu0, flux_classes):
+    """Dense SIPG matrix and rhs, one element and one facet at a time."""
+    n = space.n_dofs
+    mat, rhs = np.zeros((n, n)), np.zeros(n)
+    maps = asm._ElementMaps.build(mesh)
+    h = mesh.element_h()
+
+    def perm_of(e):
+        tag = int(mesh.subdomain[e])
+        return perm.k_f if tag == FRACTURE else perm.bulk(tag)
+
+    def basis(e, x):
+        ref = (x - maps.v0[e]) @ maps.jac_inv[e].T
+        k = int(space.degrees[e])
+        return (asm.tri_basis(k, ref),
+                asm.tri_basis_grad(k, ref) @ maps.jac_inv[e])
+
+    for e in range(mesh.n_elements):
+        k, dofs = int(space.degrees[e]), space.element_dofs(e)
+        pts, w = asm.triangle_rule(k + 2)
+        x = maps.v0[e] + pts @ maps.jac[e].T
+        phi, grad = basis(e, x)
+        wq = w * maps.det[e]
+        mat[np.ix_(dofs, dofs)] += np.einsum("qid,qjd,q->ij", grad,
+                                             grad @ perm_of(e).T, wq)
+        rhs[dofs] += phi.T @ (q(x) * wq)
+
+    for f in range(mesh.n_facets):
+        e0, e1 = mesh.facet_elements[f]
+        if mesh.facet_class[f] == BOUNDARY:
+            elems = (e0,)
+        elif mesh.facet_class[f] in flux_classes and e1 >= 0:
+            elems = (e0, e1)
+        else:
+            continue
+        va, vb = mesh.vertices[mesh.facets[f]]
+        length = np.linalg.norm(vb - va)
+        normal = np.array([vb[1] - va[1], va[0] - vb[0]]) / length
+        centroid = mesh.vertices[mesh.elements[e0]].mean(axis=0)
+        if normal @ (0.5 * (va + vb) - centroid) < 0.0:
+            normal = -normal
+        degrees = [int(space.degrees[e]) for e in elems]
+        tq, w = asm.segment_rule(max(degrees) + 2)
+        x = va + np.outer(tq, vb - va)
+        wq = w * length
+        mu = asm.penalty_bulk(degrees, [h[e] for e in elems], mu0)
+        # jump [v] = sum s_i v_i, average {K grad u . n} = avg * sum
+        signs, avg = (1.0, -1.0), 1.0 / len(elems)
+        sides = []
+        for e, sign in zip(elems, signs):
+            phi, grad = basis(e, x)
+            sides.append((space.element_dofs(e), sign, phi,
+                          grad @ (perm_of(e) @ normal)))
+        for di, si, phi_i, kdn_i in sides:
+            for dj, sj, phi_j, kdn_j in sides:
+                mat[np.ix_(di, dj)] += \
+                    mu * si * sj * phi_i.T @ (phi_j * wq[:, None]) \
+                    - avg * si * phi_i.T @ (kdn_j * wq[:, None]) \
+                    - avg * sj * (kdn_i * wq[:, None]).T @ phi_j
+        if len(elems) == 1:
+            (dofs, _, phi, kdn), = sides
+            gw = g(x) * wq
+            rhs[dofs] += mu * phi.T @ gw - kdn.T @ gw
+    return mat, rhs
+
+
+class TestBatchedBulkForm:
+    @pytest.mark.parametrize("mode", ["full", "curved-reduced"])
+    def test_matches_looped_reference(self, mode):
+        profile = ApertureProfile.sinusoidal(0.1, frequency=2.0 * np.pi)
+        mesh = build_bulk_mesh(DOMAIN, profile, mode, 0.25, frame=FRAME)
+        rng = np.random.default_rng(11)
+        space = asm.DGSpace.bulk(
+            mesh, rng.integers(1, asm.MAX_DEGREE + 1, size=mesh.n_elements))
+        perm = PermeabilityData(np.diag([1.0, 2.0]),
+                                np.array([[1.5, 0.3], [0.3, 0.8]]),
+                                np.diag([0.5, 3.0]), 0.5,
+                                k_f=np.diag([0.5, 3.0]))
+        q = lambda x: np.sin(3.0 * x[:, 0]) + x[:, 1]
+        g = lambda x: np.cos(x[:, 0]) * x[:, 1]
+        classes = (INTERIOR, GAMMA_1, GAMMA_2) if mode == "full" \
+            else (INTERIOR,)
+        acc = asm._Accumulator(space.n_dofs)
+        asm._bulk_sipg(acc, mesh, space, perm, q, g, 10.0, classes)
+        mat, rhs = looped_bulk_sipg(mesh, space, perm, q, g, 10.0, classes)
+        got = acc.matrix().toarray()
+        # summation order differs, so agreement is to rounding only
+        assert np.abs(got - mat).max() <= 1e-13 * np.abs(mat).max()
+        assert np.abs(acc.rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
+
+
+# ---------------------------------------------------------------------------
 # full-dimensional assembly
 
 
@@ -311,6 +406,35 @@ class TestFullAssembly:
         profile, mesh, _, bs, _ = const_setup()
         with pytest.raises(ValueError):
             asm.assemble_full(mesh, bs, self.perm, None, g_linear, 10.0)
+
+    def test_mixed_degree_patch(self):
+        # every element gets its own degree, so the facet terms run
+        # through every (ka, kb) degree pair; an affine field is still
+        # reproduced exactly
+        rng = np.random.default_rng(7)
+        degrees = rng.integers(1, asm.MAX_DEGREE + 1,
+                               size=self.mesh.n_elements)
+        space = asm.DGSpace.bulk(self.mesh, degrees)
+        e0, e1 = self.mesh.facet_elements.T
+        inner = e1 >= 0
+        pairs = set(zip(degrees[e0[inner]], degrees[e1[inner]]))
+        assert len(pairs) == asm.MAX_DEGREE**2
+        g = lambda x: 0.3 - 1.2 * x[:, 0] + 0.7 * x[:, 1]
+        sys_ = asm.assemble_full(self.mesh, space, iso_perm(k_f=np.eye(2)),
+                                 None, g, 10.0)
+        assert sys_.symmetry_defect() < 1e-12
+        x = spla.spsolve(sys_.matrix.tocsc(), sys_.rhs)
+        # compare pressures, not monomial coefficients: those of degree 4
+        # on the thin slab elements are ill-conditioned
+        maps = asm._ElementMaps.build(self.mesh)
+        lam = rng.dirichlet(np.ones(3), size=5)
+        for k, elems in asm._by_degree(degrees):
+            pts = lam @ self.mesh.vertices[self.mesh.elements[elems]]
+            phi = asm._basis_at(maps, space, elems, pts)
+            dofs = space.offsets[elems, None] + np.arange(asm.tri_dim(k))
+            got = np.einsum("epi,ei->ep", phi, x[dofs])
+            assert np.abs(got - g(pts.reshape(-1, 2)).reshape(got.shape)
+                          ).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------

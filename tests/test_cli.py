@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fracdg import assembly, cli, solver
+from fracdg import assembly, cli, mesh, solver
 
 
 def write_config(tmp_path, body, name="exp.cfg"):
@@ -219,6 +219,19 @@ class TestParseErrors:
                 degrees = 7
             """)
 
+    @pytest.mark.parametrize("line", ["h = inf", "mu0 = inf", "d0 = nan",
+                                      "h = inf/1"])
+    def test_nonfinite_number_rejected_with_line(self, tmp_path, line):
+        key = line.split()[0]
+        with pytest.raises(cli.ConfigError,
+                           match=rf"exp\.cfg:4: bad value for '{key}'.*"
+                                 "finite"):
+            parse(tmp_path, f"""
+                [experiment]
+                preset = perp-asym
+                {line}
+            """)
+
     def test_tol_out_of_range(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="between 0 and 1"):
             parse(tmp_path, """
@@ -262,6 +275,15 @@ class TestLibraryChoices:
             assert getattr(self.parses(tmp_path, "solver", f"{key} = auto"),
                            key) is None
             assert not self.parses(tmp_path, "solver", f"{key} = GMRES")
+        for mode in ("auto",) + assembly.REDUCED_MESH_MODES:
+            # each mode fits some variant on the wavy walls of perp-asym
+            assert any(self.parses(tmp_path, "experiment",
+                                   f"mesh_mode = {mode}\nvariants = {name}")
+                       for name in assembly.VARIANTS)
+        for mode in set(mesh.MESH_MODES) - set(assembly.REDUCED_MESH_MODES):
+            assert not self.parses(tmp_path, "experiment",
+                                   f"mesh_mode = {mode}")
+        assert not self.parses(tmp_path, "experiment", "mesh_mode = flat")
 
 
 class TestMeshModeValidation:
@@ -505,8 +527,63 @@ class TestRun:
         (row,) = (out / "errors.csv").read_text().splitlines()[1:]
         assert math.isfinite(float(row.split(",")[2]))
 
+    def test_unconverged_solve_fails_row(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        config = cli.parse_config(write_config(tmp_path, f"""
+            [experiment]
+            preset = perp-sym
+            variants = II-R
+            d0 = 1e-1
+            h = 1/8
+            reference = exact
+
+            [solver]
+            method = BiCGStab
+            max_iter = 1
+
+            [output]
+            directory = {out}
+        """))
+        assert cli.run(config) == 1
+        (row,) = (out / "errors.csv").read_text().splitlines()[1:]
+        assert row.split(",")[2] == "nan"
+        err = capsys.readouterr().err
+        assert "solve did not converge: relative residual" in err
+        assert "> tol 1e-10" in err
+
+    def test_unconverged_reference_fails_its_rows(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        config = cli.parse_config(write_config(tmp_path, f"""
+            [experiment]
+            preset = perp-sym
+            variants = II, II-R
+            d0 = 1e-1
+            h = 1/8
+
+            [solver]
+            ref_method = CG
+            max_iter = 1
+
+            [output]
+            directory = {out}
+        """))
+        assert cli.run(config) == 1
+        rows = (out / "errors.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["nan", "nan"]
+        err = capsys.readouterr().err
+        assert err.count("reference failed: solve did not converge") == 2
+
 
 class TestMain:
+    def test_nonfinite_config_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, """
+            [experiment]
+            preset = perp-asym
+            h = inf
+        """)
+        assert cli.main([path]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, """
             [experiment]

@@ -92,6 +92,31 @@ class TestAveraging:
         with pytest.raises(ValueError, match="leaves"):
             avg(1.5)
 
+    def test_rejects_out_of_range_coordinate_in_vector(self):
+        profile = ApertureProfile.constant(0.05, 0.05)
+        sol = full_with_field(profile, lambda x: np.full(len(x), 1.0))
+        avg = postproc.average_across_fracture(sol)
+        with pytest.raises(ValueError, match="coordinate 1.5 leaves"):
+            avg(np.array([0.2, 0.5, 1.5, 0.7]))
+
+    def test_rejects_segment_leaving_the_block(self):
+        sol = full_with_field(ApertureProfile.constant(0.05, 0.05),
+                              lambda x: np.full(len(x), 1.0))
+        avg = postproc.average_across_fracture(
+            sol, profile=ApertureProfile.constant(0.2, 0.2))
+        with pytest.raises(ValueError, match="exits the fracture block"):
+            avg(np.linspace(0.1, 0.9, 5))
+
+    def test_vector_matches_pointwise_calls(self):
+        profile = ApertureProfile.sinusoidal(0.1, frequency=2.0 * np.pi,
+                                             asymmetry="antisymmetric")
+        sol = full_with_field(profile, lambda x: np.sin(3.0 * x[:, 0])
+                              + x[:, 1] * x[:, 0], degree=2)
+        avg = postproc.average_across_fracture(sol)
+        t = np.linspace(0.0, 1.0, 23)
+        np.testing.assert_allclose(avg(t), [avg(ti) for ti in t],
+                                   rtol=0.0, atol=1e-14)
+
 
 class TestErrorMetric:
     def grid(self, h=0.125):
