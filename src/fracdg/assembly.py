@@ -337,8 +337,9 @@ def _data_at(f, x: np.ndarray) -> np.ndarray:
 
 
 def _element_dofs(space: DGSpace, elems: np.ndarray, k: int) -> np.ndarray:
-    """Dofs of elements of degree k, shape (N, tri_dim(k))."""
-    return space.offsets[elems, None] + np.arange(tri_dim(k))
+    """Dofs of elements of degree k, shape (N, local dimension)."""
+    dim = tri_dim(k) if space.kind == "bulk" else k + 1
+    return space.offsets[elems, None] + np.arange(dim)
 
 
 def _basis_at(mesh_maps: _ElementMaps, space: DGSpace, elems,
@@ -412,17 +413,21 @@ def interpolate_bulk(mesh: Mesh, space: DGSpace, f) -> np.ndarray:
 
 def interpolate_interface(grid: InterfaceGrid, space: DGSpace, f) -> np.ndarray:
     coeffs = np.zeros(space.n_dofs)
-    for e in range(grid.n_elements):
-        k = int(space.degrees[e])
-        t0, t1 = grid.t_breaks[e], grid.t_breaks[e + 1]
+    for k, elems in _by_degree(space.degrees):
         tq, w = segment_rule(k + 2)
-        t = t0 + tq * (t1 - t0)
         psi = seg_basis(k, tq)
-        wq = w * (t1 - t0)
-        mass = psi.T @ (psi * wq[:, None])
-        rhs = psi.T @ (np.asarray(f(t), dtype=float) * wq)
-        sl = slice(space.offsets[e], space.offsets[e] + k + 1)
-        coeffs[sl] = np.linalg.solve(mass, rhs)
+        t0 = grid.t_breaks[elems, None]
+        length = grid.t_breaks[elems + 1, None] - t0
+        t = t0 + tq * length
+        wq = w * length
+        vals = np.broadcast_to(np.asarray(f(t.ravel()), dtype=float),
+                               (t.size,)).reshape(t.shape)
+        # stacked matmuls reproduce a per-element loop bit for bit; an
+        # einsum moves degree-4 monomial coefficients by ~1e-11
+        mass = psi.T @ (psi * wq[..., None])
+        rhs = psi.T @ (vals * wq)[..., None]
+        coeffs[_element_dofs(space, elems, k)] = \
+            np.linalg.solve(mass, rhs)[..., 0]
     return coeffs
 
 

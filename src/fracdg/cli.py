@@ -420,7 +420,8 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
                            f"[problem] keys are only read with preset = "
                            f"custom, not {config.preset!r}")
 
-    trial = _preset_factory(config)(config.d0_list[0])
+    make = _preset_factory(config)
+    trial = make(config.d0_list[0])
     for name in config.variants:
         try:
             models.resolve_mesh_mode(name, trial.profile, config.mesh_mode)
@@ -430,6 +431,25 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
         fail("experiment", "reference",
              f"preset {config.preset!r} has no closed-form interface "
              f"reference; use reference = full")
+
+    if config.reference == "full":
+        # the fracture block and the rows of a reference mesh do not
+        # depend on ref_h_normal, which only spaces the matrix blocks
+        key = "ref_h" if config.ref_h is not None else "h"
+        for d0 in config.d0_list:
+            preset = make(d0)
+            try:
+                mesh = models.full_mesh(
+                    preset, config.ref_h or config.h,
+                    fracture_layers=config.fracture_layers)
+            except ValueError as exc:
+                fail("experiment", "d0", f"d0 = {d0:g}: {exc}")
+            try:
+                postproc.check_wall_fit(mesh, preset.profile, preset.frame)
+            except ValueError as exc:
+                fail("experiment", key,
+                     f"the reference mesh at d0 = {d0:g} cannot be "
+                     f"averaged ({exc}); refine {key}")
 
 
 def parse_config(path: str) -> ExperimentConfig:

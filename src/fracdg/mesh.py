@@ -210,6 +210,13 @@ def _gamma_edge_set(lat: StructuredLattice, line: int) -> set[tuple[int, int]]:
     return {(min(a, b), max(a, b)) for a, b in zip(ids[:-1], ids[1:])}
 
 
+def _edge_keys(edges: np.ndarray) -> np.ndarray:
+    """One int64 per vertex pair (a, b) of ids below 2**32, ordered like
+    the pairs."""
+    edges = np.asarray(edges, dtype=np.int64)
+    return (edges[:, 0] << 32) | edges[:, 1]
+
+
 def _extract_facets(elements: np.ndarray):
     """All element edges, deduplicated, with adjacency (second id -1 when
     one-sided)."""
@@ -218,9 +225,10 @@ def _extract_facets(elements: np.ndarray):
                             elements[:, [2, 0]]])
     owner = np.tile(np.arange(ne), 3)
     edges_sorted = np.sort(edges, axis=1)
-    uniq, inverse, counts = np.unique(edges_sorted, axis=0,
-                                      return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)
+    _, first, inverse, counts = np.unique(
+        _edge_keys(edges_sorted), return_index=True, return_inverse=True,
+        return_counts=True)
+    uniq = edges_sorted[first]
     if counts.max() > 2:
         bad = np.nonzero(counts > 2)[0][:5]
         raise ValueError(f"facets adjacent to more than two elements: {uniq[bad].tolist()}")
@@ -346,17 +354,13 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
 
 def _classify(facets: np.ndarray, facet_elements: np.ndarray,
               gamma1_edges: set, gamma2_edges: set) -> np.ndarray:
-    cls = np.empty(len(facets), dtype=np.int8)
-    for f, (a, b) in enumerate(facets):
-        key = (int(a), int(b))
-        if key in gamma1_edges:
-            cls[f] = GAMMA_1
-        elif key in gamma2_edges:
-            cls[f] = GAMMA_2
-        elif facet_elements[f, 1] >= 0:
-            cls[f] = INTERIOR
-        else:
-            cls[f] = BOUNDARY
+    cls = np.where(facet_elements[:, 1] >= 0, INTERIOR,
+                   BOUNDARY).astype(np.int8)
+    keys = _edge_keys(facets)
+    # side 1 last: it wins a facet listed on both walls
+    for edges, tag in ((gamma2_edges, GAMMA_2), (gamma1_edges, GAMMA_1)):
+        wall = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+        cls[np.isin(keys, _edge_keys(wall))] = tag
     return cls
 
 
@@ -437,9 +441,12 @@ class InterfaceGrid:
     def measure(self) -> float:
         return float(self.t_breaks[-1] - self.t_breaks[0])
 
-    def element_of_t(self, t: float) -> int:
-        k = int(np.searchsorted(self.t_breaks, t, side="right")) - 1
-        return min(max(k, 0), self.n_elements - 1)
+    def element_of_t(self, t):
+        """Element of each coordinate ``t`` (clipped to the first and last
+        element); an int for a scalar, an array for an array."""
+        k = np.clip(np.searchsorted(self.t_breaks, t, side="right") - 1, 0,
+                    self.n_elements - 1)
+        return int(k) if np.ndim(k) == 0 else k
 
 
 def intersect_partitions(breaks1: Sequence[float], breaks2: Sequence[float],

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import solver
 from .assembly import MODEL_NAMES, DGSpace, ModelVariant, SparseSystem, \
-    _basis_at, _ElementMaps, _iface_local, _wall_points, assemble_full, \
-    assemble_reduced, resolve_mesh_mode, seg_basis, seg_basis_deriv
+    _basis_at, _by_degree, _element_dofs, _ElementMaps, _wall_points, \
+    assemble_full, assemble_reduced, resolve_mesh_mode, seg_basis, \
+    seg_basis_deriv
 from .geometry import ApertureProfile, FractureFrame, PermeabilityData, \
     WellposednessReport, check_wellposedness
 from .mesh import InterfaceGrid, Mesh, build_bulk_mesh, build_interface_grid
@@ -149,38 +151,67 @@ def constant_aperture_preset(d_half: float = 0.05, k_f=None,
 # point location and evaluation
 
 def _locate(mesh: Mesh, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Element id containing each point (-1 when outside the mesh)."""
+    """Element id containing each point (-1 when outside the mesh).
+
+    Each lattice takes the row that ``searchsorted(ys, y, side="right")``
+    picks (clipped to the last row, so a point on a row line goes to the
+    row above it) and the column its interpolated row edges pick, and
+    offers the two triangles of that cell and of its left and right
+    neighbours.  A point goes to the candidate with the largest smallest
+    barycentric coordinate ``lam`` over all lattices, and lies outside
+    when that ``lam`` is below ``-tol`` or when no lattice spans it (the
+    fracture gap of curved-reduced meshes).  Ties in ``lam``, as at mesh
+    vertices, go to the lowest element id.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y = pts[:, 0], pts[:, 1]
+    maps = _ElementMaps.build(mesh)
     out = np.full(len(pts), -1, dtype=np.int64)
-    verts, elems = mesh.vertices, mesh.elements
-    for p, (x, y) in enumerate(pts):
-        best_id, best_lam = -1, -np.inf
-        for lat in mesh.lattices:
-            ys = lat.ys
-            if y < ys[0] - tol or y > ys[-1] + tol:
-                continue
-            j = min(max(int(np.searchsorted(ys, y, side="right")) - 1, 0),
+    best_lam = np.full(len(pts), -np.inf)
+    for lat in mesh.lattices:
+        ys = lat.ys
+        idx = np.flatnonzero((y >= ys[0] - tol) & (y <= ys[-1] + tol))
+        j = np.clip(np.searchsorted(ys, y[idx], side="right") - 1, 0,
                     lat.n_rows - 1)
-            s = (y - ys[j]) / (ys[j + 1] - ys[j])
-            edges = (1.0 - s) * lat.xs[j] + s * lat.xs[j + 1]
-            if x < edges[0] - tol or x > edges[-1] + tol:
-                continue
-            i = min(max(int(np.searchsorted(edges, x, side="right")) - 1, 0),
-                    lat.n_cols - 1)
-            for ci in {max(i - 1, 0), i, min(i + 1, lat.n_cols - 1)}:
-                for e in lat.elem_ids[j, ci]:
-                    tri = verts[elems[e]]
-                    mat = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-                    try:
-                        ab = np.linalg.solve(mat, np.array([x, y]) - tri[0])
-                    except np.linalg.LinAlgError:
-                        continue
-                    lam = min(ab[0], ab[1], 1.0 - ab[0] - ab[1])
-                    if lam > best_lam:
-                        best_id, best_lam = int(e), lam
-        if best_lam >= -tol:
-            out[p] = best_id
+        s = ((y[idx] - ys[j]) / (ys[j + 1] - ys[j]))[:, None]
+        edges = (1.0 - s) * lat.xs[j] + s * lat.xs[j + 1]
+        px = x[idx, None]
+        keep = ((px >= edges[:, :1] - tol)
+                & (px <= edges[:, -1:] + tol))[:, 0]
+        idx, j, edges, px = idx[keep], j[keep], edges[keep], px[keep]
+        i = np.clip((edges <= px).sum(axis=1) - 1, 0, lat.n_cols - 1)
+        cols = np.clip(i[:, None] + np.arange(-1, 2), 0, lat.n_cols - 1)
+        cand = lat.elem_ids[j[:, None], cols].reshape(-1, 6)
+        ab = ((pts[idx, None] - maps.v0[cand])[..., None, :]
+              @ np.swapaxes(maps.jac_inv[cand], -1, -2))[..., 0, :]
+        lam = np.minimum(np.minimum(ab[..., 0], ab[..., 1]),
+                         1.0 - ab[..., 0] - ab[..., 1])
+        pick = np.argmax(lam, axis=1)[:, None]
+        lam = np.take_along_axis(lam, pick, axis=1)[:, 0]
+        better = lam > best_lam[idx]
+        out[idx[better]] = np.take_along_axis(cand, pick, axis=1)[better, 0]
+        best_lam[idx[better]] = lam[better]
+    out[best_lam < -tol] = -1
     return out
+
+
+def _field_at(maps: _ElementMaps, space: DGSpace, coeffs: np.ndarray,
+              elems: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Values of a bulk field at points whose elements are known.
+
+    ``pts`` has shape ``elems.shape + (m, 2)``, the points of each item
+    lying in the matching element of ``elems``; values have shape
+    ``pts.shape[:-1]``.
+    """
+    flat_elems = elems.reshape(-1)
+    flat_pts = pts.reshape((-1,) + pts.shape[-2:])
+    out = np.empty(flat_pts.shape[:-1])
+    for k, idx in _by_degree(space.degrees[flat_elems]):
+        el = flat_elems[idx]
+        phi = _basis_at(maps, space, el, flat_pts[idx])
+        c = coeffs[_element_dofs(space, el, k)]
+        out[idx] = (phi @ c[..., None])[..., 0]
+    return out.reshape(pts.shape[:-1])
 
 
 def _eval_bulk(mesh: Mesh, space: DGSpace, coeffs: np.ndarray,
@@ -190,16 +221,19 @@ def _eval_bulk(mesh: Mesh, space: DGSpace, coeffs: np.ndarray,
     if np.any(elems < 0):
         bad = pts[elems < 0][0]
         raise ValueError(f"point {tuple(bad)} lies outside the mesh")
-    vals = np.empty(len(pts))
-    for i, e in enumerate(elems):
-        e = int(e)
-        phi = _basis_at(maps, space, e, pts[i:i + 1])
-        vals[i] = phi[0] @ coeffs[space.element_dofs(e)]
-    return vals
+    return _field_at(maps, space, coeffs, elems, pts[:, None])[:, 0]
+
+
+class _OnMesh:
+    """Element maps of ``self.mesh``, built on first use."""
+
+    @cached_property
+    def _maps(self) -> _ElementMaps:
+        return _ElementMaps.build(self.mesh)
 
 
 @dataclass
-class FullSolution:
+class FullSolution(_OnMesh):
     """Discrete pressure of the full-dimensional model."""
 
     preset: ProblemPreset
@@ -214,19 +248,14 @@ class FullSolution:
     def variant(self) -> ModelVariant:
         return ModelVariant.of("full")
 
-    def _maps(self) -> _ElementMaps:
-        if not hasattr(self, "_maps_cache"):
-            self._maps_cache = _ElementMaps.build(self.mesh)
-        return self._maps_cache
-
     def evaluate(self, points) -> np.ndarray:
         """Pressure at arbitrary points of the meshed domain."""
         return _eval_bulk(self.mesh, self.space, self.coefficients,
-                          self._maps(), points)
+                          self._maps, points)
 
 
 @dataclass
-class ReducedSolution:
+class ReducedSolution(_OnMesh):
     """Coupled bulk/interface solution of a reduced model."""
 
     preset: ProblemPreset
@@ -242,42 +271,35 @@ class ReducedSolution:
     perm: PermeabilityData
     system: SparseSystem | None = None
 
-    def _maps(self) -> _ElementMaps:
-        if not hasattr(self, "_maps_cache"):
-            self._maps_cache = _ElementMaps.build(self.mesh)
-        return self._maps_cache
-
     def evaluate_bulk(self, points) -> np.ndarray:
         """Bulk pressure at arbitrary points of the two matrix blocks."""
         return _eval_bulk(self.mesh, self.bulk_space, self.bulk_coefficients,
-                          self._maps(), points)
+                          self._maps, points)
+
+    def _interface_values(self, t, derivative: bool):
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        grid, space = self.grid, self.iface_space
+        elems = grid.element_of_t(tt)
+        t0 = grid.t_breaks[elems]
+        length = grid.t_breaks[elems + 1] - t0
+        loc = (tt - t0) / length
+        vals = np.empty(len(tt))
+        for k, idx in _by_degree(space.degrees[elems]):
+            if derivative:
+                psi = seg_basis_deriv(k, loc[idx]) / length[idx, None]
+            else:
+                psi = seg_basis(k, loc[idx])
+            c = self.iface_coefficients[_element_dofs(space, elems[idx], k)]
+            vals[idx] = (psi[:, None] @ c[..., None])[:, 0, 0]
+        return vals if np.ndim(t) else float(vals[0])
 
     def evaluate_interface(self, t) -> np.ndarray:
         """Interface pressure at tangential coordinates ``t``."""
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = np.empty(len(tt))
-        for i, ti in enumerate(tt):
-            e = self.grid.element_of_t(float(ti))
-            loc = _iface_local(self.grid, e, np.array([ti]))
-            k = int(self.iface_space.degrees[e])
-            psi = seg_basis(k, loc)
-            vals[i] = psi[0] @ self.iface_coefficients[
-                self.iface_space.element_dofs(e)]
-        return vals if np.ndim(t) else float(vals[0])
+        return self._interface_values(t, derivative=False)
 
     def interface_derivative(self, t) -> np.ndarray:
         """Tangential derivative of the interface pressure at ``t``."""
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = np.empty(len(tt))
-        for i, ti in enumerate(tt):
-            e = self.grid.element_of_t(float(ti))
-            t0, t1 = self.grid.t_breaks[e], self.grid.t_breaks[e + 1]
-            loc = _iface_local(self.grid, e, np.array([ti]))
-            k = int(self.iface_space.degrees[e])
-            dpsi = seg_basis_deriv(k, loc) / (t1 - t0)
-            vals[i] = dpsi[0] @ self.iface_coefficients[
-                self.iface_space.element_dofs(e)]
-        return vals if np.ndim(t) else float(vals[0])
+        return self._interface_values(t, derivative=True)
 
     def wall_trace(self, side: int, t) -> np.ndarray:
         """Bulk pressure trace on wall 1 or 2 at tangential coordinates
@@ -287,13 +309,9 @@ class ReducedSolution:
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         x = _wall_points(self.mesh, self.preset.profile, tt, side)
         belem = self.grid.belem1 if side == 1 else self.grid.belem2
-        maps = self._maps()
-        vals = np.empty(len(tt))
-        for i, ti in enumerate(tt):
-            e = int(belem[self.grid.element_of_t(float(ti))])
-            phi = _basis_at(maps, self.bulk_space, e, x[i:i + 1])
-            vals[i] = phi[0] @ self.bulk_coefficients[
-                self.bulk_space.element_dofs(e)]
+        elems = belem[self.grid.element_of_t(tt)]
+        vals = _field_at(self._maps, self.bulk_space, self.bulk_coefficients,
+                         elems, x[:, None])[:, 0]
         return vals if np.ndim(t) else float(vals[0])
 
 
@@ -340,14 +358,21 @@ def _iface_degree(degrees) -> int:
     return int(degrees)
 
 
+def full_mesh(preset: ProblemPreset, h: float, *, fracture_layers: int = 4,
+              h_normal: float | None = None) -> Mesh:
+    """Fracture-conforming mesh of the full-dimensional model."""
+    return build_bulk_mesh(preset.domain, preset.profile, "full", h,
+                           frame=preset.frame,
+                           fracture_layers=fracture_layers,
+                           h_target_normal=h_normal)
+
+
 def prepare_full(preset: ProblemPreset, h: float, degrees=1,
                  mu0: float = 10.0, *, fracture_layers: int = 4,
                  h_normal: float | None = None):
     """Mesh, spaces and assembled system of the full-dimensional model."""
-    mesh = build_bulk_mesh(preset.domain, preset.profile, "full", h,
-                           frame=preset.frame,
-                           fracture_layers=fracture_layers,
-                           h_target_normal=h_normal)
+    mesh = full_mesh(preset, h, fracture_layers=fracture_layers,
+                     h_normal=h_normal)
     space = DGSpace.bulk(mesh, _bulk_degree(degrees))
     perm = preset.permeability()
     system = assemble_full(mesh, space, perm, preset.q, preset.g, mu0)

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import models
-from .assembly import _basis_at, _by_degree, _data_at, _element_dofs, \
-    _ElementMaps, segment_rule, tri_basis, triangle_rule
+from .assembly import _by_degree, _data_at, _element_dofs, segment_rule, \
+    tri_basis, triangle_rule
 from .geometry import ApertureProfile, FractureFrame
 from .mesh import FRACTURE, InterfaceGrid, Mesh
 
@@ -30,6 +30,67 @@ REFERENCES = ("full", "exact")
 # ---------------------------------------------------------------------------
 # transversal averaging
 
+def _fracture_block(mesh: Mesh):
+    """The lattice of a full mesh and the columns of its fracture block."""
+    if mesh.mode != "full":
+        raise ValueError("averaging needs a full-dimensional solution")
+    lat = mesh.lattices[0]
+    cols = np.flatnonzero(lat.col_tags == FRACTURE)
+    if len(cols) == 0:
+        raise ValueError("mesh has no fracture block")
+    return lat, cols
+
+
+def _transversal_lines(mesh: Mesh, profile: ApertureProfile,
+                       frame: FractureFrame, t: np.ndarray):
+    """Where the transversal lines at coordinates ``t`` cross the fracture
+    block of a full mesh.
+
+    Returns the row ``j`` of each line, its fraction ``s`` of the row
+    (shape (n, 1)), the half-apertures ``d1`` and ``d2``, and the block's
+    lattice lines on the row's lower and upper line and on the transversal
+    line itself (``lower``, ``upper``, ``edges``, shape (n, ncols + 1)).
+    Raises ValueError when a coordinate leaves the block, or when the
+    block's outer lines miss the analytic walls by more than half the
+    narrowest cell of the line: the mesh does not resolve the aperture
+    profile there.
+    """
+    lat, cols = _fracture_block(mesh)
+    ys = lat.ys
+    outside = ~((t >= ys[0] - 1e-12) & (t <= ys[-1] + 1e-12))
+    if np.any(outside):
+        raise ValueError(f"coordinate {t[outside][0]} leaves the "
+                         "fracture block")
+    j = np.clip(np.searchsorted(ys, t, side="right") - 1, 0, lat.n_rows - 1)
+    s = ((t - ys[j]) / (ys[j + 1] - ys[j]))[:, None]
+    gamma0 = frame.offset
+    d1 = np.broadcast_to(np.asarray(profile.d1_fn(t), dtype=float), t.shape)
+    d2 = np.broadcast_to(np.asarray(profile.d2_fn(t), dtype=float), t.shape)
+
+    lines = np.arange(cols[0], cols[-1] + 2)
+    lower, upper = lat.xs[j][:, lines], lat.xs[j + 1][:, lines]
+    edges = (1.0 - s) * lower + s * upper
+    width = np.diff(edges, axis=1).min(axis=1)
+    if np.any((np.abs(edges[:, 0] - (gamma0 - d1)) > 0.5 * width)
+              | (np.abs(edges[:, -1] - (gamma0 + d2)) > 0.5 * width)):
+        raise ValueError("transversal segment exits the fracture block; "
+                         "the mesh does not match the aperture profile")
+    return j, s, d1, d2, lower, upper, edges
+
+
+def check_wall_fit(mesh: Mesh, profile: ApertureProfile,
+                   frame: FractureFrame,
+                   n_quad: int = DEFAULT_N_QUAD) -> None:
+    """Raise ValueError when the fracture block of a full mesh cannot be
+    averaged: :func:`_transversal_lines` at the ``n_quad`` Gauss points of
+    every mesh row, where an error table over the same rows evaluates
+    the average."""
+    ys = mesh.lattices[0].ys
+    tq, _ = segment_rule(n_quad)
+    _transversal_lines(mesh, profile, frame,
+                       (ys[:-1, None] + tq * np.diff(ys)[:, None]).ravel())
+
+
 @dataclass
 class GammaAverage:
     """Aperture-averaged pressure of a full-dimensional solution,
@@ -41,30 +102,7 @@ class GammaAverage:
     n_quad: int = DEFAULT_N_QUAD
 
     def __post_init__(self):
-        mesh = self.full.mesh
-        if mesh.mode != "full":
-            raise ValueError("averaging needs a full-dimensional solution")
-        lat = mesh.lattices[0]
-        cols = np.flatnonzero(lat.col_tags == FRACTURE)
-        if len(cols) == 0:
-            raise ValueError("mesh has no fracture block")
-        self._lat = lat
-        self._cols = cols
-        self._maps = _ElementMaps.build(mesh)
-
-    def _field_at(self, elems: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Values of the full solution at points ``pts`` (..., m, 2), the
-        points of each item lying in the matching element of ``elems``."""
-        space, coeffs = self.full.space, self.full.coefficients
-        flat_elems = elems.reshape(-1)
-        flat_pts = pts.reshape((-1,) + pts.shape[-2:])
-        out = np.empty(flat_pts.shape[:-1])
-        for k, idx in _by_degree(space.degrees[flat_elems]):
-            el = flat_elems[idx]
-            phi = _basis_at(self._maps, space, el, flat_pts[idx])
-            c = coeffs[_element_dofs(space, el, k)]
-            out[idx] = (phi @ c[..., None])[..., 0]
-        return out.reshape(pts.shape[:-1])
+        self._lat, self._cols = _fracture_block(self.full.mesh)
 
     def _average(self, t: np.ndarray) -> np.ndarray:
         """Averages over the transversal lines at coordinates ``t``.
@@ -75,29 +113,9 @@ class GammaAverage:
         contribute nothing.
         """
         lat, cols = self._lat, self._cols
-        ys = lat.ys
-        outside = ~((t >= ys[0] - 1e-12) & (t <= ys[-1] + 1e-12))
-        if np.any(outside):
-            raise ValueError(f"coordinate {t[outside][0]} leaves the "
-                             "fracture block")
-        j = np.clip(np.searchsorted(ys, t, side="right") - 1, 0,
-                    lat.n_rows - 1)
-        s = ((t - ys[j]) / (ys[j + 1] - ys[j]))[:, None]
-        gamma0 = self.frame.offset
-        d1 = np.broadcast_to(np.asarray(self.profile.d1_fn(t), dtype=float),
-                             t.shape)
-        d2 = np.broadcast_to(np.asarray(self.profile.d2_fn(t), dtype=float),
-                             t.shape)
-        a, b = gamma0 - d1, gamma0 + d2
-
-        lines = np.arange(cols[0], cols[-1] + 2)
-        lower, upper = lat.xs[j][:, lines], lat.xs[j + 1][:, lines]
-        edges = (1.0 - s) * lower + s * upper
-        width = np.diff(edges, axis=1).min(axis=1)
-        if np.any((np.abs(edges[:, 0] - a) > 0.5 * width)
-                  | (np.abs(edges[:, -1] - b) > 0.5 * width)):
-            raise ValueError("transversal segment exits the fracture block; "
-                             "the mesh does not match the aperture profile")
+        j, s, d1, d2, lower, upper, edges = _transversal_lines(
+            self.full.mesh, self.profile, self.frame, t)
+        a, b = self.frame.offset - d1, self.frame.offset + d2
 
         # diagonal crossings: each cell's lower-left to upper-right split
         diag = (1.0 - s) * lower[:, :-1] + s * upper[:, 1:]
@@ -115,8 +133,10 @@ class GammaAverage:
         xs = lo[..., None] + tq * size[..., None]
         pts = np.stack([xs, np.broadcast_to(t[:, None, None], xs.shape)],
                        axis=-1)
-        pieces = (self._field_at(elems, pts) @ wq) \
-            * np.where(size < 1e-14, 0.0, size)
+        full = self.full
+        values = models._field_at(full._maps, full.space, full.coefficients,
+                                  elems, pts)
+        pieces = (values @ wq) * np.where(size < 1e-14, 0.0, size)
         return pieces.sum(axis=1) / (d1 + d2)
 
     def __call__(self, t) -> np.ndarray:
@@ -168,12 +188,10 @@ def l2_error_bulk(solution, exact: Callable,
                   n_quad: int | None = None) -> float:
     """L2 norm of (discrete - exact) over the meshed bulk domain."""
     if isinstance(solution, models.FullSolution):
-        mesh, space, coeffs = solution.mesh, solution.space, \
-            solution.coefficients
+        space, coeffs = solution.space, solution.coefficients
     else:
-        mesh, space, coeffs = solution.mesh, solution.bulk_space, \
-            solution.bulk_coefficients
-    maps = _ElementMaps.build(mesh)
+        space, coeffs = solution.bulk_space, solution.bulk_coefficients
+    maps = solution._maps
     total = 0.0
     for k, elems in _by_degree(space.degrees):
         pts, w = triangle_rule(k + 2 if n_quad is None else n_quad)
@@ -309,6 +327,7 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                 table.add(ErrorRow(d0, str(variant), float("nan"), 0, 0,
                                    float("nan"), note=ref_note))
                 continue
+            sol = None
             try:
                 sol = models.run_reduced(pset, variant, h, degrees, mu0,
                                          xi, mu0_gamma=mu0_gamma,
@@ -330,8 +349,14 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                 if on_solution is not None:
                     on_solution(d0, str(variant), sol)
             except Exception as exc:
-                table.add(ErrorRow(d0, str(variant), float("nan"), 0, 0,
-                                   float("nan"), note=str(exc)))
+                # a solve that ran keeps its dofs and residual in the row
+                ran = sol is not None
+                table.add(ErrorRow(
+                    d0, str(variant), float("nan"),
+                    sol.bulk_space.n_dofs if ran else 0,
+                    sol.iface_space.n_dofs if ran else 0,
+                    sol.report.relative_residual if ran else float("nan"),
+                    note=str(exc)))
                 logger.error("d0=%g variant %s failed: %s", d0, variant,
                              exc)
     return table
@@ -340,11 +365,12 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
 # ---------------------------------------------------------------------------
 # field dumps
 
-def _bulk_sample_points(mesh: Mesh, e: int) -> np.ndarray:
-    tri = mesh.vertices[mesh.elements[e]]
-    cent = tri.mean(axis=0)
-    pts = [cent] + [0.5 * (v + cent) for v in tri]
-    return np.array(pts)
+def _bulk_sample_points(mesh: Mesh) -> np.ndarray:
+    """Centroid and the midpoints between centroid and vertices of every
+    element, shape (n_elements, 4, 2)."""
+    tri = mesh.vertices[mesh.elements]
+    cent = tri.mean(axis=1, keepdims=True)
+    return np.concatenate([cent, 0.5 * (tri + cent)], axis=1)
 
 
 def write_fields(solution, prefix) -> list:
@@ -397,26 +423,26 @@ def write_fields(solution, prefix) -> list:
     paths.append(path)
 
     path = prefix + ".samples.txt"
+    pts = _bulk_sample_points(mesh).reshape(-1, 2)
+    vals = evaluate(pts)
+    elems = np.repeat(np.arange(mesh.n_elements), 4)
     with open(path, "w") as fh:
         fh.write("# element x y value\n")
-        for e in range(mesh.n_elements):
-            pts = _bulk_sample_points(mesh, e)
-            vals = evaluate(pts)
-            for (x, y), v in zip(pts, vals):
-                fh.write(f"{e} {x:.17g} {y:.17g} {v:.17g}\n")
+        for e, (x, y), v in zip(elems, pts, vals):
+            fh.write(f"{e} {x:.17g} {y:.17g} {v:.17g}\n")
     paths.append(path)
 
     if reduced is not None:
         path = prefix + ".gamma.txt"
         grid = reduced.grid
+        t0 = grid.t_breaks[:-1, None]
+        ts = (t0 + (grid.t_breaks[1:, None] - t0)
+              * (np.arange(8) + 0.5) / 8.0).ravel()
+        vals = reduced.evaluate_interface(ts)
         with open(path, "w") as fh:
             fh.write("# t value\n")
-            for e in range(grid.n_elements):
-                t0, t1 = grid.t_breaks[e], grid.t_breaks[e + 1]
-                ts = t0 + (t1 - t0) * (np.arange(8) + 0.5) / 8.0
-                vals = reduced.evaluate_interface(ts)
-                for t, v in zip(ts, vals):
-                    fh.write(f"{t:.17g} {v:.17g}\n")
+            for t, v in zip(ts, vals):
+                fh.write(f"{t:.17g} {v:.17g}\n")
         paths.append(path)
 
     return paths

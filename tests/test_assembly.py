@@ -246,6 +246,33 @@ class TestSpaces:
             assert float(psi[0] @ coeffs[dofs]) == pytest.approx(f(tm),
                                                                  abs=1e-12)
 
+    def test_interface_interpolation_matches_looped_reference(self):
+        _, _, grid, _, _ = wavy_setup(h=0.0625)
+        rng = np.random.default_rng(4)
+        ifs = asm.DGSpace.interface(grid, rng.integers(
+            1, asm.MAX_DEGREE + 1, size=grid.n_elements))
+        # a datum may return one value for all points
+        for f in (lambda t: np.sin(5.0 * t) + t**3, lambda t: 0.5):
+            want = looped_interpolate_interface(grid, ifs, f)
+            got = asm.interpolate_interface(grid, ifs, f)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def looped_interpolate_interface(grid, space, f):
+    """Local L2 projection onto the interface space, one element at a
+    time."""
+    coeffs = np.zeros(space.n_dofs)
+    for e in range(grid.n_elements):
+        k = int(space.degrees[e])
+        t0, t1 = grid.t_breaks[e], grid.t_breaks[e + 1]
+        tq, w = asm.segment_rule(k + 2)
+        psi = asm.seg_basis(k, tq)
+        wq = w * (t1 - t0)
+        mass = psi.T @ (psi * wq[:, None])
+        rhs = psi.T @ (np.asarray(f(t0 + tq * (t1 - t0)), dtype=float) * wq)
+        coeffs[space.element_dofs(e)] = np.linalg.solve(mass, rhs)
+    return coeffs
+
 
 # ---------------------------------------------------------------------------
 # batched bulk form against a per-element, per-facet reference

@@ -5,6 +5,7 @@ meshes and check artifact layout, row counts, determinism and exit
 codes rather than numerical values (those live with the model tests).
 """
 
+import dataclasses
 import math
 import textwrap
 
@@ -493,17 +494,21 @@ class TestRun:
         assert variants == ["I", "I-R", "II", "II-R"] * 3
 
     def test_failed_row_gives_nonzero_exit(self, tmp_path, capsys):
+        # h = 1/8 does not resolve the walls and is rejected by the
+        # parser; set on a parsed config, it fails the row at run time in
+        # the averaging guard
         out = tmp_path / "res"
         config = cli.parse_config(write_config(tmp_path, f"""
             [experiment]
             preset = perp-asym
             variants = I
             d0 = 1e-1
-            h = 1/8
+            h = 1/16
 
             [output]
             directory = {out}
         """))
+        config = dataclasses.replace(config, h=1 / 8)
         assert cli.run(config) == 1
         rows = (out / "errors.csv").read_text().splitlines()[1:]
         assert len(rows) == 1 and ",nan," in rows[0]
@@ -550,6 +555,10 @@ class TestRun:
         err = capsys.readouterr().err
         assert "solve did not converge: relative residual" in err
         assert "> tol 1e-10" in err
+        # the row keeps the dofs and the residual of the solve that ran
+        bulk_dofs, iface_dofs, residual = row.split(",")[3:]
+        assert int(bulk_dofs) > 0 and int(iface_dofs) > 0
+        assert float(residual) == pytest.approx(0.314, abs=5e-4)
 
     def test_unconverged_reference_fails_its_rows(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -558,7 +567,7 @@ class TestRun:
             preset = perp-sym
             variants = II, II-R
             d0 = 1e-1
-            h = 1/8
+            h = 1/16
 
             [solver]
             ref_method = CG
@@ -572,6 +581,48 @@ class TestRun:
         assert [r.split(",")[2] for r in rows] == ["nan", "nan"]
         err = capsys.readouterr().err
         assert err.count("reference failed: solve did not converge") == 2
+
+
+class TestWallResolution:
+    UNRESOLVED = """
+        [experiment]
+        preset = perp-asym
+        d0 = 1e-1
+        h = 1/8
+        degrees = 3
+
+        [output]
+        directory = {out}
+    """
+
+    def test_unresolved_reference_rejected_before_any_solve(self, tmp_path,
+                                                            capsys):
+        # two mesh rows per wall period: the reference mesh cannot be
+        # averaged, which the parser finds without solving anything
+        out = tmp_path / "res"
+        path = write_config(tmp_path, self.UNRESOLVED.format(out=out))
+        with pytest.raises(cli.ConfigError, match=r":5: .*cannot be "
+                           r"averaged.*exits the fracture block"):
+            cli.parse_config(path)
+        assert cli.main([path]) == 2
+        assert "refine h" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejection_cites_ref_h(self, tmp_path):
+        body = self.UNRESOLVED.format(out=tmp_path / "res").replace(
+            "h = 1/8", "h = 1/16\n        ref_h = 1/8")
+        with pytest.raises(cli.ConfigError, match=r":6: .*refine ref_h"):
+            parse(tmp_path, body)
+
+    def test_exact_reference_skips_the_check(self, tmp_path):
+        config = parse(tmp_path, """
+            [experiment]
+            preset = perp-sym
+            d0 = 1e-1
+            h = 1/8
+            reference = exact
+        """)
+        assert config.h == 1 / 8
 
 
 class TestMain:

@@ -12,10 +12,13 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracdg import assembly as asm
 from fracdg import models
-from fracdg.geometry import ApertureProfile
+from fracdg.geometry import ApertureProfile, FractureFrame
+from fracdg.mesh import MESH_MODES, build_bulk_mesh
 
 
 class TestVariantTable:
@@ -268,3 +271,223 @@ class TestEffectiveVelocity:
         u1 = models.effective_velocity(sol1, t)
         u2 = models.effective_velocity(sol2, t)
         assert np.abs(u1 - u2).max() > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# batched point location and evaluation against per-point references
+
+
+def looped_locate(mesh, points, tol=1e-9):
+    """Element id containing each point, one point at a time (-1 when
+    outside); ties go to the first candidate in set iteration order."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.full(len(pts), -1, dtype=np.int64)
+    verts, elems = mesh.vertices, mesh.elements
+    for p, (x, y) in enumerate(pts):
+        best_id, best_lam = -1, -np.inf
+        for lat in mesh.lattices:
+            ys = lat.ys
+            if y < ys[0] - tol or y > ys[-1] + tol:
+                continue
+            j = min(max(int(np.searchsorted(ys, y, side="right")) - 1, 0),
+                    lat.n_rows - 1)
+            s = (y - ys[j]) / (ys[j + 1] - ys[j])
+            edges = (1.0 - s) * lat.xs[j] + s * lat.xs[j + 1]
+            if x < edges[0] - tol or x > edges[-1] + tol:
+                continue
+            i = min(max(int(np.searchsorted(edges, x, side="right")) - 1, 0),
+                    lat.n_cols - 1)
+            for ci in {max(i - 1, 0), i, min(i + 1, lat.n_cols - 1)}:
+                for e in lat.elem_ids[j, ci]:
+                    tri = verts[elems[e]]
+                    mat = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
+                    try:
+                        ab = np.linalg.solve(mat, np.array([x, y]) - tri[0])
+                    except np.linalg.LinAlgError:
+                        continue
+                    lam = min(ab[0], ab[1], 1.0 - ab[0] - ab[1])
+                    if lam > best_lam:
+                        best_id, best_lam = int(e), lam
+        if best_lam >= -tol:
+            out[p] = best_id
+    return out
+
+
+def looped_eval_bulk(mesh, space, coeffs, points):
+    """Bulk field values, one point at a time."""
+    maps = asm._ElementMaps.build(mesh)
+    elems = looped_locate(mesh, points)
+    vals = np.empty(len(points))
+    for i, e in enumerate(elems):
+        e = int(e)
+        phi = asm._basis_at(maps, space, e, points[i:i + 1])
+        vals[i] = phi[0] @ coeffs[space.element_dofs(e)]
+    return vals
+
+
+def smallest_barycentric(mesh, e, x):
+    maps = asm._ElementMaps.build(mesh)
+    ab = maps.jac_inv[e] @ (x - maps.v0[e])
+    return min(ab[0], ab[1], 1.0 - ab[0] - ab[1])
+
+
+WAVY = ApertureProfile.sinusoidal(0.1, frequency=2.0 * np.pi,
+                                  asymmetry="antisymmetric")
+MESHES = {mode: build_bulk_mesh(models.UNIT_SQUARE, WAVY, mode, 0.125,
+                                frame=FractureFrame.vertical_line(0.5))
+          for mode in MESH_MODES}
+
+
+def gap_points(rng, n):
+    """Points strictly between the two walls of the wavy profile."""
+    t = rng.random(n)
+    lo = 0.5 - WAVY.d1_fn(t)
+    hi = 0.5 + WAVY.d2_fn(t)
+    s = 0.05 + 0.9 * rng.random(n)
+    return np.column_stack([lo + s * (hi - lo), t])
+
+
+class TestPointLocation:
+    @pytest.mark.parametrize("mode", MESH_MODES)
+    def test_matches_looped_oracle(self, mode):
+        mesh = MESHES[mode]
+        rng = np.random.default_rng(5)
+        pts = np.concatenate([rng.uniform(-0.1, 1.1, size=(1500, 2)),
+                              gap_points(rng, 200)])
+        got = models._locate(mesh, pts)
+        np.testing.assert_array_equal(got, looped_locate(mesh, pts))
+        outside = (pts < 0.0).any(axis=1) | (pts > 1.0).any(axis=1)
+        assert np.all(got[outside] == -1)
+        gap = got[-200:]
+        if mode == "curved-reduced":
+            assert np.all(gap == -1)
+        else:
+            assert np.all(gap >= 0)
+
+    @pytest.mark.parametrize("mode", MESH_MODES)
+    def test_vertices_lie_in_their_element(self, mode):
+        mesh = MESHES[mode]
+        got = models._locate(mesh, mesh.vertices)
+        assert np.all(got >= 0)
+        for v, e in zip(mesh.vertices, got):
+            assert smallest_barycentric(mesh, e, v) >= -1e-9
+
+    def test_ties_go_to_the_lowest_element_id(self):
+        # dyadic coordinates make every barycentric coordinate exact, so
+        # a vertex ties at lam == 0 in all triangles of its row touching
+        # it; the rectified midline vertices tie across both lattices
+        mesh = build_bulk_mesh(models.UNIT_SQUARE, WAVY, "rectified", 0.125,
+                               frame=FractureFrame.vertical_line(0.5))
+        got = models._locate(mesh, mesh.vertices)
+        ys = mesh.lattices[0].ys
+        for v, e in zip(mesh.vertices, got):
+            j = min(int(np.searchsorted(ys, v[1], side="right")) - 1,
+                    len(ys) - 2)
+            star = [int(c) for lat in mesh.lattices
+                    for c in lat.elem_ids[j].ravel()
+                    if np.any(np.all(mesh.vertices[mesh.elements[c]] == v,
+                                     axis=1))]
+            assert e == min(star)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mode=st.sampled_from(MESH_MODES),
+           which=st.floats(0.0, 1.0, exclude_max=True),
+           a=st.floats(1e-3, 0.998), b=st.floats(1e-3, 0.998))
+    def test_interior_point_locates_to_its_element(self, mode, which, a, b):
+        assume(a + b <= 0.999)
+        mesh = MESHES[mode]
+        e = int(which * mesh.n_elements)
+        v0, v1, v2 = mesh.vertices[mesh.elements[e]]
+        x = v0 + a * (v1 - v0) + b * (v2 - v0)
+        assert models._locate(mesh, x)[0] == e
+
+
+def mixed_degree_reduced(variant, seed):
+    """A reduced solution on the wavy profile with random degrees 1..4
+    and random coefficients on both spaces."""
+    preset = dataclasses.replace(models.preset_by_name("perp-asym"),
+                                 profile=WAVY)
+    sol = models.run_reduced(preset, variant, 0.125)
+    rng = np.random.default_rng(seed)
+    bulk = asm.DGSpace.bulk(sol.mesh, rng.integers(
+        1, asm.MAX_DEGREE + 1, size=sol.mesh.n_elements))
+    iface = asm.DGSpace.interface(sol.grid, rng.integers(
+        1, asm.MAX_DEGREE + 1, size=sol.grid.n_elements))
+    return dataclasses.replace(
+        sol, bulk_space=bulk, iface_space=iface,
+        bulk_coefficients=rng.standard_normal(bulk.n_dofs),
+        iface_coefficients=rng.standard_normal(iface.n_dofs))
+
+
+def sample_t(grid, rng):
+    return np.concatenate([rng.random(300), grid.t_breaks,
+                           [0.0, 1.0, 0.5]])
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("variant", ["I", "II-R"])
+    def test_bulk_matches_pointwise(self, variant):
+        sol = mixed_degree_reduced(variant, 3)
+        rng = np.random.default_rng(8)
+        pts = rng.random((800, 2))
+        pts = pts[looped_locate(sol.mesh, pts) >= 0]
+        want = looped_eval_bulk(sol.mesh, sol.bulk_space,
+                                sol.bulk_coefficients, pts)
+        np.testing.assert_allclose(sol.evaluate_bulk(pts), want,
+                                   rtol=0.0, atol=1e-14 * np.abs(want).max())
+
+    def test_full_matches_pointwise(self):
+        preset = dataclasses.replace(models.preset_by_name("perp-asym"),
+                                     profile=WAVY)
+        sol = models.run_full(preset, 0.125)
+        rng = np.random.default_rng(9)
+        space = asm.DGSpace.bulk(sol.mesh, rng.integers(
+            1, asm.MAX_DEGREE + 1, size=sol.mesh.n_elements))
+        sol = dataclasses.replace(
+            sol, space=space,
+            coefficients=rng.standard_normal(space.n_dofs))
+        pts = np.concatenate([rng.random((800, 2)), sol.mesh.vertices])
+        want = looped_eval_bulk(sol.mesh, space, sol.coefficients, pts)
+        got = sol.evaluate(pts)
+        # vertices may tie-break to another element than the loop did
+        inner = slice(0, 800)
+        np.testing.assert_allclose(got[inner], want[inner], rtol=0.0,
+                                   atol=1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("variant", ["I", "II-R"])
+    def test_interface_matches_pointwise(self, variant):
+        sol = mixed_degree_reduced(variant, 4)
+        grid, space, c = sol.grid, sol.iface_space, sol.iface_coefficients
+        t = sample_t(grid, np.random.default_rng(2))
+        vals, ders = np.empty(len(t)), np.empty(len(t))
+        for i, ti in enumerate(t):
+            e = grid.element_of_t(float(ti))
+            t0, t1 = grid.t_breaks[e], grid.t_breaks[e + 1]
+            loc = np.array([(ti - t0) / (t1 - t0)])
+            k = int(space.degrees[e])
+            vals[i] = asm.seg_basis(k, loc)[0] @ c[space.element_dofs(e)]
+            ders[i] = (asm.seg_basis_deriv(k, loc)[0] / (t1 - t0)) \
+                @ c[space.element_dofs(e)]
+        np.testing.assert_allclose(sol.evaluate_interface(t), vals,
+                                   rtol=0.0, atol=1e-14 * np.abs(vals).max())
+        np.testing.assert_allclose(sol.interface_derivative(t), ders,
+                                   rtol=0.0, atol=1e-14 * np.abs(ders).max())
+        assert sol.evaluate_interface(0.3) == pytest.approx(
+            sol.evaluate_interface(np.array([0.3]))[0], abs=0.0)
+
+    @pytest.mark.parametrize("variant", ["I", "II-R"])
+    def test_wall_trace_matches_pointwise(self, variant):
+        sol = mixed_degree_reduced(variant, 6)
+        maps = asm._ElementMaps.build(sol.mesh)
+        t = sample_t(sol.grid, np.random.default_rng(7))
+        for side, belem in ((1, sol.grid.belem1), (2, sol.grid.belem2)):
+            x = asm._wall_points(sol.mesh, WAVY, t, side)
+            want = np.empty(len(t))
+            for i, ti in enumerate(t):
+                e = int(belem[sol.grid.element_of_t(float(ti))])
+                phi = asm._basis_at(maps, sol.bulk_space, e, x[i:i + 1])
+                want[i] = phi[0] @ sol.bulk_coefficients[
+                    sol.bulk_space.element_dofs(e)]
+            np.testing.assert_allclose(sol.wall_trace(side, t), want,
+                                       rtol=0.0,
+                                       atol=1e-14 * np.abs(want).max())
