@@ -434,7 +434,9 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
 
     if config.reference == "full":
         # the fracture block and the rows of a reference mesh do not
-        # depend on ref_h_normal, which only spaces the matrix blocks
+        # depend on ref_h_normal, which only spaces the matrix blocks;
+        # a mesh or point set too large to allocate (MemoryError) is a
+        # config error too, as it would fail every row of its d0
         key = "ref_h" if config.ref_h is not None else "h"
         for d0 in config.d0_list:
             preset = make(d0)
@@ -444,12 +446,21 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
                     fracture_layers=config.fracture_layers)
             except ValueError as exc:
                 fail("experiment", "d0", f"d0 = {d0:g}: {exc}")
+            except Exception as exc:
+                fail("experiment", key,
+                     f"the reference mesh at d0 = {d0:g} cannot be built "
+                     f"({type(exc).__name__}: {exc}); coarsen {key}")
             try:
-                postproc.check_wall_fit(mesh, preset.profile, preset.frame)
+                postproc.check_wall_fit(mesh, preset.profile, preset.frame,
+                                        config.h)
             except ValueError as exc:
                 fail("experiment", key,
                      f"the reference mesh at d0 = {d0:g} cannot be "
                      f"averaged ({exc}); refine {key}")
+            except Exception as exc:
+                fail("experiment", "h",
+                     f"the averaging points at h cannot be built "
+                     f"({type(exc).__name__}: {exc}); coarsen h")
 
 
 def parse_config(path: str) -> ExperimentConfig:

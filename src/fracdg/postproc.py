@@ -19,7 +19,7 @@ from . import models
 from .assembly import _by_degree, _data_at, _element_dofs, segment_rule, \
     tri_basis, triangle_rule
 from .geometry import ApertureProfile, FractureFrame
-from .mesh import FRACTURE, InterfaceGrid, Mesh
+from .mesh import FRACTURE, InterfaceGrid, Mesh, _pow2_count
 
 logger = logging.getLogger(__name__)
 
@@ -79,16 +79,18 @@ def _transversal_lines(mesh: Mesh, profile: ApertureProfile,
 
 
 def check_wall_fit(mesh: Mesh, profile: ApertureProfile,
-                   frame: FractureFrame,
-                   n_quad: int = DEFAULT_N_QUAD) -> None:
+                   frame: FractureFrame, h: float) -> None:
     """Raise ValueError when the fracture block of a full mesh cannot be
-    averaged: :func:`_transversal_lines` at the ``n_quad`` Gauss points of
-    every mesh row, where an error table over the same rows evaluates
-    the average."""
+    averaged where an error table at spacing ``h`` evaluates the average:
+    :func:`_transversal_lines` at the ``DEFAULT_N_QUAD`` Gauss points of
+    every row of a reduced mesh at ``h``, the elements of its interface
+    grid, whatever the rows of ``mesh`` are."""
     ys = mesh.lattices[0].ys
-    tq, _ = segment_rule(n_quad)
+    breaks = np.linspace(ys[0], ys[-1], _pow2_count(ys[-1] - ys[0], h) + 1)
+    tq, _ = segment_rule(DEFAULT_N_QUAD)
     _transversal_lines(mesh, profile, frame,
-                       (ys[:-1, None] + tq * np.diff(ys)[:, None]).ravel())
+                       (breaks[:-1, None] + tq * np.diff(breaks)[:, None])
+                       .ravel())
 
 
 @dataclass

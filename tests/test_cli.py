@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fracdg import assembly, cli, mesh, solver
+from fracdg import assembly, cli, mesh, models, postproc, solver
 
 
 def write_config(tmp_path, body, name="exp.cfg"):
@@ -612,6 +612,76 @@ class TestWallResolution:
         body = self.UNRESOLVED.format(out=tmp_path / "res").replace(
             "h = 1/8", "h = 1/16\n        ref_h = 1/8")
         with pytest.raises(cli.ConfigError, match=r":6: .*refine ref_h"):
+            parse(tmp_path, body)
+
+    # symmetric walls of frequency 27.5 on a reference mesh at ref_h = 1/16
+    # miss the fracture block at the Gauss points of the reference rows,
+    # but not at those of the rows at h = 1/8, where the table averages;
+    # at frequency 27 it is the other way round for h = 1/32
+    CUSTOM = """
+        [experiment]
+        preset = custom
+        variants = I, II-R
+        d0 = 1e-1
+        h = {h}
+        ref_h = 1/16
+
+        [problem]
+        g = inflow-bubble
+        asymmetry = symmetric
+        frequency = {frequency}
+
+        [output]
+        directory = {out}
+    """
+
+    def test_check_uses_the_rows_of_the_error_table(self, tmp_path):
+        out = tmp_path / "res"
+        path = write_config(tmp_path, self.CUSTOM.format(
+            h="1/8", frequency=27.5, out=out))
+        config = cli.parse_config(path)
+        preset = cli._preset_factory(config)(1e-1)
+        ref_mesh = models.full_mesh(preset, 1 / 16)
+        with pytest.raises(ValueError, match="exits the fracture block"):
+            postproc.check_wall_fit(ref_mesh, preset.profile, preset.frame,
+                                    1 / 16)
+        assert cli.main([path]) == 0
+        rows = (out / "errors.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(r.split(",")[2])) for r in rows)
+
+    def test_rows_at_h_that_miss_are_rejected(self, tmp_path):
+        with pytest.raises(cli.ConfigError, match=r":7: .*cannot be "
+                           r"averaged.*refine ref_h"):
+            parse(tmp_path, self.CUSTOM.format(
+                h="1/32", frequency=27.0, out=tmp_path / "res"))
+
+    def test_unbuildable_reference_exits_2(self, tmp_path, monkeypatch,
+                                           capsys):
+        # a mesh too large to allocate is a config error, not a traceback
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        out = tmp_path / "res"
+        path = write_config(tmp_path, self.UNRESOLVED.format(out=out))
+        monkeypatch.setattr(models, "full_mesh", no_memory)
+        with pytest.raises(cli.ConfigError, match=r":5: .*MemoryError: "
+                           r"Unable to allocate.*coarsen h"):
+            cli.parse_config(path)
+        assert cli.main([path]) == 2
+        assert "cannot be built" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unbuildable_averaging_points_exit_2(self, tmp_path,
+                                                 monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        body = self.CUSTOM.format(h="1/8", frequency=27.5,
+                                  out=tmp_path / "res")
+        monkeypatch.setattr(postproc, "check_wall_fit", no_memory)
+        with pytest.raises(cli.ConfigError, match=r":6: .*averaging "
+                           r"points.*MemoryError.*coarsen h"):
             parse(tmp_path, body)
 
     def test_exact_reference_skips_the_check(self, tmp_path):
