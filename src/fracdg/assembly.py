@@ -436,12 +436,18 @@ def interpolate_interface(grid: InterfaceGrid, space: DGSpace, f) -> np.ndarray:
 
 @dataclass
 class SparseSystem:
-    """Assembled linear system, blocked as [bulk dofs | interface dofs]."""
+    """Assembled linear system, blocked as [bulk dofs | interface dofs].
+
+    ``block_offsets`` holds the first dof of every element block in
+    ascending order (bulk triangles, then interface segments); each
+    element's dofs are contiguous.  None means no element structure.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     n_bulk: int
     n_iface: int
+    block_offsets: np.ndarray | None = None
 
     @property
     def n_dofs(self) -> int:
@@ -853,7 +859,8 @@ def assemble_full(mesh: Mesh, space: DGSpace, perm: PermeabilityData,
     _bulk_sipg(acc, mesh, space, perm, q, g, mu0,
                flux_classes=(INTERIOR, GAMMA_1, GAMMA_2))
     return SparseSystem(matrix=acc.matrix(), rhs=acc.rhs,
-                        n_bulk=space.n_dofs, n_iface=0)
+                        n_bulk=space.n_dofs, n_iface=0,
+                        block_offsets=np.sort(space.offsets))
 
 
 def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
@@ -892,4 +899,7 @@ def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
                      profile, perm, edge_terms)
 
     return SparseSystem(matrix=acc.matrix(), rhs=acc.rhs,
-                        n_bulk=bulk_space.n_dofs, n_iface=iface_space.n_dofs)
+                        n_bulk=bulk_space.n_dofs, n_iface=iface_space.n_dofs,
+                        block_offsets=np.concatenate(
+                            [np.sort(bulk_space.offsets),
+                             off + iface_space.offsets]))

@@ -540,8 +540,10 @@ def _dump_callback(config: ExperimentConfig, out: pathlib.Path):
         if config.dump_matrices:
             matrices = out / "matrices"
             matrices.mkdir(parents=True, exist_ok=True)
+            # uncompressed: zlib costs ~20x the write for a 2.5x smaller file
             sparse.save_npz(matrices / f"{stem}.matrix.npz",
-                            sparse.csr_matrix(solution.system.matrix))
+                            sparse.csr_matrix(solution.system.matrix),
+                            compressed=False)
             np.save(matrices / f"{stem}.rhs.npy", solution.system.rhs)
 
     return dump

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import models
 from .assembly import _by_degree, _data_at, _element_dofs, segment_rule, \
-    tri_basis, triangle_rule
+    tri_basis, tri_dim, triangle_rule
 from .geometry import ApertureProfile, FractureFrame
 from .mesh import FRACTURE, InterfaceGrid, Mesh, _pow2_count
 
@@ -399,53 +399,44 @@ def write_fields(solution, prefix) -> list:
 
     paths = []
 
-    path = prefix + ".vertices.txt"
-    with open(path, "w") as fh:
-        fh.write("# vertex x y\n")
-        for i, (x, y) in enumerate(mesh.vertices):
-            fh.write(f"{i} {x:.17g} {y:.17g}\n")
-    paths.append(path)
+    def write(suffix, header, lines):
+        path = prefix + suffix
+        with open(path, "w") as fh:
+            fh.write("".join([header, *lines]))
+        paths.append(path)
 
-    path = prefix + ".elements.txt"
-    with open(path, "w") as fh:
-        fh.write("# element v0 v1 v2 subdomain degree\n")
-        for e in range(mesh.n_elements):
-            v = mesh.elements[e]
-            fh.write(f"{e} {v[0]} {v[1]} {v[2]} {int(mesh.subdomain[e])} "
-                     f"{int(space.degrees[e])}\n")
-    paths.append(path)
+    write(".vertices.txt", "# vertex x y\n",
+          (f"{i} {x:.17g} {y:.17g}\n"
+           for i, (x, y) in enumerate(mesh.vertices.tolist())))
 
-    path = prefix + ".coefficients.txt"
-    with open(path, "w") as fh:
-        fh.write("# element coefficients...\n")
-        for e in range(mesh.n_elements):
-            vals = " ".join(f"{c:.17g}"
-                            for c in coeffs[space.element_dofs(e)])
-            fh.write(f"{e} {vals}\n")
-    paths.append(path)
+    write(".elements.txt", "# element v0 v1 v2 subdomain degree\n",
+          (f"{e} {v0} {v1} {v2} {sub} {k}\n"
+           for e, ((v0, v1, v2), sub, k) in enumerate(zip(
+               mesh.elements.tolist(), mesh.subdomain.tolist(),
+               space.degrees.tolist()))))
 
-    path = prefix + ".samples.txt"
+    values = [f"{c:.17g}" for c in coeffs.tolist()]
+    ends = space.offsets + tri_dim(space.degrees)
+    write(".coefficients.txt", "# element coefficients...\n",
+          (f"{e} {' '.join(values[start:end])}\n" for e, (start, end) in
+           enumerate(zip(space.offsets.tolist(), ends.tolist()))))
+
     pts = _bulk_sample_points(mesh).reshape(-1, 2)
     vals = evaluate(pts)
     elems = np.repeat(np.arange(mesh.n_elements), 4)
-    with open(path, "w") as fh:
-        fh.write("# element x y value\n")
-        for e, (x, y), v in zip(elems, pts, vals):
-            fh.write(f"{e} {x:.17g} {y:.17g} {v:.17g}\n")
-    paths.append(path)
+    write(".samples.txt", "# element x y value\n",
+          (f"{e} {x:.17g} {y:.17g} {v:.17g}\n" for e, (x, y), v in
+           zip(elems.tolist(), pts.tolist(), vals.tolist())))
 
     if reduced is not None:
-        path = prefix + ".gamma.txt"
         grid = reduced.grid
         t0 = grid.t_breaks[:-1, None]
         ts = (t0 + (grid.t_breaks[1:, None] - t0)
               * (np.arange(8) + 0.5) / 8.0).ravel()
         vals = reduced.evaluate_interface(ts)
-        with open(path, "w") as fh:
-            fh.write("# t value\n")
-            for t, v in zip(ts, vals):
-                fh.write(f"{t:.17g} {v:.17g}\n")
-        paths.append(path)
+        write(".gamma.txt", "# t value\n",
+              (f"{t:.17g} {v:.17g}\n"
+               for t, v in zip(ts.tolist(), vals.tolist())))
 
     return paths
 

@@ -3,18 +3,23 @@
 Reduced systems with wall-trace transport terms are nonsymmetric, so the
 default there is a direct factorization; full-dimensional interior
 penalty systems are symmetric (positive definite only while the penalty
-dominates) and default to conjugate gradients with diagonal
-preconditioning.  Whatever the path, the reported
-relative residual is recomputed from the returned iterate, never taken
-from the iteration itself.
+dominates) and default to conjugate gradients.  Both iterative methods
+are preconditioned with the inverses of the matrix's element diagonal
+blocks (block Jacobi), which undoes the conditioning of the local
+monomial bases; a system without element blocks gets 1x1 blocks, i.e.
+point Jacobi.  Whatever the path, the reported relative residual is
+recomputed from the returned iterate, never taken from the iteration
+itself.
 """
 
 from __future__ import annotations
 
 import inspect
+import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SparseSystem
@@ -26,20 +31,35 @@ SYMMETRY_TOL = 1e-10
 
 _NEWSTYLE_TOL = "rtol" in inspect.signature(spla.cg).parameters
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a linear solve."""
+    """Outcome of a linear solve.
+
+    ``indefinite_blocks`` counts the preconditioner's element blocks
+    whose symmetric part is not positive definite; one such block proves
+    a symmetric matrix indefinite.  The direct path builds no blocks and
+    reports 0.
+    """
 
     iterations: int
     relative_residual: float
     method: str
     converged: bool
+    indefinite_blocks: int = 0
 
     def summary(self) -> str:
         state = "converged" if self.converged else "NOT converged"
-        return (f"{self.method}: {state} in {self.iterations} iterations, "
+        text = (f"{self.method}: {state} in {self.iterations} iterations, "
                 f"relative residual {self.relative_residual:.3e}")
+        if self.indefinite_blocks:
+            text += (f", {self.indefinite_blocks} element blocks not "
+                     "positive definite")
+            if self.method == "CG":
+                text += " (indefinite matrix, CG unreliable)"
+        return text
 
 
 def relative_residual(matrix, x: np.ndarray, rhs: np.ndarray) -> float:
@@ -49,14 +69,57 @@ def relative_residual(matrix, x: np.ndarray, rhs: np.ndarray) -> float:
     return norm_r / norm_b if norm_b > 0.0 else norm_r
 
 
-def _jacobi(matrix) -> spla.LinearOperator:
-    diag = matrix.diagonal()
-    if np.any(diag == 0.0):
-        raise ValueError("zero diagonal entry, Jacobi preconditioner "
-                         "unavailable")
-    inv = 1.0 / diag
+def _block_jacobi(matrix: sp.csr_matrix, block_offsets):
+    """Block-diagonal inverse of the diagonal blocks of ``matrix``.
+
+    Returns the preconditioner as a CSR matrix and the number of blocks
+    whose symmetric part is not positive definite.  The blocks start at
+    ``block_offsets`` (1x1 blocks when it is None) and are gathered from
+    the matrix entries whose row and column fall in the same block, one
+    batch per block size.  A singular block raises ``ValueError``.
+    """
     n = matrix.shape[0]
-    return spla.LinearOperator((n, n), matvec=lambda v: inv * v)
+    starts = (np.arange(n) if block_offsets is None
+              else np.asarray(block_offsets, dtype=np.int64))
+    sizes = np.diff(starts, append=n)
+    block_of = np.repeat(np.arange(len(starts)), sizes)
+    coo = matrix.tocoo()
+    blk = block_of[coo.row]
+    inside = blk == block_of[coo.col]
+    blk, vals = blk[inside], coo.data[inside]
+    local_row = coo.row[inside] - starts[blk]
+    local_col = coo.col[inside] - starts[blk]
+
+    rows, cols, inverses = [], [], []
+    indefinite = 0
+    rank = np.empty(len(starts), dtype=np.int64)  # index among same-size
+    for s in np.unique(sizes):
+        members = np.flatnonzero(sizes == s)
+        rank[members] = np.arange(len(members))
+        sel = sizes[blk] == s
+        flat = (rank[blk[sel]] * s + local_row[sel]) * s + local_col[sel]
+        # bincount also sums duplicate entries of a non-canonical matrix
+        blocks = np.bincount(flat, weights=vals[sel],
+                             minlength=len(members) * s * s
+                             ).reshape(-1, s, s)
+        try:
+            inv = np.linalg.inv(blocks)
+            if not np.all(np.isfinite(inv)):
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"singular {s}x{s} diagonal block, block "
+                             "preconditioner unavailable") from exc
+        sym = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+        indefinite += int(np.count_nonzero(
+            np.linalg.eigvalsh(sym)[:, 0] <= 0.0))
+        dofs = starts[members][:, None] + np.arange(s)
+        rows.append(np.broadcast_to(dofs[:, :, None], inv.shape).ravel())
+        cols.append(np.broadcast_to(dofs[:, None, :], inv.shape).ravel())
+        inverses.append(inv.ravel())
+    precond = sp.csr_matrix(
+        (np.concatenate(inverses),
+         (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return precond, indefinite
 
 
 def _tol_kwargs(tol: float) -> dict:
@@ -116,7 +179,10 @@ def solve(system: SparseSystem, method: str | None = None,
     def tick(_xk):
         count[0] += 1
 
-    precond = _jacobi(matrix)
+    precond, indefinite = _block_jacobi(matrix, system.block_offsets)
+    if method == "CG" and indefinite:
+        logger.warning("CG on an indefinite matrix: %d element blocks are "
+                       "not positive definite", indefinite)
     runner = spla.cg if method == "CG" else spla.bicgstab
     x, info = runner(matrix, rhs, M=precond, maxiter=max_iter,
                      callback=tick, **_tol_kwargs(tol))
@@ -125,4 +191,5 @@ def solve(system: SparseSystem, method: str | None = None,
                                     f"(info={info})")
     res = relative_residual(matrix, x, rhs)
     return x, SolveReport(iterations=count[0], relative_residual=res,
-                          method=method, converged=info == 0 and res <= tol)
+                          method=method, converged=info == 0 and res <= tol,
+                          indefinite_blocks=indefinite)

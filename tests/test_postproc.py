@@ -7,6 +7,7 @@ integrals.  Field dumps are checked by round trip.
 
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -248,6 +249,54 @@ class TestSweep:
             avg(np.linspace(0.0, 1.0, 17))
 
 
+def looped_write_fields(solution, prefix):
+    """The per-line writer ``write_fields`` replaced, kept as its oracle."""
+    prefix = str(prefix)
+    if isinstance(solution, models.FullSolution):
+        mesh, space, coeffs = solution.mesh, solution.space, \
+            solution.coefficients
+        evaluate = solution.evaluate
+        reduced = None
+    else:
+        mesh, space, coeffs = solution.mesh, solution.bulk_space, \
+            solution.bulk_coefficients
+        evaluate = solution.evaluate_bulk
+        reduced = solution
+    with open(prefix + ".vertices.txt", "w") as fh:
+        fh.write("# vertex x y\n")
+        for i, (x, y) in enumerate(mesh.vertices):
+            fh.write(f"{i} {x:.17g} {y:.17g}\n")
+    with open(prefix + ".elements.txt", "w") as fh:
+        fh.write("# element v0 v1 v2 subdomain degree\n")
+        for e in range(mesh.n_elements):
+            v = mesh.elements[e]
+            fh.write(f"{e} {v[0]} {v[1]} {v[2]} {int(mesh.subdomain[e])} "
+                     f"{int(space.degrees[e])}\n")
+    with open(prefix + ".coefficients.txt", "w") as fh:
+        fh.write("# element coefficients...\n")
+        for e in range(mesh.n_elements):
+            vals = " ".join(f"{c:.17g}"
+                            for c in coeffs[space.element_dofs(e)])
+            fh.write(f"{e} {vals}\n")
+    pts = postproc._bulk_sample_points(mesh).reshape(-1, 2)
+    vals = evaluate(pts)
+    elems = np.repeat(np.arange(mesh.n_elements), 4)
+    with open(prefix + ".samples.txt", "w") as fh:
+        fh.write("# element x y value\n")
+        for e, (x, y), v in zip(elems, pts, vals):
+            fh.write(f"{e} {x:.17g} {y:.17g} {v:.17g}\n")
+    if reduced is not None:
+        grid = reduced.grid
+        t0 = grid.t_breaks[:-1, None]
+        ts = (t0 + (grid.t_breaks[1:, None] - t0)
+              * (np.arange(8) + 0.5) / 8.0).ravel()
+        vals = reduced.evaluate_interface(ts)
+        with open(prefix + ".gamma.txt", "w") as fh:
+            fh.write("# t value\n")
+            for t, v in zip(ts, vals):
+                fh.write(f"{t:.17g} {v:.17g}\n")
+
+
 class TestFieldDumps:
     def test_full_round_trip(self, tmp_path):
         preset = models.constant_aperture_preset(0.05)
@@ -277,3 +326,24 @@ class TestFieldDumps:
         np.testing.assert_allclose(vals, sol.evaluate_interface(t),
                                    atol=1e-12)
         assert len(t) == 8 * sol.grid.n_elements
+
+    @pytest.mark.parametrize("kind", ["full", "reduced"])
+    def test_matches_per_line_writer_byte_for_byte(self, tmp_path, kind):
+        rng = np.random.default_rng(11)
+        preset = models.preset_by_name("perp-asym", d0=0.1)
+        if kind == "full":
+            sol = models.run_full(preset, 0.25)
+            space = asm.DGSpace.bulk(sol.mesh, rng.integers(
+                1, asm.MAX_DEGREE + 1, size=sol.mesh.n_elements))
+            coeffs = rng.standard_normal(space.n_dofs)
+            coeffs[:3] = (0.0, -0.0, 1e-300)
+            sol = dataclasses.replace(sol, space=space, coefficients=coeffs)
+        else:
+            sol = models.run_reduced(preset, "II-R", 0.125, degrees=(2, 3))
+        paths = postproc.write_fields(sol, tmp_path / "new")
+        looped_write_fields(sol, tmp_path / "old")
+        assert len(paths) == (4 if kind == "full" else 5)
+        for path in paths:
+            old = str(path).replace("new.", "old.")
+            assert pathlib.Path(path).read_bytes() == \
+                pathlib.Path(old).read_bytes(), path

@@ -5,12 +5,14 @@ the recomputed residual and by cross-checking the direct and iterative
 paths against each other.
 """
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from fracdg import assembly as asm
-from fracdg import solver
+from fracdg import models, solver
 from fracdg.geometry import ApertureProfile, FractureFrame, PermeabilityData
 from fracdg.mesh import build_bulk_mesh, build_interface_grid
 
@@ -24,10 +26,10 @@ def raw_system(matrix, rhs):
                             n_bulk=matrix.shape[0], n_iface=0)
 
 
-def full_system(h=0.25):
+def full_system(h=0.25, degrees=1):
     profile = ApertureProfile.constant(0.05, 0.05)
     mesh = build_bulk_mesh(DOMAIN, profile, "full", h, frame=FRAME)
-    space = asm.DGSpace.bulk(mesh, 1)
+    space = asm.DGSpace.bulk(mesh, degrees)
     perm = PermeabilityData(np.eye(2), np.eye(2), np.eye(2), 1.0)
     return asm.assemble_full(mesh, space, perm, None,
                              lambda x: 1.0 - x[:, 0], 10.0)
@@ -140,3 +142,107 @@ class TestAssembledSystems:
         _, rep = solver.solve(sys_)
         assert "CG" in rep.summary()
         assert "converged" in rep.summary()
+
+
+def block_bounds(system):
+    starts = system.block_offsets
+    return zip(starts, np.append(starts[1:], system.n_dofs))
+
+
+def mixed_degree_full_system():
+    profile = ApertureProfile.constant(0.05, 0.05)
+    mesh = build_bulk_mesh(DOMAIN, profile, "full", 0.25, frame=FRAME)
+    degrees = np.random.default_rng(4).integers(
+        1, asm.MAX_DEGREE + 1, size=mesh.n_elements)
+    assert set(degrees) == set(range(1, asm.MAX_DEGREE + 1))
+    return full_system(degrees=degrees)
+
+
+class TestBlockPreconditioner:
+    @pytest.mark.parametrize("kind", ["mixed-degree full", "reduced II"])
+    def test_inverts_every_element_block(self, kind):
+        if kind == "reduced II":
+            sys_ = reduced_system(variant="II")
+            # interface segments are blocks too: degree 1, two dofs each
+            iface = sys_.block_offsets[sys_.block_offsets >= sys_.n_bulk]
+            assert iface[0] == sys_.n_bulk and len(iface) > 1
+            assert np.all(np.diff(np.append(iface, sys_.n_dofs)) == 2)
+        else:
+            sys_ = mixed_degree_full_system()
+        precond, _ = solver._block_jacobi(sys_.matrix.tocsr(),
+                                          sys_.block_offsets)
+        a, m = sys_.matrix.toarray(), precond.toarray()
+        covered = np.zeros(m.shape, dtype=bool)
+        for start, end in block_bounds(sys_):
+            want = np.linalg.inv(a[start:end, start:end])
+            np.testing.assert_allclose(m[start:end, start:end], want,
+                                       rtol=0.0,
+                                       atol=1e-12 * np.abs(want).max())
+            covered[start:end, start:end] = True
+        assert not np.any(m[~covered])
+
+    def test_raw_system_gets_point_jacobi(self):
+        a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        sys_ = raw_system(a, [1.0, 2.0, 3.0])
+        assert sys_.block_offsets is None
+        precond, indefinite = solver._block_jacobi(sys_.matrix,
+                                                   sys_.block_offsets)
+        np.testing.assert_array_equal(precond.toarray(),
+                                      np.diag(1.0 / np.diag(a)))
+        assert indefinite == 0
+        x, rep = solver.solve(sys_, method="CG")
+        assert rep.converged
+        np.testing.assert_allclose(a @ x, [1.0, 2.0, 3.0], atol=1e-10)
+
+    @pytest.mark.parametrize("method", ["CG", "BiCGStab"])
+    @pytest.mark.parametrize("offsets", [None, [0, 2]])
+    def test_singular_block_raises(self, method, offsets):
+        # nonsingular symmetric matrices whose first entry, or first 2x2
+        # block, is singular
+        if offsets is None:
+            a = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        else:
+            a = [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+        sys_ = asm.SparseSystem(matrix=sp.csr_matrix(a), rhs=np.ones(3),
+                                n_bulk=3, n_iface=0, block_offsets=offsets)
+        assert np.linalg.matrix_rank(a) == 3
+        with pytest.raises(ValueError, match="singular"):
+            solver.solve(sys_, method=method)
+
+    def test_cg_iterations_on_degree_three(self):
+        # point Jacobi needs 3964 iterations on this system
+        sol = models.run_full(models.preset_by_name("manufactured"),
+                              1 / 16, 3, tol=1e-10)
+        assert sol.report.method == "CG"
+        assert sol.report.converged
+        assert sol.report.relative_residual <= 1e-10
+        assert sol.report.iterations < 1000
+
+
+class TestIndefiniteFlag:
+    def test_indefinite_block_is_counted(self):
+        a = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        sys_ = asm.SparseSystem(matrix=sp.csr_matrix(a), rhs=np.ones(3),
+                                n_bulk=3, n_iface=0,
+                                block_offsets=np.array([0, 2]))
+        _, rep = solver.solve(sys_, method="CG")
+        assert rep.indefinite_blocks == 1
+        assert "1 element blocks not positive definite" in rep.summary()
+        assert "indefinite matrix" in rep.summary()
+
+    def test_thin_aperture_reference_is_flagged(self, caplog):
+        preset = models.preset_by_name("perp-asym", d0=1e-3)
+        with caplog.at_level(logging.WARNING, logger="fracdg.solver"):
+            sol = models.run_full(preset, 1 / 16, 2, method="CG",
+                                  max_iter=2)
+        assert sol.report.indefinite_blocks == 128
+        assert "CG on an indefinite matrix" in caplog.text
+        assert "not positive definite" in sol.report.summary()
+
+    @pytest.mark.parametrize("method", ["CG", "BiCGStab", "direct-LU"])
+    def test_spd_system_is_not_flagged(self, method, caplog):
+        with caplog.at_level(logging.WARNING, logger="fracdg.solver"):
+            _, rep = solver.solve(full_system(), method=method)
+        assert rep.converged and rep.indefinite_blocks == 0
+        assert "not positive definite" not in rep.summary()
+        assert not caplog.records
