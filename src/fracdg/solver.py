@@ -3,7 +3,12 @@
 Reduced systems with wall-trace transport terms are nonsymmetric, so the
 default there is a direct factorization; full-dimensional interior
 penalty systems are symmetric (positive definite only while the penalty
-dominates) and default to conjugate gradients.  Both iterative methods
+dominates) and default to conjugate gradients.  The direct path factors
+every system, symmetric or not, in SuperLU's symmetric mode: a minimum
+degree ordering of A + A^T applied to rows and columns alike, with a
+diagonal pivot threshold of 0.01, so the ordering survives pivoting
+unless a diagonal entry is too small; its fill (nonzeros of L and U) is
+on the report.  Both iterative methods
 are preconditioned with the inverses of the matrix's element diagonal
 blocks (block Jacobi), which undoes the conditioning of the local
 monomial bases; a system without element blocks gets 1x1 blocks, i.e.
@@ -41,7 +46,8 @@ class SolveReport:
     ``indefinite_blocks`` counts the preconditioner's element blocks
     whose symmetric part is not positive definite; one such block proves
     a symmetric matrix indefinite.  The direct path builds no blocks and
-    reports 0.
+    reports 0.  ``fill`` is the number of nonzeros of the LU factors on
+    the direct path and 0 on the iterative ones.
     """
 
     iterations: int
@@ -49,10 +55,13 @@ class SolveReport:
     method: str
     converged: bool
     indefinite_blocks: int = 0
+    fill: int = 0
 
     def summary(self) -> str:
         state = "converged" if self.converged else "NOT converged"
-        text = (f"{self.method}: {state} in {self.iterations} iterations, "
+        cost = (f", LU fill {self.fill}" if self.method == "direct-LU"
+                else f" in {self.iterations} iterations")
+        text = (f"{self.method}: {state}{cost}, "
                 f"relative residual {self.relative_residual:.3e}")
         if self.indefinite_blocks:
             text += (f", {self.indefinite_blocks} element blocks not "
@@ -162,7 +171,9 @@ def solve(system: SparseSystem, method: str | None = None,
 
     if method == "direct-LU":
         try:
-            lu = spla.splu(matrix.tocsc())
+            lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.01,
+                           options=dict(SymmetricMode=True))
             x = lu.solve(rhs)
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(f"direct factorization failed: "
@@ -172,7 +183,8 @@ def solve(system: SparseSystem, method: str | None = None,
                                         "values (singular matrix?)")
         res = relative_residual(matrix, x, rhs)
         return x, SolveReport(iterations=0, relative_residual=res,
-                              method=method, converged=res <= tol)
+                              method=method, converged=res <= tol,
+                              fill=lu.L.nnz + lu.U.nnz)
 
     count = [0]
 

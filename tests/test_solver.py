@@ -65,6 +65,14 @@ class TestSmallSystems:
                                        atol=1e-10)
             assert rep.converged
 
+    def test_permutation_needs_off_diagonal_pivots(self):
+        # both diagonal entries are zero, so threshold pivoting must
+        # leave the diagonal
+        sys_ = raw_system([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0])
+        x, rep = solver.solve(sys_, method="direct-LU")
+        np.testing.assert_array_equal(x, [3.0, 2.0])
+        assert rep.converged and rep.relative_residual == 0.0
+
     def test_singular_direct_raises(self):
         sys_ = raw_system([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
         with pytest.raises(np.linalg.LinAlgError):
@@ -136,6 +144,16 @@ class TestAssembledSystems:
         assert rep.relative_residual > 1e-10
         assert len(x) == sys_.matrix.shape[0]
         assert np.all(np.isfinite(x))
+
+    def test_direct_report_carries_fill(self):
+        sys_ = full_system()
+        _, rep = solver.solve(sys_, method="direct-LU")
+        assert rep.fill >= sys_.matrix.shape[0]
+        assert f"LU fill {rep.fill}," in rep.summary()
+        assert "iterations" not in rep.summary()
+        _, rep = solver.solve(sys_, method="CG")
+        assert rep.fill == 0
+        assert "LU fill" not in rep.summary()
 
     def test_report_summary_mentions_method(self):
         sys_ = full_system()
@@ -246,3 +264,32 @@ class TestIndefiniteFlag:
         assert rep.converged and rep.indefinite_blocks == 0
         assert "not positive definite" not in rep.summary()
         assert not caplog.records
+
+
+class TestSymmetricModeLU:
+    """The direct path orders A + A^T by minimum degree and pivots on the
+    diagonal unless an entry falls below 0.01 of its column's largest."""
+
+    def test_reference_fill_stays_low(self):
+        # the column ordering of partial pivoting gives 4.67M here
+        sol = models.run_full(models.preset_by_name("perp-asym", d0=1e-1),
+                              1 / 32, 2, method="direct-LU")
+        assert sol.report.converged
+        assert sol.report.relative_residual <= 1e-13
+        assert sol.report.fill < 2_500_000
+
+    def test_nonsymmetric_reduced_system(self):
+        # the aperture of the symmetric walls varies, so the transport
+        # form makes II-R nonsymmetric (with perp-asym it is symmetric)
+        preset = models.preset_by_name("tangential", d0=1e-1)
+        system = models.prepare_reduced(preset, "II-R", 1 / 16)[-1]
+        assert system.symmetry_defect() > solver.SYMMETRY_TOL
+        _, rep = solver.solve(system)
+        assert rep.method == "direct-LU"
+        assert rep.converged and rep.relative_residual <= 1e-13
+
+    def test_indefinite_thin_aperture_reference(self):
+        preset = models.preset_by_name("perp-asym", d0=1e-3)
+        sol = models.run_full(preset, 1 / 32, 2, method="direct-LU")
+        assert sol.report.converged
+        assert sol.report.relative_residual <= 1e-13
