@@ -20,6 +20,14 @@ Three coupled bilinear forms make up the reduced systems:
   traces (variants that keep aperture-gradient transport),
 * the coupling form tying the wall traces to the interface pressure.
 
+The interface-side terms are written as sparse products: every term is
+``B^T diag(w) C``, where B and C are (points x dofs) evaluation matrices
+of the interface basis, its tangential derivative or one of the two wall
+traces, and ``w`` holds quadrature weights times coefficients.  Volume
+terms take their points at the Gauss points of every interface element,
+edge terms at the left and right limits of every edge, which a sparse
+(edges x limits) matrix sums into jumps and means.  Interior and
+boundary edges share one expression, a missing side counting as zero.
 Wall traces are evaluated where the mesh mode dictates: on the walls
 themselves for curved meshes (polynomial extension of the wall element at
 the analytic wall points) and on the midsurface for rectified meshes.
@@ -336,6 +344,13 @@ def _data_at(f, x: np.ndarray) -> np.ndarray:
     return vals.reshape(x.shape[:-1])
 
 
+def _data_on_t(f, t: np.ndarray) -> np.ndarray:
+    """An interface data function, called once on all of ``t``; returns
+    values of the shape of ``t`` (a datum may return one value)."""
+    vals = np.asarray(f(t.ravel()), dtype=float)
+    return np.broadcast_to(vals, (t.size,)).reshape(t.shape)
+
+
 def _element_dofs(space: DGSpace, elems: np.ndarray, k: int) -> np.ndarray:
     """Dofs of elements of degree k, shape (N, local dimension)."""
     dim = tri_dim(k) if space.kind == "bulk" else k + 1
@@ -420,8 +435,7 @@ def interpolate_interface(grid: InterfaceGrid, space: DGSpace, f) -> np.ndarray:
         length = grid.t_breaks[elems + 1, None] - t0
         t = t0 + tq * length
         wq = w * length
-        vals = np.broadcast_to(np.asarray(f(t.ravel()), dtype=float),
-                               (t.size,)).reshape(t.shape)
+        vals = _data_on_t(f, t)
         # stacked matmuls reproduce a per-element loop bit for bit; an
         # einsum moves degree-4 monomial coefficients by ~1e-11
         mass = psi.T @ (psi * wq[..., None])
@@ -484,6 +498,13 @@ class _Accumulator:
         self.cols.append(np.broadcast_to(cols[..., None, :],
                                          blocks.shape).ravel())
         self.vals.append(blocks.ravel())
+
+    def add_matrix(self, matrix: sp.spmatrix) -> None:
+        """Add a sparse (n, n) matrix."""
+        coo = matrix.tocoo()
+        self.rows.append(coo.row.astype(self.index_dtype))
+        self.cols.append(coo.col.astype(self.index_dtype))
+        self.vals.append(coo.data)
 
     def add_rhs(self, dofs, values) -> None:
         """Add ``values`` at ``dofs`` (same shape; repeats accumulate)."""
@@ -613,13 +634,7 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
 
 
 # ---------------------------------------------------------------------------
-# interface quadrature helpers
-
-def _interface_rule(grid: InterfaceGrid, e: int, order_pts: int):
-    t0, t1 = grid.t_breaks[e], grid.t_breaks[e + 1]
-    tq, w = segment_rule(order_pts)
-    return t0 + tq * (t1 - t0), w * (t1 - t0), (t0, t1)
-
+# interface forms (tangential flow, coupling, wall-slope transport)
 
 def _wall_points(mesh: Mesh, profile: ApertureProfile, t: np.ndarray,
                  side: int) -> np.ndarray:
@@ -636,211 +651,158 @@ def _wall_points(mesh: Mesh, profile: ApertureProfile, t: np.ndarray,
     return x
 
 
-def _iface_local(grid: InterfaceGrid, e: int, t: np.ndarray) -> np.ndarray:
-    t0, t1 = grid.t_breaks[e], grid.t_breaks[e + 1]
-    return (np.atleast_1d(t) - t0) / (t1 - t0)
+def _point_matrix(space: DGSpace, elems: np.ndarray, values, n_cols: int,
+                  col_offset: int = 0) -> sp.csr_matrix:
+    """Sparse (points x n_cols) evaluation matrix of the basis of
+    ``space``, its dofs shifted by ``col_offset``.  Point i lies on element
+    ``elems[i]``; ``values(k, idx)`` gives the basis values at the points
+    ``idx``, all on elements of degree k, shape (len(idx), local dim)."""
+    rows, cols, vals = [], [], []
+    for k, idx in _by_degree(space.degrees[elems]):
+        v = values(k, idx)
+        rows.append(np.repeat(idx, v.shape[1]))
+        cols.append(col_offset + _element_dofs(space, elems[idx], k).ravel())
+        vals.append(v.ravel())
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(len(elems), n_cols))
 
 
-def _iface_penalty(space: DGSpace, lengths: np.ndarray, mu0: float,
-                   edge: int) -> float:
-    """Edge penalty on the interface grid, in analogy to the bulk rule
-    with the intrinsic element dimension (segments: (k+1)^2 / length)."""
-    m = space.n_elements
-    if edge == 0:
-        pairs = [(int(space.degrees[0]), lengths[0])]
-    elif edge == m:
-        pairs = [(int(space.degrees[m - 1]), lengths[m - 1])]
-    else:
-        pairs = [(int(space.degrees[edge - 1]), lengths[edge - 1]),
-                 (int(space.degrees[edge]), lengths[edge])]
-    return float(mu0 * max((k + 1) * (k + 1) / h for k, h in pairs))
+def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
+                     bulk_space: DGSpace, iface_space: DGSpace,
+                     profile: ApertureProfile, perm: PermeabilityData,
+                     q_gamma, g_gamma, mu0: float, edge_terms: str,
+                     transport: bool) -> None:
+    """Tangential-flow and coupling forms, plus the wall-slope transport
+    form if ``transport``, on the interface grid.
 
-
-# ---------------------------------------------------------------------------
-# interface tangential-flow form (with the aperture inside the gradient)
-
-def _gamma1_form(acc: _Accumulator, grid: InterfaceGrid, space: DGSpace,
-                 off: int, profile: ApertureProfile, perm: PermeabilityData,
-                 q_gamma, g_gamma, mu0: float, edge_terms: str) -> None:
+    Every term is B^T diag(w) C, with B and C sparse (points x dofs)
+    evaluation matrices of the interface basis, its t-derivative and the
+    two wall traces.  Volume terms take them at the Gauss points of every
+    interface element; edge terms at both one-sided limits of the m+1
+    edges, summed per edge (a missing side counts as zero) into a jump
+    [v] = v_left - v_right and a mean {v} = (v_left + v_right) / sides.
+    """
+    n, off, m = acc.n, bulk_space.n_dofs, grid.n_elements
+    maps = _ElementMaps.build(mesh)
     tau = grid.frame.tangents[0]
     kt = float(tau @ perm.k_gamma @ tau)
-    lengths = grid.lengths
+    kf = iface_space.degrees
 
-    # volume: kt * (d p)' phi' and the interface source
-    for e in range(grid.n_elements):
-        k = int(space.degrees[e])
-        t, wq, (t0, t1) = _interface_rule(grid, e, k + 3)
-        scale = 1.0 / (t1 - t0)
-        psi = seg_basis(k, _iface_local(grid, e, t))
-        dpsi = seg_basis_deriv(k, _iface_local(grid, e, t)) * scale
-        d = np.asarray(profile.d1_fn(t), dtype=float) \
-            + np.asarray(profile.d2_fn(t), dtype=float)
-        dd = np.asarray(profile.dd1_fn(t), dtype=float) \
-            + np.asarray(profile.dd2_fn(t), dtype=float)
-        dofs = off + space.offsets[e] + np.arange(k + 1)
-        flux = dd[:, None] * psi + d[:, None] * dpsi
-        acc.add(dofs, dofs, kt * dpsi.T @ (flux * wq[:, None]))
-        if q_gamma is not None:
-            acc.rhs[dofs] += psi.T @ (np.asarray(q_gamma(t), dtype=float) * wq)
+    def gauss(n_pts):
+        """Element, coordinate and weight of every Gauss point, with
+        n_pts[e] points on element e."""
+        parts = []
+        for npt, elems in _by_degree(n_pts):
+            tq, w = segment_rule(npt)
+            t0 = grid.t_breaks[elems, None]
+            length = grid.t_breaks[elems + 1, None] - t0
+            parts.append((np.repeat(elems, npt), (t0 + tq * length).ravel(),
+                          (w * length).ravel()))
+        return [np.concatenate(a) for a in zip(*parts)]
 
-    # interior edges: penalty, consistency and symmetrization
-    for edge in range(1, grid.n_elements):
-        te = float(grid.t_breaks[edge])
-        d = float(profile.d1_fn(te) + profile.d2_fn(te))
-        dd = float(profile.dd1_fn(te) + profile.dd2_fn(te))
-        mu = _iface_penalty(space, lengths, mu0, edge)
-        eL, eR = edge - 1, edge
-        data = []
-        for e, loc in ((eL, 1.0), (eR, 0.0)):
-            k = int(space.degrees[e])
-            scale = 1.0 / lengths[e]
-            psi = seg_basis(k, np.array([loc]))[0]
-            dpsi = seg_basis_deriv(k, np.array([loc]))[0] * scale
-            data.append((off + space.offsets[e] + np.arange(k + 1), psi, dpsi))
-        signs = (1.0, -1.0)
-        for i in range(2):
-            di, pi, gi = data[i]
-            for j in range(2):
-                dj, pj, gj = data[j]
-                block = mu * signs[i] * signs[j] * np.outer(pi, pj) \
-                    - 0.5 * signs[i] * kt * np.outer(pi, dd * pj + d * gj) \
-                    - 0.5 * signs[j] * kt * d * np.outer(gi, pj)
-                acc.add(di, dj, block)
+    def iface(elems, t):
+        """Interface basis values and t-derivatives at t on elems."""
+        t0 = grid.t_breaks[elems]
+        length = grid.t_breaks[elems + 1] - t0
+        loc = (t - t0) / length
+        psi = _point_matrix(iface_space, elems,
+                            lambda k, i: seg_basis(k, loc[i]), n, off)
+        dpsi = _point_matrix(
+            iface_space, elems,
+            lambda k, i: seg_basis_deriv(k, loc[i]) / length[i, None], n, off)
+        return psi, dpsi
 
-    # boundary edges: Nitsche terms with data g_gamma
-    for edge, e, loc, nu in ((0, 0, 0.0, -1.0),
-                             (grid.n_elements, grid.n_elements - 1, 1.0, 1.0)):
-        te = float(grid.t_breaks[edge])
-        d = float(profile.d1_fn(te) + profile.d2_fn(te))
-        dd = float(profile.dd1_fn(te) + profile.dd2_fn(te))
-        mu = _iface_penalty(space, lengths, mu0, edge)
-        k = int(space.degrees[e])
-        scale = 1.0 / lengths[e]
-        psi = seg_basis(k, np.array([loc]))[0]
-        dpsi = seg_basis_deriv(k, np.array([loc]))[0] * scale
-        dofs = off + space.offsets[e] + np.arange(k + 1)
-        sym_sign = -1.0 if edge_terms == "consistent" else 1.0
-        block = mu * np.outer(psi, psi) \
-            - nu * kt * np.outer(psi, dd * psi + d * dpsi) \
-            + sym_sign * nu * kt * d * np.outer(dpsi, psi)
-        acc.add(dofs, dofs, block)
-        gval = float(g_gamma(te))
-        acc.rhs[dofs] += mu * gval * psi - nu * kt * d * gval * dpsi
-
-
-# ---------------------------------------------------------------------------
-# transport form fed by wall traces (variants keeping grad-d transport)
-
-def _gamma2_form(acc: _Accumulator, grid: InterfaceGrid, mesh: Mesh,
-                 bulk_space: DGSpace, iface_space: DGSpace, off: int,
-                 maps: _ElementMaps, profile: ApertureProfile,
-                 perm: PermeabilityData, edge_terms: str) -> None:
-    tau = grid.frame.tangents[0]
-    kt = float(tau @ perm.k_gamma @ tau)
-
-    def wall_trace_rows(e: int, t: np.ndarray):
-        """Per-side (dofs, basis values) of the wall traces at t."""
+    def walls(elems, t):
+        """Bulk traces on walls 1 and 2 at t, from the wall elements of
+        the interface elements elems."""
         out = []
-        for side, belem in ((1, grid.belem1[e]), (2, grid.belem2[e])):
+        for side, belem in ((1, grid.belem1[elems]), (2, grid.belem2[elems])):
             x = _wall_points(mesh, profile, t, side)
-            phi = _basis_at(maps, bulk_space, int(belem), x)
-            dofs = bulk_space.offsets[belem] + np.arange(phi.shape[1])
-            out.append((dofs, phi))
+            out.append(_point_matrix(
+                bulk_space, belem,
+                lambda k, i: _basis_at(maps, bulk_space, belem[i],
+                                       x[i, None])[:, 0], n))
         return out
 
-    # volume: -(p1 dd1 + p2 dd2) kt psi'
-    for e in range(grid.n_elements):
-        kf = int(iface_space.degrees[e])
-        kb = max(int(bulk_space.degrees[grid.belem1[e]]),
-                 int(bulk_space.degrees[grid.belem2[e]]))
-        t, wq, (t0, t1) = _interface_rule(grid, e, max(kf, kb) + 3)
-        scale = 1.0 / (t1 - t0)
-        dpsi = seg_basis_deriv(kf, _iface_local(grid, e, t)) * scale
-        idofs = off + iface_space.offsets[e] + np.arange(kf + 1)
-        dd = (np.asarray(profile.dd1_fn(t), dtype=float),
-              np.asarray(profile.dd2_fn(t), dtype=float))
-        for (dofs, phi), ddi in zip(wall_trace_rows(e, t), dd):
-            block = -kt * dpsi.T @ (phi * (ddi * wq)[:, None])
-            acc.add(idofs, dofs, block)
+    def aperture(t):
+        """d, d', d1' and d2' at t."""
+        d1, d2, dd1, dd2 = (_data_on_t(f, t) for f in (
+            profile.d1_fn, profile.d2_fn, profile.dd1_fn, profile.dd2_fn))
+        return d1 + d2, dd1 + dd2, dd1, dd2
 
-    # interior edges: mean wall pressure against the interface jump,
-    # weighted by kt * d'
-    for edge in range(1, grid.n_elements):
-        te = np.array([float(grid.t_breaks[edge])])
-        dd = float(profile.dd1_fn(te[0]) + profile.dd2_fn(te[0]))
-        if dd == 0.0:
-            continue
-        # {p_b} at the edge: mean over the one-sided limits from the two
-        # adjacent interface elements (their wall elements may differ)
-        trace_rows = []
-        for e in (edge - 1, edge):
-            for dofs, phi in wall_trace_rows(e, te):
-                trace_rows.append((dofs, 0.25 * phi[0]))
-        for e, loc, sign in ((edge - 1, 1.0, 1.0), (edge, 0.0, -1.0)):
-            kf = int(iface_space.degrees[e])
-            psi = seg_basis(kf, np.array([loc]))[0]
-            idofs = off + iface_space.offsets[e] + np.arange(kf + 1)
-            for dofs, row in trace_rows:
-                acc.add(idofs, dofs, sign * kt * dd * np.outer(psi, row))
+    def form(b, w, c):
+        return b.T @ (sp.diags(w) @ c)
 
-    # boundary edges: as printed the permeability factor is absent here;
-    # the consistent flavour keeps it
-    kfac = kt if edge_terms == "consistent" else 1.0
-    for edge, e, loc, nu in ((0, 0, 0.0, -1.0),
-                             (grid.n_elements, grid.n_elements - 1, 1.0, 1.0)):
-        te = np.array([float(grid.t_breaks[edge])])
-        dd1 = float(profile.dd1_fn(te[0]))
-        dd2 = float(profile.dd2_fn(te[0]))
-        kf = int(iface_space.degrees[e])
-        psi = seg_basis(kf, np.array([loc]))[0]
-        idofs = off + iface_space.offsets[e] + np.arange(kf + 1)
-        for (dofs, phi), ddi in zip(wall_trace_rows(e, te), (dd1, dd2)):
-            acc.add(idofs, dofs, nu * kfac * ddi * np.outer(psi, phi[0]))
+    # tangential flow kt (d p)' phi' and the interface source
+    e, t, w = gauss(kf + 3)
+    psi, dpsi = iface(e, t)
+    d, dd, _, _ = aperture(t)
+    mat = form(dpsi, kt * dd * w, psi) + form(dpsi, kt * d * w, dpsi)
+    if q_gamma is not None:
+        acc.rhs += psi.T @ (_data_on_t(q_gamma, t) * w)
 
+    # coupling: (kperp / d) [p][phi] with [p] = p2 - p1, and the closure
+    # beta (p_gamma - {p})(phi_gamma - {phi}); transport volume term
+    # -kt (p1 d1' + p2 d2') psi'
+    kb = np.maximum(bulk_space.degrees[grid.belem1],
+                    bulk_space.degrees[grid.belem2])
+    e, t, w = gauss(np.maximum(kf, kb) + 3)
+    psi, dpsi = iface(e, t)
+    p1, p2 = walls(e, t)
+    d, _, dd1, dd2 = aperture(t)
+    closure = psi - 0.5 * (p1 + p2)
+    mat += form(p2 - p1, perm.k_gamma_perp / d * w, p2 - p1) \
+        + form(closure, perm.beta_gamma(d) * w, closure)
+    if transport:
+        mat -= form(dpsi, kt * dd1 * w, p1) + form(dpsi, kt * dd2 * w, p2)
 
-# ---------------------------------------------------------------------------
-# coupling form (wall traces <-> interface pressure)
+    # edges: 2m limit points, from the left (element j-1 at edge j) and
+    # from the right (element j at edge j); (edges x limits) matrices sum
+    # them per edge, with signs for the jump
+    elems = np.arange(m)
+    lim_e = np.concatenate([elems, elems])
+    lim_t = np.concatenate([grid.t_breaks[1:], grid.t_breaks[:-1]])
+    edge = np.concatenate([elems + 1, elems])
 
-def _coupling_form(acc: _Accumulator, grid: InterfaceGrid, mesh: Mesh,
-                   bulk_space: DGSpace, iface_space: DGSpace, off: int,
-                   maps: _ElementMaps, profile: ApertureProfile,
-                   perm: PermeabilityData) -> None:
-    kperp = perm.k_gamma_perp
+    def per_edge(signs):
+        return sp.csr_matrix((signs, (edge, np.arange(2 * m))),
+                             shape=(m + 1, 2 * m))
 
-    for e in range(grid.n_elements):
-        kf = int(iface_space.degrees[e])
-        kb = max(int(bulk_space.degrees[grid.belem1[e]]),
-                 int(bulk_space.degrees[grid.belem2[e]]))
-        t, wq, _ = _interface_rule(grid, e, max(kf, kb) + 3)
-        d = np.asarray(profile.d1_fn(t), dtype=float) \
-            + np.asarray(profile.d2_fn(t), dtype=float)
-        beta = perm.beta_gamma(d)
-        psi = seg_basis(kf, _iface_local(grid, e, t))
-        idofs = off + iface_space.offsets[e] + np.arange(kf + 1)
+    total, jump = per_edge(np.ones(2 * m)), per_edge(np.repeat([1.0, -1.0], m))
+    psi, dpsi = iface(lim_e, lim_t)
+    jpsi, spsi, sdpsi = jump @ psi, total @ psi, total @ dpsi
+    sides = np.bincount(edge)
+    boundary, mean = sides == 1, 1.0 / sides
+    d, dd, dd1, dd2 = aperture(grid.t_breaks)
+    # penalty mu [p][v], consistency -kt [v]{(d p)'} and symmetrization
+    # -kt d {v'}[p]; mu is the bulk rule with the segment dimension,
+    # (k+1)^2 / length over the adjacent elements
+    adjacent = np.clip(np.column_stack([np.arange(-1, m), np.arange(m + 1)]),
+                       0, m - 1)
+    mu = _facet_penalty(kf[adjacent], grid.lengths[adjacent], mu0, dim=1)
+    # the printed flavour flips the symmetrizing term on boundary edges
+    sym = np.where(boundary & (edge_terms == "printed"), -1.0, 1.0)
+    mat += form(jpsi, mu, jpsi) - form(jpsi, kt * dd * mean, spsi) \
+        - form(jpsi, kt * d * mean, sdpsi) \
+        - form(sdpsi, kt * d * mean * sym, jpsi)
+    # Nitsche data: the outer value g_gamma enters as the jump nu * g
+    nu_g = np.zeros(m + 1)
+    nu_g[[0, m]] = np.array([-1.0, 1.0]) \
+        * _data_on_t(g_gamma, grid.t_breaks[[0, m]])
+    acc.rhs += jpsi.T @ (mu * nu_g) - sdpsi.T @ (kt * d * mean * nu_g)
 
-        sides = []
-        for side, belem in ((1, grid.belem1[e]), (2, grid.belem2[e])):
-            x = _wall_points(mesh, profile, t, side)
-            phi = _basis_at(maps, bulk_space, int(belem), x)
-            dofs = bulk_space.offsets[belem] + np.arange(phi.shape[1])
-            sides.append((dofs, phi))
+    if transport:
+        # interior edges: the mean of both walls over both limits against
+        # the jump, weighted kt d'; boundary edges: each wall's own trace
+        # and slope, without the permeability factor as printed
+        s1, s2 = (total @ p for p in walls(lim_e, lim_t))
+        kfac = kt if edge_terms == "consistent" else 1.0
+        interior = 0.25 * kt * dd
+        mat += form(jpsi, np.where(boundary, kfac * dd1, interior), s1) \
+            + form(jpsi, np.where(boundary, kfac * dd2, interior), s2)
 
-        # transversal flux: (kperp / d) [p][phi] with [p] = p2 - p1
-        jump_sign = (-1.0, 1.0)
-        wflux = kperp / d * wq
-        for i in range(2):
-            di, pi = sides[i]
-            for j in range(2):
-                dj, pj = sides[j]
-                acc.add(di, dj, jump_sign[i] * jump_sign[j]
-                        * pi.T @ (pj * wflux[:, None]))
-
-        # closure: beta (p_gamma - {p})(phi_gamma - {phi})
-        wb = beta * wq
-        terms = [(idofs, psi, 1.0)] + [(d_, p_, -0.5) for d_, p_ in sides]
-        for di, pi, si in terms:
-            for dj, pj, sj in terms:
-                acc.add(di, dj, si * sj * pi.T @ (pj * wb[:, None]))
+    acc.add_matrix(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -883,23 +845,15 @@ def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
     var = ModelVariant.of(variant)
     resolve_mesh_mode(var, profile, mesh.mode)
 
-    n = bulk_space.n_dofs + iface_space.n_dofs
     off = bulk_space.n_dofs
-    acc = _Accumulator(n)
-    maps = _ElementMaps.build(mesh)
-
+    acc = _Accumulator(off + iface_space.n_dofs)
     _bulk_sipg(acc, mesh, bulk_space, perm, q_bulk, g_bulk, mu0_bulk,
                flux_classes=(INTERIOR,))
-    _gamma1_form(acc, grid, iface_space, off, profile, perm,
-                 q_gamma, g_gamma, mu0_gamma, edge_terms)
-    _coupling_form(acc, grid, mesh, bulk_space, iface_space, off, maps,
-                   profile, perm)
-    if var.gradient_terms_in_transport:
-        _gamma2_form(acc, grid, mesh, bulk_space, iface_space, off, maps,
-                     profile, perm, edge_terms)
-
+    _interface_forms(acc, mesh, grid, bulk_space, iface_space, profile, perm,
+                     q_gamma, g_gamma, mu0_gamma, edge_terms,
+                     transport=var.gradient_terms_in_transport)
     return SparseSystem(matrix=acc.matrix(), rhs=acc.rhs,
-                        n_bulk=bulk_space.n_dofs, n_iface=iface_space.n_dofs,
+                        n_bulk=off, n_iface=iface_space.n_dofs,
                         block_offsets=np.concatenate(
                             [np.sort(bulk_space.offsets),
                              off + iface_space.offsets]))

@@ -318,7 +318,7 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                                        max_iter=max_iter)
                 _require_converged(full.report, tol)
                 ref = average_across_fracture(full, n_quad=n_quad)
-                logger.info("d0=%g: reference %s", d0, full.report.summary())
+                logger.info("d0=%g: reference %s", d0, full.report.method)
                 if on_solution is not None:
                     on_solution(d0, "reference", full)
             except Exception as exc:
@@ -345,9 +345,8 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                                    sol.report.relative_residual))
                 logger.info(
                     "d0=%g variant %s: err=%.6e wellposedness lhs=%.3g "
-                    "(%s) %s", d0, variant, err, sol.wellposedness.lhs,
-                    "ok" if sol.wellposedness.satisfied else "violated",
-                    sol.report.summary())
+                    "(%s)", d0, variant, err, sol.wellposedness.lhs,
+                    "ok" if sol.wellposedness.satisfied else "violated")
                 if on_solution is not None:
                     on_solution(d0, str(variant), sol)
             except Exception as exc:

@@ -467,6 +467,19 @@ class TestRun:
             assert "wellposedness lhs=" in log
         assert log.count("reference direct-LU") == 2
 
+    def test_run_log_records_each_solve_once(self, tmp_path):
+        # the models layer logs every solve with its dofs and residual;
+        # the sweep lines carry the error and the reference method only
+        out = tmp_path / "res"
+        config = cli.parse_config(write_config(
+            tmp_path, SMALL_SWEEP.format(out=out)))
+        assert cli.run(config) == 0
+        log = (out / "run.log").read_text()
+        rows = len((out / "errors.csv").read_text().splitlines()) - 1
+        solves = rows + len(config.d0_list)
+        assert log.count("relative residual") == solves
+        assert log.count(" dofs=") == solves
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "res"
         config = cli.parse_config(write_config(
