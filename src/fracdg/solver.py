@@ -3,18 +3,25 @@
 Reduced systems with wall-trace transport terms are nonsymmetric, so the
 default there is a direct factorization; full-dimensional interior
 penalty systems are symmetric (positive definite only while the penalty
-dominates) and default to conjugate gradients.  The direct path factors
-every system, symmetric or not, in SuperLU's symmetric mode: a minimum
-degree ordering of A + A^T applied to rows and columns alike, with a
-diagonal pivot threshold of 0.01, so the ordering survives pivoting
-unless a diagonal entry is too small; its fill (nonzeros of L and U) is
-on the report.  Both iterative methods
-are preconditioned with the inverses of the matrix's element diagonal
-blocks (block Jacobi), which undoes the conditioning of the local
-monomial bases; a system without element blocks gets 1x1 blocks, i.e.
-point Jacobi.  Whatever the path, the reported relative residual is
-recomputed from the returned iterate, never taken from the iteration
-itself.
+dominates) and default to conjugate gradients.  Every factorization,
+symmetric or not, runs SuperLU in symmetric mode (``_factor``): a
+minimum degree ordering of A + A^T applied to rows and columns alike,
+with a diagonal pivot threshold of 0.01, so the ordering survives
+pivoting unless a diagonal entry is too small; the direct path's fill
+(nonzeros of L and U) is on the report.  Both iterative methods are
+preconditioned by a two-level additive Schwarz method: the inverses of
+the matrix's element diagonal blocks (block Jacobi), which undo the
+conditioning of the local monomial bases, plus an exact solve on the
+element-constant space, ``M^-1 r = B r + R^T A0^-1 R r``.  R injects the
+first dof of every block, the constant of the monomial basis, and
+``A0 = R A R^T`` is factored once.  On an interior penalty system the
+gradients of constants vanish, so A0 holds only jump penalties and
+stays positive definite where the fine matrix is not, and the coarse
+level keeps the iteration count from growing as h shrinks.  A system
+without element blocks gets 1x1 blocks, i.e. point Jacobi, and its
+coarse space is the whole space.  Whatever the path, the reported
+relative residual is recomputed from the returned iterate, never taken
+from the iteration itself.
 """
 
 from __future__ import annotations
@@ -78,6 +85,19 @@ def relative_residual(matrix, x: np.ndarray, rhs: np.ndarray) -> float:
     return norm_r / norm_b if norm_b > 0.0 else norm_r
 
 
+def _block_starts(n: int, block_offsets) -> np.ndarray:
+    """First dof of every block; 1x1 blocks when ``block_offsets`` is None."""
+    return (np.arange(n) if block_offsets is None
+            else np.asarray(block_offsets, dtype=np.int64))
+
+
+def _factor(matrix):
+    """Sparse LU of ``matrix`` in SuperLU's symmetric mode."""
+    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.01,
+                     options=dict(SymmetricMode=True))
+
+
 def _block_jacobi(matrix: sp.csr_matrix, block_offsets):
     """Block-diagonal inverse of the diagonal blocks of ``matrix``.
 
@@ -88,8 +108,7 @@ def _block_jacobi(matrix: sp.csr_matrix, block_offsets):
     batch per block size.  A singular block raises ``ValueError``.
     """
     n = matrix.shape[0]
-    starts = (np.arange(n) if block_offsets is None
-              else np.asarray(block_offsets, dtype=np.int64))
+    starts = _block_starts(n, block_offsets)
     sizes = np.diff(starts, append=n)
     block_of = np.repeat(np.arange(len(starts)), sizes)
     coo = matrix.tocoo()
@@ -129,6 +148,32 @@ def _block_jacobi(matrix: sp.csr_matrix, block_offsets):
         (np.concatenate(inverses),
          (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
     return precond, indefinite
+
+
+def _two_level(matrix: sp.csr_matrix, block_offsets):
+    """Block Jacobi plus an exact solve on the element-constant space.
+
+    Returns the preconditioner ``r -> B r + R^T A0^-1 R r`` as a linear
+    operator and the indefinite-block count of ``_block_jacobi``.  R
+    picks the first dof of every block, and ``A0 = R A R^T`` is factored
+    once.  A singular block or coarse matrix raises ``ValueError``.
+    """
+    smoother, indefinite = _block_jacobi(matrix, block_offsets)
+    starts = _block_starts(matrix.shape[0], block_offsets)
+    coarse = matrix[starts][:, starts]
+    try:
+        lu = _factor(coarse)
+    except RuntimeError as exc:
+        raise ValueError(f"singular {len(starts)}x{len(starts)} coarse "
+                         "matrix, coarse solve unavailable") from exc
+
+    def apply(r):
+        z = smoother @ r
+        z[starts] += lu.solve(r[starts])
+        return z
+
+    return spla.LinearOperator(matrix.shape, matvec=apply,
+                               dtype=float), indefinite
 
 
 def _tol_kwargs(tol: float) -> dict:
@@ -171,9 +216,7 @@ def solve(system: SparseSystem, method: str | None = None,
 
     if method == "direct-LU":
         try:
-            lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.01,
-                           options=dict(SymmetricMode=True))
+            lu = _factor(matrix)
             x = lu.solve(rhs)
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(f"direct factorization failed: "
@@ -191,7 +234,7 @@ def solve(system: SparseSystem, method: str | None = None,
     def tick(_xk):
         count[0] += 1
 
-    precond, indefinite = _block_jacobi(matrix, system.block_offsets)
+    precond, indefinite = _two_level(matrix, system.block_offsets)
     if method == "CG" and indefinite:
         logger.warning("CG on an indefinite matrix: %d element blocks are "
                        "not positive definite", indefinite)

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from fracdg import assembly as asm
-from fracdg import models, solver
+from fracdg import models, postproc, solver
 from fracdg.geometry import ApertureProfile, FractureFrame, PermeabilityData
 from fracdg.mesh import build_bulk_mesh, build_interface_grid
 
@@ -228,13 +228,88 @@ class TestBlockPreconditioner:
             solver.solve(sys_, method=method)
 
     def test_cg_iterations_on_degree_three(self):
-        # point Jacobi needs 3964 iterations on this system
+        # point Jacobi needs 3964 iterations on this system, block Jacobi
+        # without the coarse level 547, the two-level method 268
         sol = models.run_full(models.preset_by_name("manufactured"),
                               1 / 16, 3, tol=1e-10)
         assert sol.report.method == "CG"
         assert sol.report.converged
         assert sol.report.relative_residual <= 1e-10
         assert sol.report.iterations < 1000
+
+
+def injection(system):
+    """Dense R: row i picks the first dof of element block i."""
+    return np.eye(system.n_dofs)[system.block_offsets]
+
+
+class TestCoarseLevel:
+    """The exact solve on the element-constant space added to block
+    Jacobi: ``M^-1 = B + R^T A0^-1 R`` with ``A0 = R A R^T``."""
+
+    @pytest.mark.parametrize("kind", ["mixed-degree full", "reduced II"])
+    def test_operator_adds_exact_coarse_solve(self, kind):
+        sys_ = (mixed_degree_full_system() if kind == "mixed-degree full"
+                else reduced_system(variant="II"))
+        matrix = sys_.matrix.tocsr()
+        precond, _ = solver._two_level(matrix, sys_.block_offsets)
+        smoother, _ = solver._block_jacobi(matrix, sys_.block_offsets)
+        r_mat = injection(sys_)
+        a0 = r_mat @ matrix.toarray() @ r_mat.T
+        rhs = np.random.default_rng(7).standard_normal(sys_.n_dofs)
+        want = smoother @ rhs + r_mat.T @ np.linalg.solve(a0, r_mat @ rhs)
+        np.testing.assert_allclose(precond @ rhs, want, rtol=0.0,
+                                   atol=1e-10 * np.abs(want).max())
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_first_basis_function_is_constant(self, degree):
+        # R relies on the first local dof being the element's constant
+        pts = np.random.default_rng(degree).random((9, 2))
+        np.testing.assert_array_equal(asm.tri_basis(degree, pts)[:, 0], 1.0)
+        np.testing.assert_array_equal(asm.seg_basis(degree, pts[:, 0])[:, 0],
+                                      1.0)
+
+    def test_iterations_do_not_grow_with_refinement(self):
+        # block Jacobi alone needs 547 and 891 iterations
+        preset = models.preset_by_name("manufactured")
+        its = []
+        for h in (1 / 16, 1 / 32):
+            sol = models.run_full(preset, h, 3, tol=1e-10)
+            assert sol.report.method == "CG" and sol.report.converged
+            its.append(sol.report.iterations)
+        assert max(its) < 400
+        assert its[1] <= 1.25 * its[0]
+
+    def test_cg_error_matches_direct(self):
+        # block Jacobi alone leaves a relative gap of 1.2e-3
+        preset = models.preset_by_name("manufactured")
+        errs = [postproc.l2_error_bulk(models.run_full(preset, 1 / 16, 3,
+                                                       method=method),
+                                       preset.exact_pressure)
+                for method in (None, "direct-LU")]
+        assert abs(errs[0] - errs[1]) <= 1e-4 * errs[1]
+
+    def test_thin_aperture_coarse_matrix_is_spd(self):
+        # the fine matrix has 128 indefinite element blocks here
+        preset = models.preset_by_name("perp-asym", d0=1e-3)
+        system = models.prepare_full(preset, 1 / 16, 2)[-1]
+        r_mat = injection(system)
+        a0 = r_mat @ system.matrix.toarray() @ r_mat.T
+        np.testing.assert_allclose(a0, a0.T, rtol=0.0,
+                                   atol=1e-12 * np.abs(a0).max())
+        assert np.linalg.eigvalsh(a0)[0] > 0.0
+
+    @pytest.mark.parametrize("method", ["CG", "BiCGStab"])
+    def test_singular_coarse_matrix_raises(self, method):
+        # identity-like diagonal blocks, but the first dofs of the two
+        # blocks couple into [[1, 1], [1, 1]]
+        a = [[1.0, 0.5, 1.0, 0.0], [0.5, 1.0, 0.0, 0.0],
+             [1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        sys_ = asm.SparseSystem(matrix=sp.csr_matrix(a), rhs=np.ones(4),
+                                n_bulk=4, n_iface=0, block_offsets=[0, 2])
+        assert np.linalg.matrix_rank(a) == 4
+        with pytest.raises(ValueError, match="singular 2x2 coarse"):
+            solver.solve(sys_, method=method)
 
 
 class TestIndefiniteFlag:
