@@ -62,6 +62,7 @@ from .mesh import (
     GAMMA_2,
     INTERIOR,
     MESH_MODES,
+    ElementMaps,
     InterfaceGrid,
     Mesh,
 )
@@ -293,37 +294,6 @@ class DGSpace:
                    n_dofs=int(dims.sum()))
 
 
-@dataclass
-class _ElementMaps:
-    """Affine reference-to-physical maps of all triangles of a mesh."""
-
-    v0: np.ndarray
-    jac: np.ndarray
-    jac_inv: np.ndarray
-    det: np.ndarray
-
-    @classmethod
-    def build(cls, mesh: Mesh) -> "_ElementMaps":
-        v = mesh.vertices
-        e = mesh.elements
-        v0 = v[e[:, 0]]
-        jac = np.stack([v[e[:, 1]] - v0, v[e[:, 2]] - v0], axis=-1)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv /= det[:, None, None]
-        return cls(v0=v0, jac=jac, jac_inv=inv, det=det)
-
-    def points(self, elems: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
-        """Physical images of reference points on each of the elements,
-        shape (N, m, 2)."""
-        return self.v0[elems, None] + ref_pts @ np.swapaxes(self.jac[elems],
-                                                            1, 2)
-
-
 def _by_degree(keys):
     """Group items by degree: yields (key, indices) for every distinct
     key, in ascending order.  ``keys`` holds one degree per item, shape
@@ -357,7 +327,7 @@ def _element_dofs(space: DGSpace, elems: np.ndarray, k: int) -> np.ndarray:
     return space.offsets[elems, None] + np.arange(dim)
 
 
-def _basis_at(mesh_maps: _ElementMaps, space: DGSpace, elems,
+def _basis_at(mesh_maps: ElementMaps, space: DGSpace, elems,
               x_phys: np.ndarray, grad: bool = False):
     """Element bases (and physical gradients) at physical points.
 
@@ -412,7 +382,7 @@ def penalty_bulk(degrees, h_values, mu0: float, dim: int = 2) -> float:
 # interpolation (local L2 projection; exact for polynomials of degree <= k)
 
 def interpolate_bulk(mesh: Mesh, space: DGSpace, f) -> np.ndarray:
-    maps = _ElementMaps.build(mesh)
+    maps = mesh.maps
     coeffs = np.zeros(space.n_dofs)
     for k, elems in _by_degree(space.degrees):
         pts, w = triangle_rule(k + 2)
@@ -558,8 +528,8 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
     facets (wall facets belong here for full-dimensional meshes only).
     Exterior-boundary facets always receive Nitsche terms with data ``g``.
     """
-    maps = _ElementMaps.build(mesh)
-    h_elem = mesh.element_h()
+    maps = mesh.maps
+    h_elem = mesh.element_h
     perm_elem = _element_permeability(mesh, perm)
     degrees = space.degrees
 
@@ -668,6 +638,37 @@ def _point_matrix(space: DGSpace, elems: np.ndarray, values, n_cols: int,
                          shape=(len(elems), n_cols))
 
 
+def _interface_basis(grid: InterfaceGrid, space: DGSpace, elems: np.ndarray,
+                     t: np.ndarray, n_cols: int, col_offset: int = 0):
+    """Evaluation matrices of the interface basis and of its
+    t-derivative at the points t, point i on element ``elems[i]``."""
+    t0 = grid.t_breaks[elems]
+    length = grid.t_breaks[elems + 1] - t0
+    loc = (t - t0) / length
+    psi = _point_matrix(space, elems, lambda k, i: seg_basis(k, loc[i]),
+                        n_cols, col_offset)
+    dpsi = _point_matrix(
+        space, elems,
+        lambda k, i: seg_basis_deriv(k, loc[i]) / length[i, None], n_cols,
+        col_offset)
+    return psi, dpsi
+
+
+def _wall_trace_matrix(mesh: Mesh, grid: InterfaceGrid, space: DGSpace,
+                       profile: ApertureProfile, side: int,
+                       elems: np.ndarray, t: np.ndarray,
+                       n_cols: int) -> sp.csr_matrix:
+    """Evaluation matrix of the bulk trace on wall ``side`` (1 or 2) at
+    the points t, point i over interface element ``elems[i]`` and taken
+    on that element's wall element."""
+    belem = (grid.belem1 if side == 1 else grid.belem2)[elems]
+    x = _wall_points(mesh, profile, t, side)
+    return _point_matrix(
+        space, belem,
+        lambda k, i: _basis_at(mesh.maps, space, belem[i], x[i, None])[:, 0],
+        n_cols)
+
+
 def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
                      bulk_space: DGSpace, iface_space: DGSpace,
                      profile: ApertureProfile, perm: PermeabilityData,
@@ -684,7 +685,6 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     [v] = v_left - v_right and a mean {v} = (v_left + v_right) / sides.
     """
     n, off, m = acc.n, bulk_space.n_dofs, grid.n_elements
-    maps = _ElementMaps.build(mesh)
     tau = grid.frame.tangents[0]
     kt = float(tau @ perm.k_gamma @ tau)
     kf = iface_space.degrees
@@ -702,28 +702,11 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
         return [np.concatenate(a) for a in zip(*parts)]
 
     def iface(elems, t):
-        """Interface basis values and t-derivatives at t on elems."""
-        t0 = grid.t_breaks[elems]
-        length = grid.t_breaks[elems + 1] - t0
-        loc = (t - t0) / length
-        psi = _point_matrix(iface_space, elems,
-                            lambda k, i: seg_basis(k, loc[i]), n, off)
-        dpsi = _point_matrix(
-            iface_space, elems,
-            lambda k, i: seg_basis_deriv(k, loc[i]) / length[i, None], n, off)
-        return psi, dpsi
+        return _interface_basis(grid, iface_space, elems, t, n, off)
 
     def walls(elems, t):
-        """Bulk traces on walls 1 and 2 at t, from the wall elements of
-        the interface elements elems."""
-        out = []
-        for side, belem in ((1, grid.belem1[elems]), (2, grid.belem2[elems])):
-            x = _wall_points(mesh, profile, t, side)
-            out.append(_point_matrix(
-                bulk_space, belem,
-                lambda k, i: _basis_at(maps, bulk_space, belem[i],
-                                       x[i, None])[:, 0], n))
-        return out
+        return [_wall_trace_matrix(mesh, grid, bulk_space, profile, side,
+                                   elems, t, n) for side in (1, 2)]
 
     def aperture(t):
         """d, d', d1' and d2' at t."""

@@ -15,6 +15,11 @@ vertex-snapped onto the analytic wall graphs).  Three modes exist:
     Two disconnected blocks abutting along the fracture midsurface itself
     (wall vertices on Gamma, duplicated per side).
 
+Both blocks of a two-block mesh share the same rows, and the wall lines
+are vertex-snapped to them, so :func:`build_interface_grid` reads the
+interface grid off the lattices: its elements are the rows, and the wall
+trace over each row lives on the triangle of that row next to the wall.
+
 Row and column counts are rounded up to powers of two so that halving the
 target mesh size exactly doubles every count, which keeps refinement
 studies nested.  Quadrilateral cells are split along the same diagonal
@@ -26,8 +31,8 @@ direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +41,9 @@ from .geometry import ApertureProfile, FractureFrame
 __all__ = [
     "INTERIOR", "BOUNDARY", "GAMMA_1", "GAMMA_2",
     "SIDE_1", "SIDE_2", "FRACTURE", "MESH_MODES",
-    "Mesh", "InterfaceGrid", "StructuredLattice",
+    "ElementMaps", "Mesh", "InterfaceGrid", "StructuredLattice",
     "build_bulk_mesh", "build_interface_grid", "classify_facets",
-    "mesh_quality", "intersect_partitions",
+    "mesh_quality",
 ]
 
 # facet classes
@@ -96,6 +101,22 @@ class StructuredLattice:
 
 
 @dataclass(frozen=True)
+class ElementMaps:
+    """Affine reference-to-physical maps of all triangles of a mesh."""
+
+    v0: np.ndarray
+    jac: np.ndarray
+    jac_inv: np.ndarray
+    det: np.ndarray
+
+    def points(self, elems: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
+        """Physical images of reference points on each of the elements,
+        shape (N, m, 2)."""
+        return self.v0[elems, None] + ref_pts @ np.swapaxes(self.jac[elems],
+                                                            1, 2)
+
+
+@dataclass(frozen=True)
 class Mesh:
     """Immutable simplicial mesh with facet classification.
 
@@ -115,7 +136,6 @@ class Mesh:
     frame: FractureFrame
     profile: ApertureProfile
     h_target: float
-    _h_elem: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -129,49 +149,37 @@ class Mesh:
     def n_facets(self) -> int:
         return len(self.facets)
 
-    def element_volumes(self) -> np.ndarray:
+    @cached_property
+    def maps(self) -> ElementMaps:
+        """Affine maps of all elements, built on first use."""
         v = self.vertices
         e = self.elements
-        a = v[e[:, 1]] - v[e[:, 0]]
-        b = v[e[:, 2]] - v[e[:, 0]]
-        return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        v0 = v[e[:, 0]]
+        jac = np.stack([v[e[:, 1]] - v0, v[e[:, 2]] - v0], axis=-1)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        inv = np.empty_like(jac)
+        inv[:, 0, 0] = jac[:, 1, 1]
+        inv[:, 0, 1] = -jac[:, 0, 1]
+        inv[:, 1, 0] = -jac[:, 1, 0]
+        inv[:, 1, 1] = jac[:, 0, 0]
+        inv /= det[:, None, None]
+        return ElementMaps(v0=v0, jac=jac, jac_inv=inv, det=det)
 
+    def element_volumes(self) -> np.ndarray:
+        return 0.5 * self.maps.det
+
+    @cached_property
     def element_h(self) -> np.ndarray:
         """Per-element mesh size: the maximum edge length."""
-        if self._h_elem is not None:
-            return self._h_elem
         v = self.vertices
         e = self.elements
         l01 = np.linalg.norm(v[e[:, 1]] - v[e[:, 0]], axis=1)
         l12 = np.linalg.norm(v[e[:, 2]] - v[e[:, 1]], axis=1)
         l20 = np.linalg.norm(v[e[:, 0]] - v[e[:, 2]], axis=1)
-        h = np.maximum(np.maximum(l01, l12), l20)
-        object.__setattr__(self, "_h_elem", h)
-        return h
+        return np.maximum(np.maximum(l01, l12), l20)
 
     def facets_of_class(self, cls: int) -> np.ndarray:
         return np.nonzero(self.facet_class == cls)[0]
-
-    def gamma_facet_intervals(self, cls: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gamma facets of one wall, sorted along the interface.
-
-        Returns (facet ids, intervals (m, 2)) where the intervals are the
-        tangential parameter ranges covered by each facet.
-        """
-        ids = self.facets_of_class(cls)
-        if len(ids) == 0:
-            return ids, np.zeros((0, 2))
-        t = self.frame.tangential(self.vertices[self.facets[ids]])
-        lo = t.min(axis=1)
-        hi = t.max(axis=1)
-        order = np.argsort(lo)
-        return ids[order], np.column_stack([lo[order], hi[order]])
-
-    def summary(self) -> str:
-        counts = {name: int(np.sum(self.facet_class == cls))
-                  for cls, name in _FACET_NAMES.items()}
-        return (f"{self.mode} mesh: {self.n_vertices} vertices, "
-                f"{self.n_elements} elements, facets {counts}")
 
 
 def _build_block(ys: np.ndarray, xs: np.ndarray, col_tags: np.ndarray,
@@ -394,7 +402,7 @@ def mesh_quality(mesh: Mesh) -> dict:
     """Mesh size range and the minimum interior angle (degrees)."""
     if mesh.n_elements == 0:
         raise ValueError("empty mesh")
-    h = mesh.element_h()
+    h = mesh.element_h
     v = mesh.vertices
     e = mesh.elements
     min_angle = math.inf
@@ -415,19 +423,15 @@ class InterfaceGrid:
     """One-dimensional grid on the fracture midsurface.
 
     Element k spans ``[t_breaks[k], t_breaks[k+1]]`` in the tangential
-    coordinate.  ``facet1/facet2`` and ``belem1/belem2`` reference, per
-    interface element, the bulk facet and bulk element on each wall whose
-    projection covers it.  Interior edges sit at ``t_breaks[1:-1]``,
-    boundary edges at the two ends.
+    coordinate.  ``belem1/belem2`` hold, per interface element, the bulk
+    element on each wall that carries the wall trace over it.  Interior
+    edges sit at ``t_breaks[1:-1]``, boundary edges at the two ends.
     """
 
     t_breaks: np.ndarray
-    facet1: np.ndarray
-    facet2: np.ndarray
     belem1: np.ndarray
     belem2: np.ndarray
     frame: FractureFrame
-    mode: str
 
     @property
     def n_elements(self) -> int:
@@ -449,84 +453,20 @@ class InterfaceGrid:
         return int(k) if np.ndim(k) == 0 else k
 
 
-def intersect_partitions(breaks1: Sequence[float], breaks2: Sequence[float],
-                         sliver_tol: float):
-    """Common refinement of two interval partitions of the same range.
+def build_interface_grid(mesh: Mesh) -> InterfaceGrid:
+    """Interface grid on Gamma of a two-block (reduced) mesh.
 
-    Returns ``(breaks, idx1, idx2)`` where ``idx_i[k]`` is the source
-    interval of partition i containing merged interval k.  Breakpoints
-    closer than ``sliver_tol`` are fused so that near-empty intersections
-    cannot appear as elements.
+    Both blocks share the rows ``ys`` and their walls are vertex-snapped
+    to them, so the grid is the rows themselves, and the wall trace of
+    row k is carried by the wall-adjacent triangle of that row: on side 1
+    the lower triangle of the last column (its right edge lies on wall 1),
+    on side 2 the upper triangle of the first column (its left edge lies
+    on wall 2).
     """
-    b1 = np.asarray(breaks1, dtype=float)
-    b2 = np.asarray(breaks2, dtype=float)
-    if len(b1) < 2 or len(b2) < 2:
-        raise ValueError("partitions need at least two breakpoints")
-    if (abs(b1[0] - b2[0]) > sliver_tol) or (abs(b1[-1] - b2[-1]) > sliver_tol):
-        raise ValueError("interval partitions disagree about the covered range")
-    merged = np.sort(np.concatenate([b1, b2]))
-    keep = [merged[0]]
-    for t in merged[1:]:
-        if t - keep[-1] > sliver_tol:
-            keep.append(t)
-    breaks = np.asarray(keep)
-    # snap the end breakpoints onto the exact common endpoints
-    breaks[0] = 0.5 * (b1[0] + b2[0])
-    breaks[-1] = 0.5 * (b1[-1] + b2[-1])
-    mid = 0.5 * (breaks[:-1] + breaks[1:])
-    idx1 = np.clip(np.searchsorted(b1, mid, side="right") - 1, 0, len(b1) - 2)
-    idx2 = np.clip(np.searchsorted(b2, mid, side="right") - 1, 0, len(b2) - 2)
-    return breaks, idx1, idx2
-
-
-def build_interface_grid(mesh: Mesh, frame: FractureFrame | None = None,
-                         mode: str | None = None) -> InterfaceGrid:
-    """Interface grid on Gamma from the wall facets of a two-sided mesh.
-
-    ``mode="rectified"`` expects coinciding wall partitions and uses them
-    directly; ``mode="projected"`` intersects the orthogonal projections
-    of the two wall partitions (non-matching grids allowed).  By default
-    the mode follows the mesh mode.
-    """
-    if frame is None:
-        frame = mesh.frame
-    if mode is None:
-        if mesh.mode == "rectified":
-            mode = "rectified"
-        elif mesh.mode == "curved-reduced":
-            mode = "projected"
-        else:
-            raise ValueError("full-dimensional meshes have no reduced interface")
-    if mode not in ("rectified", "projected"):
-        raise ValueError(f"unknown interface mode {mode!r}")
-
-    ids1, iv1 = mesh.gamma_facet_intervals(GAMMA_1)
-    ids2, iv2 = mesh.gamma_facet_intervals(GAMMA_2)
-    if len(ids1) == 0 or len(ids2) == 0:
-        raise ValueError("mesh has no wall facets on one of the sides")
-
-    b1 = np.append(iv1[:, 0], iv1[-1, 1])
-    b2 = np.append(iv2[:, 0], iv2[-1, 1])
-    sliver = 1e-12 * max(b1[-1] - b1[0], b2[-1] - b2[0])
-
-    if mode == "rectified":
-        if len(b1) != len(b2) or not np.allclose(b1, b2, atol=sliver):
-            raise ValueError("rectified interface needs matching wall partitions")
-        breaks = b1
-        idx1 = np.arange(len(ids1))
-        idx2 = np.arange(len(ids2))
-    else:
-        breaks, idx1, idx2 = intersect_partitions(b1, b2, sliver)
-
-    facet1 = ids1[idx1]
-    facet2 = ids2[idx2]
-    belem1 = mesh.facet_elements[facet1, 0]
-    belem2 = mesh.facet_elements[facet2, 0]
-    # wall facets in full mode touch two elements; keep the matrix side
     if mesh.mode == "full":
-        for arr, fac in ((belem1, facet1), (belem2, facet2)):
-            other = mesh.facet_elements[fac, 1]
-            frac = mesh.subdomain[arr] == FRACTURE
-            arr[frac] = other[frac]
-    return InterfaceGrid(t_breaks=breaks, facet1=facet1, facet2=facet2,
-                         belem1=belem1, belem2=belem2, frame=frame, mode=mode)
+        raise ValueError("full-dimensional meshes have no reduced interface")
+    lat1, lat2 = mesh.lattices
+    return InterfaceGrid(t_breaks=lat1.ys,
+                         belem1=lat1.elem_ids[:, lat1.gamma1_line - 1, 0],
+                         belem2=lat2.elem_ids[:, lat2.gamma2_line, 1],
+                         frame=mesh.frame)

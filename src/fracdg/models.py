@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import solver
 from .assembly import MODEL_NAMES, DGSpace, ModelVariant, SparseSystem, \
-    _basis_at, _by_degree, _element_dofs, _ElementMaps, _wall_points, \
-    assemble_full, assemble_reduced, resolve_mesh_mode, seg_basis, \
-    seg_basis_deriv
+    _basis_at, _by_degree, _element_dofs, _interface_basis, \
+    _wall_trace_matrix, assemble_full, assemble_reduced, resolve_mesh_mode
 from .geometry import ApertureProfile, FractureFrame, PermeabilityData, \
     WellposednessReport, check_wellposedness
-from .mesh import InterfaceGrid, Mesh, build_bulk_mesh, build_interface_grid
+from .mesh import ElementMaps, InterfaceGrid, Mesh, build_bulk_mesh, \
+    build_interface_grid
 
 logger = logging.getLogger(__name__)
 
@@ -165,7 +164,7 @@ def _locate(mesh: Mesh, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
-    maps = _ElementMaps.build(mesh)
+    maps = mesh.maps
     out = np.full(len(pts), -1, dtype=np.int64)
     best_lam = np.full(len(pts), -np.inf)
     for lat in mesh.lattices:
@@ -195,7 +194,7 @@ def _locate(mesh: Mesh, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return out
 
 
-def _field_at(maps: _ElementMaps, space: DGSpace, coeffs: np.ndarray,
+def _field_at(maps: ElementMaps, space: DGSpace, coeffs: np.ndarray,
               elems: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Values of a bulk field at points whose elements are known.
 
@@ -215,25 +214,17 @@ def _field_at(maps: _ElementMaps, space: DGSpace, coeffs: np.ndarray,
 
 
 def _eval_bulk(mesh: Mesh, space: DGSpace, coeffs: np.ndarray,
-               maps: _ElementMaps, points: np.ndarray) -> np.ndarray:
+               points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     elems = _locate(mesh, pts)
     if np.any(elems < 0):
         bad = pts[elems < 0][0]
         raise ValueError(f"point {tuple(bad)} lies outside the mesh")
-    return _field_at(maps, space, coeffs, elems, pts[:, None])[:, 0]
-
-
-class _OnMesh:
-    """Element maps of ``self.mesh``, built on first use."""
-
-    @cached_property
-    def _maps(self) -> _ElementMaps:
-        return _ElementMaps.build(self.mesh)
+    return _field_at(mesh.maps, space, coeffs, elems, pts[:, None])[:, 0]
 
 
 @dataclass
-class FullSolution(_OnMesh):
+class FullSolution:
     """Discrete pressure of the full-dimensional model."""
 
     preset: ProblemPreset
@@ -250,12 +241,11 @@ class FullSolution(_OnMesh):
 
     def evaluate(self, points) -> np.ndarray:
         """Pressure at arbitrary points of the meshed domain."""
-        return _eval_bulk(self.mesh, self.space, self.coefficients,
-                          self._maps, points)
+        return _eval_bulk(self.mesh, self.space, self.coefficients, points)
 
 
 @dataclass
-class ReducedSolution(_OnMesh):
+class ReducedSolution:
     """Coupled bulk/interface solution of a reduced model."""
 
     preset: ProblemPreset
@@ -274,23 +264,14 @@ class ReducedSolution(_OnMesh):
     def evaluate_bulk(self, points) -> np.ndarray:
         """Bulk pressure at arbitrary points of the two matrix blocks."""
         return _eval_bulk(self.mesh, self.bulk_space, self.bulk_coefficients,
-                          self._maps, points)
+                          points)
 
     def _interface_values(self, t, derivative: bool):
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        grid, space = self.grid, self.iface_space
-        elems = grid.element_of_t(tt)
-        t0 = grid.t_breaks[elems]
-        length = grid.t_breaks[elems + 1] - t0
-        loc = (tt - t0) / length
-        vals = np.empty(len(tt))
-        for k, idx in _by_degree(space.degrees[elems]):
-            if derivative:
-                psi = seg_basis_deriv(k, loc[idx]) / length[idx, None]
-            else:
-                psi = seg_basis(k, loc[idx])
-            c = self.iface_coefficients[_element_dofs(space, elems[idx], k)]
-            vals[idx] = (psi[:, None] @ c[..., None])[:, 0, 0]
+        psi, dpsi = _interface_basis(self.grid, self.iface_space,
+                                     self.grid.element_of_t(tt), tt,
+                                     self.iface_space.n_dofs)
+        vals = (dpsi if derivative else psi) @ self.iface_coefficients
         return vals if np.ndim(t) else float(vals[0])
 
     def evaluate_interface(self, t) -> np.ndarray:
@@ -307,11 +288,11 @@ class ReducedSolution(_OnMesh):
         if side not in (1, 2):
             raise ValueError("side must be 1 or 2")
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        x = _wall_points(self.mesh, self.preset.profile, tt, side)
-        belem = self.grid.belem1 if side == 1 else self.grid.belem2
-        elems = belem[self.grid.element_of_t(tt)]
-        vals = _field_at(self._maps, self.bulk_space, self.bulk_coefficients,
-                         elems, x[:, None])[:, 0]
+        trace = _wall_trace_matrix(self.mesh, self.grid, self.bulk_space,
+                                   self.preset.profile, side,
+                                   self.grid.element_of_t(tt), tt,
+                                   self.bulk_space.n_dofs)
+        vals = trace @ self.bulk_coefficients
         return vals if np.ndim(t) else float(vals[0])
 
 

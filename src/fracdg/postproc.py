@@ -136,8 +136,8 @@ class GammaAverage:
         pts = np.stack([xs, np.broadcast_to(t[:, None, None], xs.shape)],
                        axis=-1)
         full = self.full
-        values = models._field_at(full._maps, full.space, full.coefficients,
-                                  elems, pts)
+        values = models._field_at(full.mesh.maps, full.space,
+                                  full.coefficients, elems, pts)
         pieces = (values @ wq) * np.where(size < 1e-14, 0.0, size)
         return pieces.sum(axis=1) / (d1 + d2)
 
@@ -193,7 +193,7 @@ def l2_error_bulk(solution, exact: Callable,
         space, coeffs = solution.space, solution.coefficients
     else:
         space, coeffs = solution.bulk_space, solution.bulk_coefficients
-    maps = solution._maps
+    maps = solution.mesh.maps
     total = 0.0
     for k, elems in _by_degree(space.degrees):
         pts, w = triangle_rule(k + 2 if n_quad is None else n_quad)
@@ -388,12 +388,10 @@ def write_fields(solution, prefix) -> list:
     if isinstance(solution, models.FullSolution):
         mesh, space, coeffs = solution.mesh, solution.space, \
             solution.coefficients
-        evaluate = solution.evaluate
         reduced = None
     else:
         mesh, space, coeffs = solution.mesh, solution.bulk_space, \
             solution.bulk_coefficients
-        evaluate = solution.evaluate_bulk
         reduced = solution
 
     paths = []
@@ -420,9 +418,11 @@ def write_fields(solution, prefix) -> list:
           (f"{e} {' '.join(values[start:end])}\n" for e, (start, end) in
            enumerate(zip(space.offsets.tolist(), ends.tolist()))))
 
+    # each sample lies in the element it names: no point location
     pts = _bulk_sample_points(mesh).reshape(-1, 2)
-    vals = evaluate(pts)
     elems = np.repeat(np.arange(mesh.n_elements), 4)
+    vals = models._field_at(mesh.maps, space, coeffs, elems,
+                            pts[:, None])[:, 0]
     write(".samples.txt", "# element x y value\n",
           (f"{e} {x:.17g} {y:.17g} {v:.17g}\n" for e, (x, y), v in
            zip(elems.tolist(), pts.tolist(), vals.tolist())))

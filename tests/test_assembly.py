@@ -221,7 +221,7 @@ class TestSpaces:
             _, mesh, _, _, _ = const_setup(degree=k)
             bs = asm.DGSpace.bulk(mesh, k)
             coeffs = asm.interpolate_bulk(mesh, bs, f)
-            maps = asm._ElementMaps.build(mesh)
+            maps = mesh.maps
             for e in rng.integers(0, mesh.n_elements, size=8):
                 e = int(e)
                 verts = mesh.vertices[mesh.elements[e]]
@@ -281,8 +281,8 @@ def looped_bulk_sipg(mesh, space, perm, q, g, mu0, flux_classes):
     """Dense SIPG matrix and rhs, one element and one facet at a time."""
     n = space.n_dofs
     mat, rhs = np.zeros((n, n)), np.zeros(n)
-    maps = asm._ElementMaps.build(mesh)
-    h = mesh.element_h()
+    maps = mesh.maps
+    h = mesh.element_h
 
     def perm_of(e):
         tag = int(mesh.subdomain[e])
@@ -379,7 +379,7 @@ def looped_interface_forms(acc, mesh, grid, bulk_space, iface_space,
     transport forms, one interface element and one edge at a time, added
     to the triplet accumulator ``acc`` of the coupled system."""
     off = bulk_space.n_dofs
-    maps = asm._ElementMaps.build(mesh)
+    maps = mesh.maps
     tau = grid.frame.tangents[0]
     kt = float(tau @ perm.k_gamma @ tau)
     lengths = grid.lengths
@@ -636,7 +636,7 @@ class TestFullAssembly:
         x = spla.spsolve(sys_.matrix.tocsc(), sys_.rhs)
         # compare pressures, not monomial coefficients: those of degree 4
         # on the thin slab elements are ill-conditioned
-        maps = asm._ElementMaps.build(self.mesh)
+        maps = self.mesh.maps
         lam = rng.dirichlet(np.ones(3), size=5)
         for k, elems in asm._by_degree(degrees):
             pts = lam @ self.mesh.vertices[self.mesh.elements[elems]]

@@ -2,13 +2,17 @@
 
 Expected element/facet counts for the small lattices are derived by hand
 from the construction rule (power-of-two rows/columns, two triangles per
-cell); interval intersections are checked against an enumerated oracle.
+cell).  The interface grid is checked against the wall facets themselves:
+every row's trace element must own the wall facet spanning that row.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdg.geometry import ApertureProfile, FractureFrame
 from fracdg.mesh import (
@@ -25,7 +29,6 @@ from fracdg.mesh import (
     build_bulk_mesh,
     build_interface_grid,
     classify_facets,
-    intersect_partitions,
     mesh_quality,
 )
 
@@ -258,36 +261,42 @@ class TestRefinementNesting:
         assert ratios[-1] <= 0.51
 
 
-class TestIntervalIntersection:
-    def test_oracle_halves_against_thirds(self):
-        breaks, idx1, idx2 = intersect_partitions(
-            [0.0, 0.5, 1.0], [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0], 1e-12)
-        np.testing.assert_allclose(breaks, [0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0])
-        np.testing.assert_array_equal(idx1, [0, 0, 1, 1])
-        np.testing.assert_array_equal(idx2, [0, 1, 1, 2])
+def wall_edges(mesh, elem, cls):
+    """Vertex pairs of the edges of ``elem`` that are wall facets of
+    class ``cls``."""
+    wall = {tuple(f) for f in mesh.facets[mesh.facets_of_class(cls)].tolist()}
+    tri = mesh.elements[elem].tolist()
+    return [(a, b) for a, b in zip(tri, tri[1:] + tri[:1])
+            if (min(a, b), max(a, b)) in wall]
 
-    def test_identical_partitions(self):
-        b = [0.0, 0.25, 0.5, 0.75, 1.0]
-        breaks, idx1, idx2 = intersect_partitions(b, b, 1e-12)
-        np.testing.assert_allclose(breaks, b)
-        np.testing.assert_array_equal(idx1, [0, 1, 2, 3])
-        np.testing.assert_array_equal(idx2, [0, 1, 2, 3])
 
-    def test_single_interval_per_side(self):
-        breaks, idx1, idx2 = intersect_partitions([0.0, 1.0], [0.0, 1.0], 1e-12)
-        assert len(breaks) == 2
-        np.testing.assert_array_equal(idx1, [0])
+def check_grid(mesh, grid):
+    """The grid is the lattice rows, and each row's trace element on wall
+    i is a side-i triangle whose one wall-i edge spans exactly that row."""
+    for lat in mesh.lattices:
+        np.testing.assert_array_equal(grid.t_breaks, lat.ys)
+    t = grid.t_breaks.tolist()
+    for belem, cls, tag in ((grid.belem1, GAMMA_1, SIDE_1),
+                            (grid.belem2, GAMMA_2, SIDE_2)):
+        assert len(belem) == grid.n_elements
+        assert np.all(mesh.subdomain[belem] == tag)
+        for k, e in enumerate(belem.tolist()):
+            spans = [tuple(sorted(mesh.frame.tangential(
+                mesh.vertices[list(edge)]).tolist()))
+                for edge in wall_edges(mesh, e, cls)]
+            assert spans == [(t[k], t[k + 1])]
 
-    def test_slivers_are_fused(self):
-        eps = 1e-14
-        breaks, idx1, idx2 = intersect_partitions(
-            [0.0, 0.5, 1.0], [0.0, 0.5 + eps, 1.0], 1e-12)
-        np.testing.assert_allclose(breaks, [0.0, 0.5, 1.0], atol=1e-13)
-        assert len(idx1) == 2
 
-    def test_rejects_mismatched_ranges(self):
-        with pytest.raises(ValueError, match="range"):
-            intersect_partitions([0.0, 0.5], [0.0, 1.0], 1e-12)
+def walls_strategy():
+    sinusoidal = st.builds(
+        lambda d0, phase, asymmetry: ApertureProfile.sinusoidal(
+            d0, phase=phase, asymmetry=asymmetry),
+        st.floats(1e-3, 0.1), st.floats(0.0, 2.0 * math.pi),
+        st.sampled_from(("antisymmetric", "symmetric")))
+    constant = st.tuples(st.floats(-0.05, 0.2), st.floats(-0.05, 0.2)) \
+        .filter(lambda d: d[0] + d[1] > 1e-3) \
+        .map(lambda d: ApertureProfile.constant(*d))
+    return st.one_of(sinusoidal, constant)
 
 
 class TestInterfaceGrid:
@@ -298,11 +307,11 @@ class TestInterfaceGrid:
         assert grid.n_elements == 4
         np.testing.assert_allclose(grid.t_breaks, np.linspace(0, 1, 5))
         assert grid.measure == pytest.approx(1.0, abs=1e-12)
-        # pairing: one facet per side per element, tags match
-        assert len(np.unique(grid.facet1)) == 4
-        assert len(np.unique(grid.facet2)) == 4
-        assert np.all(mesh.subdomain[grid.belem1] == SIDE_1)
-        assert np.all(mesh.subdomain[grid.belem2] == SIDE_2)
+        # pairing: one element per side per interface element, each
+        # owning the wall facet over it
+        assert len(np.unique(grid.belem1)) == 4
+        assert len(np.unique(grid.belem2)) == 4
+        check_grid(mesh, grid)
 
     def test_projected_grid_measures_gamma(self):
         prof = ApertureProfile.sinusoidal(0.1, asymmetry="symmetric")
@@ -310,13 +319,6 @@ class TestInterfaceGrid:
         grid = build_interface_grid(mesh)
         assert grid.lengths.sum() == pytest.approx(1.0, abs=1e-12)
         assert grid.measure == pytest.approx(1.0, abs=1e-12)
-
-    def test_full_mode_pairing_targets_matrix_elements(self):
-        prof = ApertureProfile.constant(0.1, 0.1)
-        mesh = build_bulk_mesh(UNIT, prof, "full", 0.25, FRAME)
-        grid = build_interface_grid(mesh, mode="projected")
-        assert np.all(mesh.subdomain[grid.belem1] == SIDE_1)
-        assert np.all(mesh.subdomain[grid.belem2] == SIDE_2)
 
     def test_full_mode_needs_explicit_request(self):
         prof = ApertureProfile.constant(0.1, 0.1)
@@ -331,8 +333,10 @@ class TestInterfaceGrid:
         from fracdg.geometry import project_to_gamma
         for k in range(grid.n_elements):
             t = 0.5 * (grid.t_breaks[k] + grid.t_breaks[k + 1])
-            for fid in (grid.facet1[k], grid.facet2[k]):
-                va, vb = mesh.vertices[mesh.facets[fid]]
+            for elem, cls in ((grid.belem1[k], GAMMA_1),
+                              (grid.belem2[k], GAMMA_2)):
+                (edge,) = wall_edges(mesh, elem, cls)
+                va, vb = mesh.vertices[list(edge)]
                 if va[1] > vb[1]:
                     va, vb = vb, va
                 lam = (t - va[1]) / (vb[1] - va[1])
@@ -340,6 +344,31 @@ class TestInterfaceGrid:
                 point = va + lam * (vb - va)
                 back = FRAME.tangential(project_to_gamma(point, FRAME))
                 assert back == pytest.approx(t, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(("curved-reduced", "rectified")),
+           profile=walls_strategy(),
+           offset=st.sampled_from((0.5, 0.3)),
+           h=st.floats(1.0 / 32.0, 0.5))
+    def test_grid_is_rows_and_wall_triangles(self, mode, profile, offset,
+                                             h):
+        mesh = build_bulk_mesh(UNIT, profile, mode, h,
+                               FractureFrame.vertical_line(offset))
+        check_grid(mesh, build_interface_grid(mesh))
+
+    @pytest.mark.parametrize("mode", ["curved-reduced", "rectified"])
+    def test_other_triangle_of_the_cell_fails_the_check(self, mode):
+        prof = ApertureProfile.sinusoidal(0.05)
+        mesh = build_bulk_mesh(UNIT, prof, mode, 1.0 / 8.0, FRAME)
+        grid = build_interface_grid(mesh)
+        lat1, lat2 = mesh.lattices
+        for swapped in (
+                dataclasses.replace(
+                    grid, belem1=lat1.elem_ids[:, lat1.gamma1_line - 1, 1]),
+                dataclasses.replace(
+                    grid, belem2=lat2.elem_ids[:, lat2.gamma2_line, 0])):
+            with pytest.raises(AssertionError):
+                check_grid(mesh, swapped)
 
     def test_element_lookup(self):
         prof = ApertureProfile.constant(0.05, 0.05)

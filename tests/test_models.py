@@ -315,7 +315,7 @@ def looped_locate(mesh, points, tol=1e-9):
 
 def looped_eval_bulk(mesh, space, coeffs, points):
     """Bulk field values, one point at a time."""
-    maps = asm._ElementMaps.build(mesh)
+    maps = mesh.maps
     elems = looped_locate(mesh, points)
     vals = np.empty(len(points))
     for i, e in enumerate(elems):
@@ -326,7 +326,7 @@ def looped_eval_bulk(mesh, space, coeffs, points):
 
 
 def smallest_barycentric(mesh, e, x):
-    maps = asm._ElementMaps.build(mesh)
+    maps = mesh.maps
     ab = maps.jac_inv[e] @ (x - maps.v0[e])
     return min(ab[0], ab[1], 1.0 - ab[0] - ab[1])
 
@@ -478,7 +478,7 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("variant", ["I", "II-R"])
     def test_wall_trace_matches_pointwise(self, variant):
         sol = mixed_degree_reduced(variant, 6)
-        maps = asm._ElementMaps.build(sol.mesh)
+        maps = sol.mesh.maps
         t = sample_t(sol.grid, np.random.default_rng(7))
         for side, belem in ((1, sol.grid.belem1), (2, sol.grid.belem2)):
             x = asm._wall_points(sol.mesh, WAVY, t, side)
