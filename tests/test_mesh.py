@@ -77,6 +77,37 @@ class TestQuality:
         assert q["h_max"] == pytest.approx(q["h_min"])
 
 
+class TestElementMaps:
+    @pytest.mark.parametrize("mode", ["full", "rectified", "curved-reduced"])
+    def test_maps_send_reference_vertices_to_the_triangle(self, mode):
+        prof = ApertureProfile.sinusoidal(0.1)
+        mesh = build_bulk_mesh(UNIT, prof, mode, 0.25, FRAME)
+        maps = mesh.maps
+        ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        elems = np.arange(mesh.n_elements)
+        np.testing.assert_allclose(maps.points(elems, ref),
+                                   mesh.vertices[mesh.elements], atol=1e-14)
+        np.testing.assert_allclose(maps.jac @ maps.jac_inv,
+                                   np.broadcast_to(np.eye(2), maps.jac.shape),
+                                   atol=1e-12)
+        tri = mesh.vertices[mesh.elements]
+        a, b = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+        shoelace = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        np.testing.assert_allclose(mesh.element_volumes(), shoelace,
+                                   rtol=1e-14, atol=0.0)
+        edges = np.linalg.norm(tri - np.roll(tri, 1, axis=1), axis=2)
+        np.testing.assert_array_equal(mesh.element_h, edges.max(axis=1))
+
+    def test_maps_and_sizes_are_built_once_per_mesh(self):
+        prof = ApertureProfile.constant(0.05, 0.05)
+        mesh = build_bulk_mesh(UNIT, prof, "rectified", 0.25, FRAME)
+        assert mesh.maps is mesh.maps
+        assert mesh.element_h is mesh.element_h
+        other = build_bulk_mesh(UNIT, prof, "rectified", 0.25, FRAME)
+        assert other.maps is not mesh.maps
+        np.testing.assert_array_equal(other.maps.det, mesh.maps.det)
+
+
 class TestRectifiedMesh:
     PROF = ApertureProfile.constant(0.05, 0.05)
 

@@ -308,6 +308,17 @@ class TestFieldDumps:
         np.testing.assert_allclose(vals, sol.evaluate(pts), atol=1e-12)
         assert len(elems) == 4 * sol.mesh.n_elements
 
+    def test_reduced_samples_lie_in_named_elements(self, tmp_path):
+        preset = models.preset_by_name("perp-asym", d0=0.1)
+        sol = models.run_reduced(preset, "I", 0.125)
+        postproc.write_fields(sol, tmp_path / "red")
+        elems, pts, vals = postproc.read_samples(tmp_path
+                                                 / "red.samples.txt")
+        np.testing.assert_array_equal(
+            elems, np.repeat(np.arange(sol.mesh.n_elements), 4))
+        np.testing.assert_array_equal(models._locate(sol.mesh, pts), elems)
+        np.testing.assert_allclose(vals, sol.evaluate_bulk(pts), atol=1e-12)
+
     def test_constant_field_dumps_constant(self, tmp_path):
         profile = ApertureProfile.constant(0.05, 0.05)
         sol = full_with_field(profile, lambda x: np.full(len(x), 2.0),
