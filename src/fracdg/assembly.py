@@ -52,7 +52,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import roots_jacobi
 
 from .geometry import ApertureProfile, PermeabilityData
 from .mesh import (
@@ -170,12 +169,24 @@ def segment_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _gauss_jacobi(n: int):
+    """Gauss-Jacobi rule with n points on [-1, 1] for the weight (1 - x),
+    from the eigenpairs of the Jacobi matrix (Golub-Welsch): the nodes
+    are its eigenvalues, the weights 2 v_0^2 for unit eigenvectors v."""
+    k = np.arange(n)
+    diag = -1.0 / ((2 * k + 1) * (2 * k + 3))
+    k = k[1:]
+    off = np.sqrt(k * (k + 1.0)) / (2 * k + 1)
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 * v[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def triangle_rule(n: int):
     """Conical-product rule with n^2 points on the reference triangle
     {(x, y): x, y >= 0, x + y <= 1}, exact for total degree 2n-1."""
     u, wu = segment_rule(n)
-    yj, wj = roots_jacobi(n, 1.0, 0.0)
+    yj, wj = _gauss_jacobi(n)
     y = 0.5 * (yj + 1.0)
     wy = 0.25 * wj
     pts = np.empty((n * n, 2))
@@ -482,11 +493,18 @@ class _Accumulator:
                                 minlength=self.n)
 
     def matrix(self) -> sp.csr_matrix:
+        """The summed CSR matrix.  The call hands over the triplets: the
+        accumulator keeps none of them, and each list is freed as soon as
+        it is concatenated, so the COO -> CSR step never runs beside a
+        second copy of every triplet."""
         if not self.rows:
             return sp.csr_matrix((self.n, self.n))
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        vals = np.concatenate(self.vals)
+        rows, self.rows = self.rows, []
+        rows = np.concatenate(rows)
+        cols, self.cols = self.cols, []
+        cols = np.concatenate(cols)
+        vals, self.vals = self.vals, []
+        vals = np.concatenate(vals)
         return sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
 
 
@@ -639,19 +657,20 @@ def _point_matrix(space: DGSpace, elems: np.ndarray, values, n_cols: int,
 
 
 def _interface_basis(grid: InterfaceGrid, space: DGSpace, elems: np.ndarray,
-                     t: np.ndarray, n_cols: int, col_offset: int = 0):
-    """Evaluation matrices of the interface basis and of its
-    t-derivative at the points t, point i on element ``elems[i]``."""
+                     t: np.ndarray, n_cols: int, col_offset: int = 0,
+                     derivative: bool = False) -> sp.csr_matrix:
+    """Evaluation matrix of the interface basis, or of its t-derivative
+    if ``derivative``, at the points t, point i on element ``elems[i]``."""
     t0 = grid.t_breaks[elems]
     length = grid.t_breaks[elems + 1] - t0
     loc = (t - t0) / length
-    psi = _point_matrix(space, elems, lambda k, i: seg_basis(k, loc[i]),
-                        n_cols, col_offset)
-    dpsi = _point_matrix(
-        space, elems,
-        lambda k, i: seg_basis_deriv(k, loc[i]) / length[i, None], n_cols,
-        col_offset)
-    return psi, dpsi
+    if derivative:
+        return _point_matrix(
+            space, elems,
+            lambda k, i: seg_basis_deriv(k, loc[i]) / length[i, None],
+            n_cols, col_offset)
+    return _point_matrix(space, elems, lambda k, i: seg_basis(k, loc[i]),
+                         n_cols, col_offset)
 
 
 def _wall_trace_matrix(mesh: Mesh, grid: InterfaceGrid, space: DGSpace,
@@ -702,7 +721,8 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
         return [np.concatenate(a) for a in zip(*parts)]
 
     def iface(elems, t):
-        return _interface_basis(grid, iface_space, elems, t, n, off)
+        return [_interface_basis(grid, iface_space, elems, t, n, off,
+                                 derivative) for derivative in (False, True)]
 
     def walls(elems, t):
         return [_wall_trace_matrix(mesh, grid, bulk_space, profile, side,

@@ -67,6 +67,7 @@ import argparse
 import logging
 import math
 import pathlib
+import resource
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -549,11 +550,18 @@ def _dump_callback(config: ExperimentConfig, out: pathlib.Path):
     return dump
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident memory of this process so far, in MB (ru_maxrss is
+    in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute the configured sweep; returns the process exit status.
 
     Writes ``errors.csv`` and ``run.log`` (plus optional dumps) under the
-    output directory.  The exit status is 0 when every row succeeded and
+    output directory; the log's last line gives the process's peak
+    resident memory.  The exit status is 0 when every row succeeded and
     1 otherwise; failed rows carry nan errors and a note in the log.
     """
     out = pathlib.Path(config.out_dir)
@@ -590,8 +598,8 @@ def run(config: ExperimentConfig) -> int:
         table.write_csv(str(csv_path))
         failed = [r for r in table.rows
                   if r.note or not np.isfinite(r.l2_error)]
-        logger.info("wrote %s: %d rows, %d failed", csv_path,
-                    len(table.rows), len(failed))
+        logger.info("wrote %s: %d rows, %d failed, peak RSS %.1f MB",
+                    csv_path, len(table.rows), len(failed), _peak_rss_mb())
         print(f"wrote {csv_path} ({len(table.rows)} rows"
               + (f", {len(failed)} FAILED" if failed else "") + ")")
         for row in failed:

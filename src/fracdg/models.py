@@ -268,10 +268,11 @@ class ReducedSolution:
 
     def _interface_values(self, t, derivative: bool):
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        psi, dpsi = _interface_basis(self.grid, self.iface_space,
-                                     self.grid.element_of_t(tt), tt,
-                                     self.iface_space.n_dofs)
-        vals = (dpsi if derivative else psi) @ self.iface_coefficients
+        basis = _interface_basis(self.grid, self.iface_space,
+                                 self.grid.element_of_t(tt), tt,
+                                 self.iface_space.n_dofs,
+                                 derivative=derivative)
+        vals = basis @ self.iface_coefficients
         return vals if np.ndim(t) else float(vals[0])
 
     def evaluate_interface(self, t) -> np.ndarray:

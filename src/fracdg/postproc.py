@@ -299,8 +299,10 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
 
     table = ErrorTable()
     for d0 in d0_list:
+        # the last d0's reference and solutions die before this one's
+        # reference is assembled, so at most one reference is alive
+        full = sol = ref = None
         pset = make(d0)
-        ref = None
         ref_note = ""
         if reference == "exact":
             if pset.gamma_reference is None:

@@ -8,14 +8,15 @@ symmetric or not, runs SuperLU in symmetric mode (``_factor``): a
 minimum degree ordering of A + A^T applied to rows and columns alike,
 with a diagonal pivot threshold of 0.01, so the ordering survives
 pivoting unless a diagonal entry is too small; the direct path's fill
-(nonzeros of L and U) is on the report.  Both iterative methods are
-preconditioned by a two-level additive Schwarz method: the inverses of
-the matrix's element diagonal blocks (block Jacobi), which undo the
-conditioning of the local monomial bases, plus an exact solve on the
-element-constant space, ``M^-1 r = B r + R^T A0^-1 R r``.  R injects the
-first dof of every block, the constant of the monomial basis, and
-``A0 = R A R^T`` is factored once.  On an interior penalty system the
-gradients of constants vanish, so A0 holds only jump penalties and
+(the entries SuperLU stores for L and U, ``lu.nnz``) is on the report.
+Both iterative methods are preconditioned by a two-level additive
+Schwarz method: the inverses of the matrix's element diagonal blocks
+(block Jacobi), which undo the conditioning of the local monomial
+bases, plus an exact solve on the element-constant space,
+``M^-1 r = B r + R^T A0^-1 R r``.  R injects the first dof of every
+block, the constant of the monomial basis, and ``A0 = R A R^T`` is
+factored once.  On an interior penalty system the gradients of
+constants vanish, so A0 holds only jump penalties and
 stays positive definite where the fine matrix is not, and the coarse
 level keeps the iteration count from growing as h shrinks.  A system
 without element blocks gets 1x1 blocks, i.e. point Jacobi, and its
@@ -53,8 +54,10 @@ class SolveReport:
     ``indefinite_blocks`` counts the preconditioner's element blocks
     whose symmetric part is not positive definite; one such block proves
     a symmetric matrix indefinite.  The direct path builds no blocks and
-    reports 0.  ``fill`` is the number of nonzeros of the LU factors on
-    the direct path and 0 on the iterative ones.
+    reports 0.  ``fill`` is the number of entries SuperLU stores for the
+    LU factors (``lu.nnz``) on the direct path and 0 on the iterative
+    ones.  Its supernodal storage can hold entries that the CSC copies
+    ``lu.L`` and ``lu.U`` leave out, so the count can exceed theirs.
     """
 
     iterations: int
@@ -204,7 +207,8 @@ def solve(system: SparseSystem, method: str | None = None,
     if max_iter is None:
         max_iter = max(1000, 10 * n)
 
-    symmetric = system.symmetry_defect() < SYMMETRY_TOL
+    defect = system.symmetry_defect()
+    symmetric = defect < SYMMETRY_TOL
     if method is None:
         method = "CG" if (system.n_iface == 0 and symmetric) else "direct-LU"
     if method not in METHODS:
@@ -212,7 +216,7 @@ def solve(system: SparseSystem, method: str | None = None,
                          f"of {METHODS}")
     if method == "CG" and not symmetric:
         raise ValueError("CG requested for a nonsymmetric system "
-                         f"(defect {system.symmetry_defect():.2e})")
+                         f"(defect {defect:.2e})")
 
     if method == "direct-LU":
         try:
@@ -227,7 +231,7 @@ def solve(system: SparseSystem, method: str | None = None,
         res = relative_residual(matrix, x, rhs)
         return x, SolveReport(iterations=0, relative_residual=res,
                               method=method, converged=res <= tol,
-                              fill=lu.L.nnz + lu.U.nnz)
+                              fill=lu.nnz)
 
     count = [0]
 

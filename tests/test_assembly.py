@@ -1,14 +1,18 @@
 """Tests for the DG assembly layer.
 
 Quadrature and basis oracles are closed forms (factorial formulas for
-monomial moments, finite differences for gradients).  The assembled forms
-are checked against hand-computable states: constant and linear pressures
-reproduced exactly, penalty values evaluated by hand, and the degenerate
+monomial moments, finite differences for gradients) and scipy's
+Gauss-Jacobi rule.  The assembled forms are checked against
+hand-computable states: constant and linear pressures reproduced
+exactly, penalty values evaluated by hand, and the degenerate
 constant-aperture configuration where all reduced variants collapse onto
 one another.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,8 +83,9 @@ class TestQuadrature:
         assert np.all(w > 0.0)
 
     def test_triangle_rule_monomial_exactness(self):
-        # moment of x^a y^b over the unit reference triangle
-        for n in range(1, 6):
+        # moment of x^a y^b over the unit reference triangle, every
+        # monomial of total degree <= 2n - 1 exact to round-off
+        for n in range(1, 9):
             pts, w = asm.triangle_rule(n)
             assert len(w) == n * n
             for a in range(2 * n):
@@ -88,7 +93,23 @@ class TestQuadrature:
                     exact = (math.factorial(a) * math.factorial(b)
                              / math.factorial(a + b + 2))
                     got = float(w @ (pts[:, 0]**a * pts[:, 1]**b))
-                    assert got == pytest.approx(exact, rel=1e-13, abs=1e-16)
+                    assert abs(got - exact) <= 1e-14 * exact, (n, a, b)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gauss_jacobi_matches_scipy(self, n):
+        # scipy.special stays out of the package; only this oracle loads it
+        from scipy.special import roots_jacobi
+        x, w = asm._gauss_jacobi(n)
+        x_ref, w_ref = roots_jacobi(n, 1.0, 0.0)
+        np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-14, atol=0.0)
+
+    def test_package_import_leaves_out_scipy_special(self):
+        code = ("import sys, fracdg.cli; "
+                "sys.exit('scipy.special' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
 
     def test_triangle_rule_weights_and_support(self):
         pts, w = asm.triangle_rule(4)

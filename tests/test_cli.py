@@ -7,6 +7,7 @@ codes rather than numerical values (those live with the model tests).
 
 import dataclasses
 import math
+import re
 import textwrap
 
 import numpy as np
@@ -466,6 +467,11 @@ class TestRun:
             assert f"d0={d0:g} variant {variant}:" in log
             assert "wellposedness lhs=" in log
         assert log.count("reference direct-LU") == 2
+        # the closing line carries the peak memory of the run
+        match = re.search(r"4 rows, 0 failed, peak RSS (\S+) MB$",
+                          log.splitlines()[-1])
+        assert match, log.splitlines()[-1]
+        assert 0.0 < float(match.group(1)) < math.inf
 
     def test_run_log_records_each_solve_once(self, tmp_path):
         # the models layer logs every solve with its dofs and residual;

@@ -8,6 +8,7 @@ integrals.  Field dumps are checked by round trip.
 import dataclasses
 import math
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -217,6 +218,28 @@ class TestSweep:
         assert np.isfinite(row.l2_error) and row.l2_error >= 0.0
         assert row.bulk_dofs > 0 and row.iface_dofs > 0
         assert row.note == ""
+
+    def test_one_reference_alive_at_a_time(self, monkeypatch):
+        # the hook keeps weak references to the references; each new
+        # reference run counts how many earlier ones are still alive
+        refs, alive = [], []
+        run_full = models.run_full
+
+        def counting_run_full(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return run_full(*args, **kwargs)
+
+        def hook(d0, tag, solution):
+            if tag == "reference":
+                refs.append(weakref.ref(solution))
+
+        monkeypatch.setattr(models, "run_full", counting_run_full)
+        table = postproc.aperture_sweep("perp-asym", ["I"], [0.1, 0.05],
+                                        0.0625, ref_h=0.0625,
+                                        on_solution=hook)
+        assert len(refs) == 2
+        assert alive == [0, 0]
+        assert all(np.isfinite(r.l2_error) for r in table.rows)
 
     def test_failure_recorded_per_row(self):
         table = postproc.aperture_sweep("perp-asym", ["I", "XXL"], [0.1],

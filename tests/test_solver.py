@@ -149,6 +149,8 @@ class TestAssembledSystems:
         sys_ = full_system()
         _, rep = solver.solve(sys_, method="direct-LU")
         assert rep.fill >= sys_.matrix.shape[0]
+        # the entries SuperLU stores, read off the factorization itself
+        assert rep.fill == solver._factor(sys_.matrix).nnz
         assert f"LU fill {rep.fill}," in rep.summary()
         assert "iterations" not in rep.summary()
         _, rep = solver.solve(sys_, method="CG")
