@@ -21,6 +21,7 @@ from .models import (
     MODEL_NAMES,
     ModelVariant,
     ProblemPreset,
+    ReducedProblem,
     constant_aperture_preset,
     effective_velocity,
     preset_by_name,
@@ -56,6 +57,7 @@ __all__ = [
     "MODEL_NAMES",
     "ModelVariant",
     "ProblemPreset",
+    "ReducedProblem",
     "constant_aperture_preset",
     "effective_velocity",
     "preset_by_name",

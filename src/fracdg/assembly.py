@@ -11,14 +11,19 @@ adjacent degrees, each batch one ``einsum`` over reference-element tables
 and one block of COO triplets.  Data functions are called once per batch
 on all of its quadrature points.
 
-Three coupled bilinear forms make up the reduced systems:
+Three coupled bilinear forms make up the system every reduced variant on
+a mesh shares (:func:`assemble_reduced`, with the whole rhs):
 
 * the bulk SIPG form on the two matrix blocks (wall facets carry no bulk
   facet terms in reduced modes; the coupling form replaces them),
 * the interface form for the tangential flow of ``d * p_gamma`` along the
-  fracture midsurface, including its transport terms fed by the bulk wall
-  traces (variants that keep aperture-gradient transport),
+  fracture midsurface,
 * the coupling form tying the wall traces to the interface pressure.
+
+The variants that keep aperture-gradient transport (``I``, ``I-R``) add
+the wall-slope transport form, the tangential flux fed by the bulk wall
+traces, which :func:`transport_form` returns as a separate matrix with no
+rhs.
 
 The interface-side terms are written as sparse products: every term is
 ``B^T diag(w) C``, where B and C are (points x dofs) evaluation matrices
@@ -41,13 +46,14 @@ that is inconsistent at inflow/outflow edges of the interface.  The flag
 exists for sensitivity studies.
 
 The variant table (:class:`ModelVariant`) is the single source of truth
-for what distinguishes the models, and :func:`resolve_mesh_mode` holds
-the one rule for which mesh each reduced variant may run on.
+for what distinguishes the models, and :func:`mesh_mode_of` and
+:func:`resolve_mesh_mode` hold the one rule for which mesh each reduced
+variant runs on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -67,13 +73,13 @@ from .mesh import (
 )
 
 __all__ = [
-    "ModelVariant", "resolve_mesh_mode",
+    "ModelVariant", "mesh_mode_of", "resolve_mesh_mode",
     "DGSpace", "SparseSystem",
     "triangle_rule", "segment_rule",
     "tri_basis", "tri_basis_grad", "seg_basis", "seg_basis_deriv",
     "penalty_bulk",
     "interpolate_bulk", "interpolate_interface",
-    "assemble_full", "assemble_reduced",
+    "assemble_full", "assemble_reduced", "transport_form",
 ]
 
 MAX_DEGREE = 4
@@ -124,23 +130,35 @@ MODEL_NAMES = tuple(_VARIANTS)
 VARIANTS = tuple(v.name for v in _VARIANTS.values() if not v.is_full)
 
 
-def resolve_mesh_mode(variant, profile: ApertureProfile,
-                      mesh_mode: str = "auto") -> str:
-    """Mesh mode of a reduced run; raises if ``mesh_mode`` does not fit.
+def mesh_mode_of(variant, profile: ApertureProfile,
+                 mesh_mode: str = "auto") -> str:
+    """Mesh mode a reduced variant runs on: ``mesh_mode`` as given, or
+    the one "auto" picks.
 
     "auto" picks the wall-conforming mesh for the wall-trace variants and
     for any variant with a constant aperture (where the flattened and
     wall-conforming descriptions carry the same model and the wall mesh
     keeps the trace offsets exact); rectified variants with genuinely
-    varying walls get the rectified mesh.
+    varying walls get the rectified mesh.  Whether the variant may run on
+    the mode is :func:`resolve_mesh_mode`'s check.
     """
     var = ModelVariant.of(variant)
     if var.is_full:
-        raise ValueError("the full model is not a reduced variant")
-    if mesh_mode == "auto":
-        if profile.is_constant or not var.uses_rectified_bulk:
-            return "curved-reduced"
-        return "rectified"
+        raise ValueError("the full model is not a reduced variant; use "
+                         "run_full")
+    if mesh_mode != "auto":
+        return mesh_mode
+    if profile.is_constant or not var.uses_rectified_bulk:
+        return "curved-reduced"
+    return "rectified"
+
+
+def resolve_mesh_mode(variant, profile: ApertureProfile,
+                      mesh_mode: str = "auto") -> str:
+    """Mesh mode of a reduced run (:func:`mesh_mode_of`); raises if the
+    variant cannot run on it."""
+    var = ModelVariant.of(variant)
+    mesh_mode = mesh_mode_of(var, profile, mesh_mode)
     if mesh_mode not in MESH_MODES:
         raise ValueError(f"unknown mesh mode {mesh_mode!r}")
     if mesh_mode not in REDUCED_MESH_MODES:
@@ -455,6 +473,16 @@ class SparseSystem:
         num = np.abs(d.data).max() if d.nnz else 0.0
         return float(num / denom)
 
+    def plus(self, matrix: sp.spmatrix) -> "SparseSystem":
+        """This system with ``matrix`` added to its matrix.  Every entry
+        stored here stays stored, also where the sum is 0 (a sparse sum
+        would drop it), so the sparsity pattern, and with it the LU
+        ordering, is the one assembling both at once gives."""
+        acc = _Accumulator(self.n_dofs)
+        acc.add_matrix(self.matrix)
+        acc.add_matrix(matrix)
+        return replace(self, matrix=acc.matrix())
+
 
 class _Accumulator:
     """COO triplet accumulator with a dense rhs."""
@@ -688,13 +716,81 @@ def _wall_trace_matrix(mesh: Mesh, grid: InterfaceGrid, space: DGSpace,
         n_cols)
 
 
+def _gauss(grid: InterfaceGrid, n_pts: np.ndarray):
+    """Element, coordinate and weight of every Gauss point of the
+    interface grid, with n_pts[e] points on element e."""
+    parts = []
+    for npt, elems in _by_degree(n_pts):
+        tq, w = segment_rule(npt)
+        t0 = grid.t_breaks[elems, None]
+        length = grid.t_breaks[elems + 1, None] - t0
+        parts.append((np.repeat(elems, npt), (t0 + tq * length).ravel(),
+                      (w * length).ravel()))
+    return [np.concatenate(a) for a in zip(*parts)]
+
+
+def _coupling_gauss(grid: InterfaceGrid, bulk_space: DGSpace,
+                    iface_space: DGSpace):
+    """Gauss points of the coupling rule, which integrates the products
+    of the interface basis and the wall traces on every element."""
+    kb = np.maximum(bulk_space.degrees[grid.belem1],
+                    bulk_space.degrees[grid.belem2])
+    return _gauss(grid, np.maximum(iface_space.degrees, kb) + 3)
+
+
+def _edge_limits(grid: InterfaceGrid):
+    """The 2m one-sided limits at the m+1 edges of the interface grid.
+
+    Returns the element and coordinate of every limit, from the left
+    (element j-1 at edge j) and from the right (element j at edge j), the
+    (edges x limits) matrices ``total`` and ``jump`` that sum them per
+    edge, the latter with signs [v] = v_left - v_right, and the number of
+    sides of every edge (1 on the two boundary edges).
+    """
+    m = grid.n_elements
+    elems = np.arange(m)
+    edge = np.concatenate([elems + 1, elems])
+
+    def per_edge(signs):
+        return sp.csr_matrix((signs, (edge, np.arange(2 * m))),
+                             shape=(m + 1, 2 * m))
+
+    return (np.concatenate([elems, elems]),
+            np.concatenate([grid.t_breaks[1:], grid.t_breaks[:-1]]),
+            per_edge(np.ones(2 * m)), per_edge(np.repeat([1.0, -1.0], m)),
+            np.bincount(edge))
+
+
+def _wall_traces(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
+                 profile: ApertureProfile, elems: np.ndarray, t: np.ndarray,
+                 n_cols: int):
+    """Evaluation matrices of the bulk traces on walls 1 and 2."""
+    return [_wall_trace_matrix(mesh, grid, bulk_space, profile, side, elems,
+                               t, n_cols) for side in (1, 2)]
+
+
+def _aperture(profile: ApertureProfile, t: np.ndarray):
+    """d, d', d1' and d2' at t."""
+    d1, d2, dd1, dd2 = (_data_on_t(f, t) for f in (
+        profile.d1_fn, profile.d2_fn, profile.dd1_fn, profile.dd2_fn))
+    return d1 + d2, dd1 + dd2, dd1, dd2
+
+
+def _tangential_k(grid: InterfaceGrid, perm: PermeabilityData) -> float:
+    tau = grid.frame.tangents[0]
+    return float(tau @ perm.k_gamma @ tau)
+
+
+def _form(b, w, c):
+    """B^T diag(w) C."""
+    return b.T @ (sp.diags(w) @ c)
+
+
 def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
                      bulk_space: DGSpace, iface_space: DGSpace,
                      profile: ApertureProfile, perm: PermeabilityData,
-                     q_gamma, g_gamma, mu0: float, edge_terms: str,
-                     transport: bool) -> None:
-    """Tangential-flow and coupling forms, plus the wall-slope transport
-    form if ``transport``, on the interface grid.
+                     q_gamma, g_gamma, mu0: float, edge_terms: str) -> None:
+    """Tangential-flow and coupling forms on the interface grid.
 
     Every term is B^T diag(w) C, with B and C sparse (points x dofs)
     evaluation matrices of the interface basis, its t-derivative and the
@@ -704,80 +800,36 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     [v] = v_left - v_right and a mean {v} = (v_left + v_right) / sides.
     """
     n, off, m = acc.n, bulk_space.n_dofs, grid.n_elements
-    tau = grid.frame.tangents[0]
-    kt = float(tau @ perm.k_gamma @ tau)
+    kt = _tangential_k(grid, perm)
     kf = iface_space.degrees
-
-    def gauss(n_pts):
-        """Element, coordinate and weight of every Gauss point, with
-        n_pts[e] points on element e."""
-        parts = []
-        for npt, elems in _by_degree(n_pts):
-            tq, w = segment_rule(npt)
-            t0 = grid.t_breaks[elems, None]
-            length = grid.t_breaks[elems + 1, None] - t0
-            parts.append((np.repeat(elems, npt), (t0 + tq * length).ravel(),
-                          (w * length).ravel()))
-        return [np.concatenate(a) for a in zip(*parts)]
 
     def iface(elems, t):
         return [_interface_basis(grid, iface_space, elems, t, n, off,
                                  derivative) for derivative in (False, True)]
 
-    def walls(elems, t):
-        return [_wall_trace_matrix(mesh, grid, bulk_space, profile, side,
-                                   elems, t, n) for side in (1, 2)]
-
-    def aperture(t):
-        """d, d', d1' and d2' at t."""
-        d1, d2, dd1, dd2 = (_data_on_t(f, t) for f in (
-            profile.d1_fn, profile.d2_fn, profile.dd1_fn, profile.dd2_fn))
-        return d1 + d2, dd1 + dd2, dd1, dd2
-
-    def form(b, w, c):
-        return b.T @ (sp.diags(w) @ c)
-
     # tangential flow kt (d p)' phi' and the interface source
-    e, t, w = gauss(kf + 3)
+    e, t, w = _gauss(grid, kf + 3)
     psi, dpsi = iface(e, t)
-    d, dd, _, _ = aperture(t)
-    mat = form(dpsi, kt * dd * w, psi) + form(dpsi, kt * d * w, dpsi)
+    d, dd, _, _ = _aperture(profile, t)
+    mat = _form(dpsi, kt * dd * w, psi) + _form(dpsi, kt * d * w, dpsi)
     if q_gamma is not None:
         acc.rhs += psi.T @ (_data_on_t(q_gamma, t) * w)
 
     # coupling: (kperp / d) [p][phi] with [p] = p2 - p1, and the closure
-    # beta (p_gamma - {p})(phi_gamma - {phi}); transport volume term
-    # -kt (p1 d1' + p2 d2') psi'
-    kb = np.maximum(bulk_space.degrees[grid.belem1],
-                    bulk_space.degrees[grid.belem2])
-    e, t, w = gauss(np.maximum(kf, kb) + 3)
-    psi, dpsi = iface(e, t)
-    p1, p2 = walls(e, t)
-    d, _, dd1, dd2 = aperture(t)
+    # beta (p_gamma - {p})(phi_gamma - {phi})
+    e, t, w = _coupling_gauss(grid, bulk_space, iface_space)
+    psi = _interface_basis(grid, iface_space, e, t, n, off)
+    p1, p2 = _wall_traces(mesh, grid, bulk_space, profile, e, t, n)
+    d = _aperture(profile, t)[0]
     closure = psi - 0.5 * (p1 + p2)
-    mat += form(p2 - p1, perm.k_gamma_perp / d * w, p2 - p1) \
-        + form(closure, perm.beta_gamma(d) * w, closure)
-    if transport:
-        mat -= form(dpsi, kt * dd1 * w, p1) + form(dpsi, kt * dd2 * w, p2)
+    mat += _form(p2 - p1, perm.k_gamma_perp / d * w, p2 - p1) \
+        + _form(closure, perm.beta_gamma(d) * w, closure)
 
-    # edges: 2m limit points, from the left (element j-1 at edge j) and
-    # from the right (element j at edge j); (edges x limits) matrices sum
-    # them per edge, with signs for the jump
-    elems = np.arange(m)
-    lim_e = np.concatenate([elems, elems])
-    lim_t = np.concatenate([grid.t_breaks[1:], grid.t_breaks[:-1]])
-    edge = np.concatenate([elems + 1, elems])
-
-    def per_edge(signs):
-        return sp.csr_matrix((signs, (edge, np.arange(2 * m))),
-                             shape=(m + 1, 2 * m))
-
-    total, jump = per_edge(np.ones(2 * m)), per_edge(np.repeat([1.0, -1.0], m))
+    lim_e, lim_t, total, jump, sides = _edge_limits(grid)
     psi, dpsi = iface(lim_e, lim_t)
     jpsi, spsi, sdpsi = jump @ psi, total @ psi, total @ dpsi
-    sides = np.bincount(edge)
     boundary, mean = sides == 1, 1.0 / sides
-    d, dd, dd1, dd2 = aperture(grid.t_breaks)
+    d, dd, _, _ = _aperture(profile, grid.t_breaks)
     # penalty mu [p][v], consistency -kt [v]{(d p)'} and symmetrization
     # -kt d {v'}[p]; mu is the bulk rule with the segment dimension,
     # (k+1)^2 / length over the adjacent elements
@@ -786,26 +838,54 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     mu = _facet_penalty(kf[adjacent], grid.lengths[adjacent], mu0, dim=1)
     # the printed flavour flips the symmetrizing term on boundary edges
     sym = np.where(boundary & (edge_terms == "printed"), -1.0, 1.0)
-    mat += form(jpsi, mu, jpsi) - form(jpsi, kt * dd * mean, spsi) \
-        - form(jpsi, kt * d * mean, sdpsi) \
-        - form(sdpsi, kt * d * mean * sym, jpsi)
+    mat += _form(jpsi, mu, jpsi) - _form(jpsi, kt * dd * mean, spsi) \
+        - _form(jpsi, kt * d * mean, sdpsi) \
+        - _form(sdpsi, kt * d * mean * sym, jpsi)
     # Nitsche data: the outer value g_gamma enters as the jump nu * g
     nu_g = np.zeros(m + 1)
     nu_g[[0, m]] = np.array([-1.0, 1.0]) \
         * _data_on_t(g_gamma, grid.t_breaks[[0, m]])
     acc.rhs += jpsi.T @ (mu * nu_g) - sdpsi.T @ (kt * d * mean * nu_g)
-
-    if transport:
-        # interior edges: the mean of both walls over both limits against
-        # the jump, weighted kt d'; boundary edges: each wall's own trace
-        # and slope, without the permeability factor as printed
-        s1, s2 = (total @ p for p in walls(lim_e, lim_t))
-        kfac = kt if edge_terms == "consistent" else 1.0
-        interior = 0.25 * kt * dd
-        mat += form(jpsi, np.where(boundary, kfac * dd1, interior), s1) \
-            + form(jpsi, np.where(boundary, kfac * dd2, interior), s2)
-
     acc.add_matrix(mat)
+
+
+def transport_form(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
+                   iface_space: DGSpace, perm: PermeabilityData,
+                   profile: ApertureProfile,
+                   edge_terms: str = "consistent") -> sp.csr_matrix:
+    """Wall-slope transport form, a matrix on the dofs of the reduced
+    system ([bulk | interface]); it has no rhs.
+
+    The volume term -kt (p1 d1' + p2 d2') psi' takes its points at the
+    coupling rule.  At interior edges the mean of both wall traces over
+    both limits meets the interface jump, weighted kt d'; at the two
+    boundary edges each wall's own trace and slope do, with the
+    permeability factor kt only for ``edge_terms="consistent"`` (the
+    printed flavour drops it).
+    """
+    if edge_terms not in EDGE_TERMS:
+        raise ValueError(f"unknown edge_terms {edge_terms!r}")
+    off = bulk_space.n_dofs
+    n = off + iface_space.n_dofs
+    kt = _tangential_k(grid, perm)
+
+    e, t, w = _coupling_gauss(grid, bulk_space, iface_space)
+    dpsi = _interface_basis(grid, iface_space, e, t, n, off, derivative=True)
+    p1, p2 = _wall_traces(mesh, grid, bulk_space, profile, e, t, n)
+    _, _, dd1, dd2 = _aperture(profile, t)
+    mat = -(_form(dpsi, kt * dd1 * w, p1) + _form(dpsi, kt * dd2 * w, p2))
+
+    lim_e, lim_t, total, jump, sides = _edge_limits(grid)
+    jpsi = jump @ _interface_basis(grid, iface_space, lim_e, lim_t, n, off)
+    s1, s2 = (total @ p for p in _wall_traces(mesh, grid, bulk_space,
+                                               profile, lim_e, lim_t, n))
+    _, dd, dd1, dd2 = _aperture(profile, grid.t_breaks)
+    boundary = sides == 1
+    kfac = kt if edge_terms == "consistent" else 1.0
+    interior = 0.25 * kt * dd
+    mat += _form(jpsi, np.where(boundary, kfac * dd1, interior), s1) \
+        + _form(jpsi, np.where(boundary, kfac * dd2, interior), s2)
+    return mat.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -831,30 +911,29 @@ def assemble_full(mesh: Mesh, space: DGSpace, perm: PermeabilityData,
 def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
                      iface_space: DGSpace, perm: PermeabilityData,
                      profile: ApertureProfile, q_bulk, q_gamma, g_bulk,
-                     g_gamma, variant: str, mu0_bulk: float,
-                     mu0_gamma: float,
+                     g_gamma, mu0_bulk: float, mu0_gamma: float,
                      edge_terms: str = "consistent") -> SparseSystem:
-    """Assemble the coupled bulk/interface system of a reduced model.
+    """Assemble the coupled bulk/interface system every reduced variant
+    on this mesh shares.
 
-    The system is blocked as [bulk dofs | interface dofs].  Variants
-    whose table row keeps ``gradient_terms_in_transport`` include the
-    wall-trace transport form; all variants share the bulk SIPG form, the
-    tangential interface form and the coupling form.  Wall traces are
-    taken on the walls for curved meshes and on the midsurface for
-    rectified ones.
+    The system is blocked as [bulk dofs | interface dofs] and holds the
+    bulk SIPG form, the tangential interface form and the coupling form
+    with the full rhs.  Variants that keep the wall-slope transport terms
+    add :func:`transport_form` to its matrix.  Wall traces are taken on
+    the walls for curved meshes and on the midsurface for rectified ones.
     """
     if edge_terms not in EDGE_TERMS:
         raise ValueError(f"unknown edge_terms {edge_terms!r}")
-    var = ModelVariant.of(variant)
-    resolve_mesh_mode(var, profile, mesh.mode)
+    if mesh.mode not in REDUCED_MESH_MODES:
+        raise ValueError("reduced assembly cannot use a full-dimensional "
+                         "mesh")
 
     off = bulk_space.n_dofs
     acc = _Accumulator(off + iface_space.n_dofs)
     _bulk_sipg(acc, mesh, bulk_space, perm, q_bulk, g_bulk, mu0_bulk,
                flux_classes=(INTERIOR,))
     _interface_forms(acc, mesh, grid, bulk_space, iface_space, profile, perm,
-                     q_gamma, g_gamma, mu0_gamma, edge_terms,
-                     transport=var.gradient_terms_in_transport)
+                     q_gamma, g_gamma, mu0_gamma, edge_terms)
     return SparseSystem(matrix=acc.matrix(), rhs=acc.rhs,
                         n_bulk=off, n_iface=iface_space.n_dofs,
                         block_offsets=np.concatenate(

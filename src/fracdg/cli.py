@@ -434,23 +434,26 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
              f"reference; use reference = full")
 
     if config.reference == "full":
-        # the fracture block and the rows of a reference mesh do not
-        # depend on ref_h_normal, which only spaces the matrix blocks;
-        # a mesh or point set too large to allocate (MemoryError) is a
-        # config error too, as it would fail every row of its d0
+        # the preflight builds the mesh the reference run builds; a mesh
+        # or point set too large to allocate (MemoryError) is a config
+        # error too, as it would fail every row of its d0.  ref_h_normal
+        # only spaces the matrix blocks, so it can fail the build but not
+        # the averaging, which depends on the fracture block and the rows
         key = "ref_h" if config.ref_h is not None else "h"
+        size_key = "ref_h_normal" if config.ref_h_normal is not None else key
         for d0 in config.d0_list:
             preset = make(d0)
             try:
                 mesh = models.full_mesh(
                     preset, config.ref_h or config.h,
-                    fracture_layers=config.fracture_layers)
+                    fracture_layers=config.fracture_layers,
+                    h_normal=config.ref_h_normal)
             except ValueError as exc:
                 fail("experiment", "d0", f"d0 = {d0:g}: {exc}")
             except Exception as exc:
-                fail("experiment", key,
+                fail("experiment", size_key,
                      f"the reference mesh at d0 = {d0:g} cannot be built "
-                     f"({type(exc).__name__}: {exc}); coarsen {key}")
+                     f"({type(exc).__name__}: {exc}); coarsen {size_key}")
             try:
                 postproc.check_wall_fit(mesh, preset.profile, preset.frame,
                                         config.h)

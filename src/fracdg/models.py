@@ -4,7 +4,10 @@ The variant table in :mod:`fracdg.assembly` (``ModelVariant``, re-exported
 here) is the single source of truth for what distinguishes the reduced
 models: whether the bulk domains are rectified onto the midline and
 whether the tangential transport equation keeps the wall-slope terms.
-The problem presets bundle the data of the benchmark configurations.
+A :class:`ReducedProblem` is one reduced discretization, a mesh with its
+shared system; a variant is those shared forms plus what its table row
+adds, the transport form for ``I`` and ``I-R``.  The problem presets
+bundle the data of the benchmark configurations.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 from . import solver
 from .assembly import MODEL_NAMES, DGSpace, ModelVariant, SparseSystem, \
     _basis_at, _by_degree, _element_dofs, _interface_basis, \
-    _wall_trace_matrix, assemble_full, assemble_reduced, resolve_mesh_mode
+    _wall_trace_matrix, assemble_full, assemble_reduced, mesh_mode_of, \
+    resolve_mesh_mode, transport_form
 from .geometry import ApertureProfile, FractureFrame, PermeabilityData, \
     WellposednessReport, check_wellposedness
 from .mesh import ElementMaps, InterfaceGrid, Mesh, build_bulk_mesh, \
@@ -378,28 +382,99 @@ def run_full(preset: ProblemPreset, h: float, degrees=1, mu0: float = 10.0,
                         system=system)
 
 
+@dataclass
+class ReducedProblem:
+    """One reduced discretization: a mesh, its interface grid, both
+    spaces and the system every variant on that mesh shares (bulk SIPG,
+    tangential flow and coupling forms, with the full rhs).
+
+    A variant's system is the shared system plus the forms its table row
+    adds: :func:`~fracdg.assembly.transport_form` where
+    ``gradient_terms_in_transport`` (``I``, ``I-R``), nothing otherwise
+    (``II``, ``II-R``).  Build one with :meth:`build`.
+    """
+
+    preset: ProblemPreset
+    mesh: Mesh
+    grid: InterfaceGrid
+    bulk_space: DGSpace
+    iface_space: DGSpace
+    perm: PermeabilityData
+    wellposedness: WellposednessReport
+    system: SparseSystem
+    edge_terms: str
+
+    @classmethod
+    def build(cls, preset: ProblemPreset, mesh_mode: str, h: float,
+              degrees=1, mu0: float = 10.0, xi: float | None = None, *,
+              mu0_gamma: float | None = None, edge_terms: str = "consistent",
+              g_gamma=None) -> "ReducedProblem":
+        """Mesh the preset in ``mesh_mode`` ("curved-reduced" or
+        "rectified") and assemble the shared system.
+
+        A violated wellposedness bound is logged as a warning and recorded
+        on the problem; the bound is sufficient, not necessary, so runs
+        beyond it are legitimate experiments.
+        """
+        mesh = build_bulk_mesh(preset.domain, preset.profile, mesh_mode, h,
+                               frame=preset.frame)
+        grid = build_interface_grid(mesh)
+        bulk_space = DGSpace.bulk(mesh, _bulk_degree(degrees))
+        iface_space = DGSpace.interface(grid, _iface_degree(degrees))
+        perm = preset.permeability(xi)
+        system = assemble_reduced(
+            mesh, grid, bulk_space, iface_space, perm, preset.profile,
+            preset.q, preset.q_gamma, preset.g,
+            preset.gamma_data() if g_gamma is None else g_gamma,
+            mu0, mu0 if mu0_gamma is None else mu0_gamma,
+            edge_terms=edge_terms)
+        wp = check_wellposedness(preset.profile, perm)
+        if not wp.satisfied:
+            logger.warning("wellposedness bound violated (lhs=%.3g >= 16); "
+                           "proceeding anyway", wp.lhs)
+        return cls(preset=preset, mesh=mesh, grid=grid,
+                   bulk_space=bulk_space, iface_space=iface_space, perm=perm,
+                   wellposedness=wp, system=system, edge_terms=edge_terms)
+
+    def system_of(self, variant) -> SparseSystem:
+        """The system of a variant that may run on this mesh."""
+        var = ModelVariant.of(variant)
+        resolve_mesh_mode(var, self.preset.profile, self.mesh.mode)
+        if not var.gradient_terms_in_transport:
+            return self.system
+        return self.system.plus(transport_form(
+            self.mesh, self.grid, self.bulk_space, self.iface_space,
+            self.perm, self.preset.profile, self.edge_terms))
+
+    def solve(self, variant, method: str | None = None, tol: float = 1e-10,
+              max_iter: int | None = None) -> ReducedSolution:
+        """Solve one variant on this mesh."""
+        var = ModelVariant.of(variant)
+        system = self.system_of(var)
+        x, report = solver.solve(system, method=method, tol=tol,
+                                 max_iter=max_iter)
+        logger.info("variant %s: h=%g dofs=%d %s", var.name,
+                    self.mesh.h_target, system.matrix.shape[0],
+                    report.summary())
+        nb = self.bulk_space.n_dofs
+        return ReducedSolution(
+            preset=self.preset, variant=var, mesh=self.mesh, grid=self.grid,
+            bulk_space=self.bulk_space, iface_space=self.iface_space,
+            bulk_coefficients=x[:nb], iface_coefficients=x[nb:],
+            report=report, wellposedness=self.wellposedness, perm=self.perm,
+            system=system)
+
+
 def prepare_reduced(preset: ProblemPreset, variant, h: float, degrees=1,
                     mu0: float = 10.0, xi: float | None = None, *,
                     mu0_gamma: float | None = None, mesh_mode: str = "auto",
                     edge_terms: str = "consistent", g_gamma=None):
-    """Mesh, grid, spaces and assembled system of a reduced model."""
-    var = ModelVariant.of(variant)
-    if var.is_full:
-        raise ValueError("use run_full for the full-dimensional model")
-    mode = resolve_mesh_mode(var, preset.profile, mesh_mode)
-    mesh = build_bulk_mesh(preset.domain, preset.profile, mode, h,
-                           frame=preset.frame)
-    grid = build_interface_grid(mesh)
-    bulk_space = DGSpace.bulk(mesh, _bulk_degree(degrees))
-    iface_space = DGSpace.interface(grid, _iface_degree(degrees))
-    perm = preset.permeability(xi)
-    system = assemble_reduced(
-        mesh, grid, bulk_space, iface_space, perm, preset.profile,
-        preset.q, preset.q_gamma, preset.g,
-        preset.gamma_data() if g_gamma is None else g_gamma,
-        var.name, mu0, mu0 if mu0_gamma is None else mu0_gamma,
-        edge_terms=edge_terms)
-    return var, mesh, grid, bulk_space, iface_space, perm, system
+    """The problem on the mesh a reduced variant runs on, and that
+    variant's system."""
+    problem = ReducedProblem.build(
+        preset, mesh_mode_of(variant, preset.profile, mesh_mode), h, degrees,
+        mu0, xi, mu0_gamma=mu0_gamma, edge_terms=edge_terms, g_gamma=g_gamma)
+    return problem, problem.system_of(variant)
 
 
 def run_reduced(preset: ProblemPreset, variant, h: float, degrees=1,
@@ -408,27 +483,8 @@ def run_reduced(preset: ProblemPreset, variant, h: float, degrees=1,
                 edge_terms: str = "consistent", g_gamma=None,
                 method: str | None = None, tol: float = 1e-10,
                 max_iter: int | None = None) -> ReducedSolution:
-    """Solve one reduced model end to end.
-
-    A violated wellposedness bound is logged as a warning and recorded on
-    the solution; the bound is sufficient, not necessary, so runs beyond
-    it are legitimate experiments.
-    """
-    var, mesh, grid, bulk_space, iface_space, perm, system = \
-        prepare_reduced(preset, variant, h, degrees, mu0, xi,
-                        mu0_gamma=mu0_gamma, mesh_mode=mesh_mode,
-                        edge_terms=edge_terms, g_gamma=g_gamma)
-    wp = check_wellposedness(preset.profile, perm)
-    if not wp.satisfied:
-        logger.warning("wellposedness bound violated (lhs=%.3g >= 16); "
-                       "proceeding anyway", wp.lhs)
-    x, report = solver.solve(system, method=method, tol=tol,
-                             max_iter=max_iter)
-    logger.info("variant %s: h=%g dofs=%d %s", var.name, h,
-                system.matrix.shape[0], report.summary())
-    nb = bulk_space.n_dofs
-    return ReducedSolution(preset=preset, variant=var, mesh=mesh, grid=grid,
-                           bulk_space=bulk_space, iface_space=iface_space,
-                           bulk_coefficients=x[:nb],
-                           iface_coefficients=x[nb:], report=report,
-                           wellposedness=wp, perm=perm, system=system)
+    """Solve one reduced model end to end (:class:`ReducedProblem`)."""
+    problem = ReducedProblem.build(
+        preset, mesh_mode_of(variant, preset.profile, mesh_mode), h, degrees,
+        mu0, xi, mu0_gamma=mu0_gamma, edge_terms=edge_terms, g_gamma=g_gamma)
+    return problem.solve(variant, method, tol, max_iter)

@@ -280,9 +280,12 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
     and averaged (``reference="full"``); all variants in that row compare
     against that same reference field.  ``reference="exact"`` uses the
     preset's closed-form interface reference instead and skips the full
-    run.  Failures are recorded per row and leave the rest of the sweep
-    intact; a solve that misses its residual target ``tol`` fails its row
-    (or, for the reference, every row of its d0).
+    run.  The variants of a d0 that run on the same mesh share one
+    :class:`~fracdg.models.ReducedProblem`, built on first use.  Failures
+    are recorded per row and leave the rest of the sweep intact; a solve
+    that misses its residual target ``tol`` fails its row, a problem that
+    cannot be built every row on its mesh, and a failed reference every
+    row of its d0.
 
     ``on_solution(d0, tag, solution)`` is invoked after every successful
     solve with tag "reference" for the full run and the variant name for
@@ -299,9 +302,10 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
 
     table = ErrorTable()
     for d0 in d0_list:
-        # the last d0's reference and solutions die before this one's
-        # reference is assembled, so at most one reference is alive
-        full = sol = ref = None
+        # the last d0's reference, problems and solutions die before this
+        # one's reference is assembled, so at most one reference is alive
+        full = sol = ref = problem = None
+        problems = {}  # mesh mode -> ReducedProblem, or why it failed
         pset = make(d0)
         ref_note = ""
         if reference == "exact":
@@ -333,12 +337,18 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                 continue
             sol = None
             try:
-                sol = models.run_reduced(pset, variant, h, degrees, mu0,
-                                         xi, mu0_gamma=mu0_gamma,
-                                         mesh_mode=mesh_mode,
-                                         edge_terms=edge_terms,
-                                         method=method, tol=tol,
-                                         max_iter=max_iter)
+                mode = models.mesh_mode_of(variant, pset.profile, mesh_mode)
+                if mode not in problems:
+                    try:
+                        problems[mode] = models.ReducedProblem.build(
+                            pset, mode, h, degrees, mu0, xi,
+                            mu0_gamma=mu0_gamma, edge_terms=edge_terms)
+                    except Exception as exc:
+                        problems[mode] = str(exc)
+                problem = problems[mode]
+                if isinstance(problem, str):
+                    raise RuntimeError(problem)
+                sol = problem.solve(variant, method, tol, max_iter)
                 _require_converged(sol.report, tol)
                 err = l2_error_gamma(sol, ref, sol.grid, n_quad)
                 table.add(ErrorRow(d0, str(variant), err,

@@ -207,16 +207,18 @@ def solve(system: SparseSystem, method: str | None = None,
     if max_iter is None:
         max_iter = max(1000, 10 * n)
 
-    defect = system.symmetry_defect()
-    symmetric = defect < SYMMETRY_TOL
-    if method is None:
-        method = "CG" if (system.n_iface == 0 and symmetric) else "direct-LU"
-    if method not in METHODS:
+    if method not in (None, *METHODS):
         raise ValueError(f"unknown method {method!r}, expected one "
                          f"of {METHODS}")
-    if method == "CG" and not symmetric:
-        raise ValueError("CG requested for a nonsymmetric system "
-                         f"(defect {defect:.2e})")
+    # A - A^T is built only where the symmetry gate decides something
+    if method is None:
+        method = "CG" if (system.n_iface == 0 and system.symmetry_defect()
+                          < SYMMETRY_TOL) else "direct-LU"
+    elif method == "CG":
+        defect = system.symmetry_defect()
+        if defect >= SYMMETRY_TOL:
+            raise ValueError("CG requested for a nonsymmetric system "
+                             f"(defect {defect:.2e})")
 
     if method == "direct-LU":
         try:

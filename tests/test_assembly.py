@@ -64,6 +64,20 @@ def exact_state(mesh, grid, bs, ifs):
     return np.concatenate([xb, xi])
 
 
+def variant_system(variant, mesh, grid, bs, ifs, perm, profile, q_bulk,
+                   q_gamma, g_bulk, g_gamma, mu0, mu0_gamma,
+                   edge_terms="consistent"):
+    """The shared reduced system plus, where the variant's table row
+    keeps it, the transport form."""
+    system = asm.assemble_reduced(mesh, grid, bs, ifs, perm, profile,
+                                  q_bulk, q_gamma, g_bulk, g_gamma, mu0,
+                                  mu0_gamma, edge_terms=edge_terms)
+    if asm.ModelVariant.of(variant).gradient_terms_in_transport:
+        system.matrix = system.matrix + asm.transport_form(
+            mesh, grid, bs, ifs, perm, profile, edge_terms)
+    return system
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -561,12 +575,16 @@ class TestBatchedInterfaceForms:
         q_gamma = lambda t: np.cos(3.0 * t) + 0.5
         g_gamma = lambda t: 1.0 + 2.0 * np.asarray(t, dtype=float) ** 2
         args = (mesh, grid, bs, ifs, profile, perm, q_gamma, g_gamma, 7.0,
-                edge_terms, transport)
+                edge_terms)
         n = bs.n_dofs + ifs.n_dofs
         got, want = asm._Accumulator(n), asm._Accumulator(n)
+        # the shared forms alone, or with the transport form added
         asm._interface_forms(got, *args)
-        looped_interface_forms(want, *args)
+        looped_interface_forms(want, *args, transport)
         a, b = got.matrix(), want.matrix()
+        if transport:
+            a = a + asm.transport_form(mesh, grid, bs, ifs, perm, profile,
+                                       edge_terms)
         # summation order differs, so agreement is to rounding only
         assert abs(a - b).max() <= 1e-13 * abs(b).max()
         assert np.abs(got.rhs - want.rhs).max() \
@@ -677,7 +695,7 @@ class TestReducedAssembly:
         profile, mesh, grid, bs, ifs = const_setup()
         sys_ = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(), profile,
                                     None, None, g_linear, pgamma_half,
-                                    "II-R", 10.0, 10.0)
+                                    10.0, 10.0)
         n = bs.n_dofs + ifs.n_dofs
         assert sys_.matrix.shape == (n, n)
         assert sys_.n_bulk == bs.n_dofs and sys_.n_iface == ifs.n_dofs
@@ -689,9 +707,9 @@ class TestReducedAssembly:
         profile, mesh, grid, bs, ifs = const_setup()
         x = exact_state(mesh, grid, bs, ifs)
         for variant in asm.VARIANTS:
-            sys_ = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(),
-                                        profile, None, None, g_linear,
-                                        pgamma_half, variant, 10.0, 10.0)
+            sys_ = variant_system(variant, mesh, grid, bs, ifs, iso_perm(),
+                                  profile, None, None, g_linear,
+                                  pgamma_half, 10.0, 10.0)
             res = np.abs(sys_.matrix @ x - sys_.rhs).max()
             assert res < 1e-10, (variant, res)
 
@@ -700,8 +718,7 @@ class TestReducedAssembly:
         x = exact_state(mesh, grid, bs, ifs)
         sys_ = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(), profile,
                                     None, None, g_linear, pgamma_half,
-                                    "II-R", 10.0, 10.0,
-                                    edge_terms="printed")
+                                    10.0, 10.0, edge_terms="printed")
         assert np.abs(sys_.matrix @ x - sys_.rhs).max() > 1e-3
 
     def test_constant_aperture_variants_coincide(self):
@@ -709,9 +726,9 @@ class TestReducedAssembly:
         perm = PermeabilityData.from_fracture(np.eye(2), np.eye(2),
                                               2.0 * np.eye(2),
                                               2.0 / 3.0, FRAME)
-        systems = [asm.assemble_reduced(mesh, grid, bs, ifs, perm, profile,
-                                        None, None, g_linear, pgamma_half,
-                                        v, 10.0, 10.0)
+        systems = [variant_system(v, mesh, grid, bs, ifs, perm, profile,
+                                  None, None, g_linear, pgamma_half,
+                                  10.0, 10.0)
                    for v in asm.VARIANTS]
         a0 = systems[0].matrix
         for s in systems[1:]:
@@ -723,9 +740,9 @@ class TestReducedAssembly:
         profile, mesh, grid, bs, ifs = wavy_setup()
         perm = iso_perm()
         args = (mesh, grid, bs, ifs, perm, profile, None, None,
-                g_linear, pgamma_half)
-        s1 = asm.assemble_reduced(*args, "I", 10.0, 10.0)
-        s2 = asm.assemble_reduced(*args, "II", 10.0, 10.0)
+                g_linear, pgamma_half, 10.0, 10.0)
+        s1 = variant_system("I", *args)
+        s2 = variant_system("II", *args)
         nb = bs.n_dofs
         diff = (s1.matrix - s2.matrix).toarray()
         assert np.abs(diff[:nb, :]).max() < 1e-14
@@ -736,11 +753,9 @@ class TestReducedAssembly:
     def test_symmetry_by_variant(self):
         profile, mesh, grid, bs, ifs = wavy_setup()
         args = (mesh, grid, bs, ifs, iso_perm(), profile, None, None,
-                g_linear, pgamma_half)
-        assert asm.assemble_reduced(*args, "II", 10.0, 10.0) \
-                  .symmetry_defect() < 1e-12
-        assert asm.assemble_reduced(*args, "I", 10.0, 10.0) \
-                  .symmetry_defect() > 1e-8
+                g_linear, pgamma_half, 10.0, 10.0)
+        assert variant_system("II", *args).symmetry_defect() < 1e-12
+        assert variant_system("I", *args).symmetry_defect() > 1e-8
 
     def test_coupling_scales_linearly_in_transversal_permeability(self):
         profile, mesh, grid, bs, ifs = const_setup()
@@ -749,8 +764,7 @@ class TestReducedAssembly:
             perm = iso_perm(kperp=kperp)
             mats.append(asm.assemble_reduced(mesh, grid, bs, ifs, perm,
                                              profile, None, None, g_linear,
-                                             pgamma_half, "II-R",
-                                             10.0, 10.0).matrix)
+                                             pgamma_half, 10.0, 10.0).matrix)
         d21 = (mats[1] - mats[0]).toarray()
         d32 = (mats[2] - mats[1]).toarray()
         np.testing.assert_allclose(d32, d21, atol=1e-10)
@@ -763,10 +777,10 @@ class TestReducedAssembly:
         profile, mesh, grid, bs, ifs = const_setup()
         a1 = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(1.0),
                                   profile, None, None, g_linear,
-                                  pgamma_half, "II-R", 10.0, 10.0).matrix
+                                  pgamma_half, 10.0, 10.0).matrix
         a2 = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(2.0),
                                   profile, None, None, g_linear,
-                                  pgamma_half, "II-R", 10.0, 10.0).matrix
+                                  pgamma_half, 10.0, 10.0).matrix
         off = bs.n_dofs
         # only the closure term reaches pure interface entries
         got = (a2 - a1)[off, off]
@@ -776,38 +790,11 @@ class TestReducedAssembly:
         profile, mesh, grid, bs, ifs = const_setup()
         args = (mesh, grid, bs, ifs, iso_perm(), profile, None, None,
                 g_linear)
-        s1 = asm.assemble_reduced(*args, pgamma_half, "II-R", 10.0, 10.0)
-        s2 = asm.assemble_reduced(*args, lambda t: 1.0 + 0.0 * t, "II-R",
-                                  10.0, 10.0)
+        s1 = asm.assemble_reduced(*args, pgamma_half, 10.0, 10.0)
+        s2 = asm.assemble_reduced(*args, lambda t: 1.0 + 0.0 * t, 10.0, 10.0)
         d = (s1.matrix - s2.matrix).tocoo()
         assert (np.abs(d.data).max() if d.nnz else 0.0) < 1e-14
         assert np.abs(s1.rhs - s2.rhs).max() > 1e-6
-
-    def test_variant_mesh_validation(self):
-        profile = ApertureProfile.sinusoidal(0.1)
-        cmesh = build_bulk_mesh(DOMAIN, profile, "curved-reduced", 0.25,
-                                frame=FRAME)
-        cgrid = build_interface_grid(cmesh)
-        rmesh = build_bulk_mesh(DOMAIN, profile, "rectified", 0.25,
-                                frame=FRAME)
-        rgrid = build_interface_grid(rmesh)
-        perm = iso_perm()
-
-        def run(mesh, grid, variant):
-            bs = asm.DGSpace.bulk(mesh, 1)
-            ifs = asm.DGSpace.interface(grid, 1)
-            return asm.assemble_reduced(mesh, grid, bs, ifs, perm, profile,
-                                        None, None, g_linear, pgamma_half,
-                                        variant, 10.0, 10.0)
-
-        with pytest.raises(ValueError, match="wall-conforming"):
-            run(rmesh, rgrid, "I")
-        with pytest.raises(ValueError, match="rectified"):
-            run(cmesh, cgrid, "II-R")
-        with pytest.raises(ValueError, match="variant"):
-            run(cmesh, cgrid, "III")
-        run(cmesh, cgrid, "I")
-        run(rmesh, rgrid, "I-R")
 
     def test_rejects_full_mesh(self):
         profile = ApertureProfile.constant(0.05, 0.05)
@@ -817,20 +804,22 @@ class TestReducedAssembly:
         with pytest.raises(ValueError, match="full"):
             asm.assemble_reduced(fmesh, grid, bs, ifs, iso_perm(), profile,
                                  None, None, g_linear, pgamma_half,
-                                 "I", 10.0, 10.0)
+                                 10.0, 10.0)
 
     def test_rejects_unknown_edge_terms(self):
         profile, mesh, grid, bs, ifs = const_setup()
         with pytest.raises(ValueError, match="edge_terms"):
             asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(), profile,
                                  None, None, g_linear, pgamma_half,
-                                 "II-R", 10.0, 10.0, edge_terms="upwind")
+                                 10.0, 10.0, edge_terms="upwind")
+        with pytest.raises(ValueError, match="edge_terms"):
+            asm.transport_form(mesh, grid, bs, ifs, iso_perm(), profile,
+                               edge_terms="upwind")
 
     def test_reduced_solve_recovers_linear_field(self):
         profile, mesh, grid, bs, ifs = const_setup(h=0.25)
-        sys_ = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(), profile,
-                                    None, None, g_linear, pgamma_half,
-                                    "I", 10.0, 10.0)
+        sys_ = variant_system("I", mesh, grid, bs, ifs, iso_perm(), profile,
+                              None, None, g_linear, pgamma_half, 10.0, 10.0)
         x = spla.spsolve(sys_.matrix.tocsc(), sys_.rhs)
         ref = exact_state(mesh, grid, bs, ifs)
         assert np.abs(x - ref).max() < 1e-9

@@ -713,6 +713,53 @@ class TestWallResolution:
         """)
         assert config.h == 1 / 8
 
+    RESOLVED = """
+        [experiment]
+        preset = perp-asym
+        d0 = 1e-1
+        h = 1/16
+        ref_h_normal = {h_normal}
+
+        [output]
+        directory = {out}
+    """
+
+    def test_preflight_builds_the_reference_mesh_of_the_run(self, tmp_path,
+                                                           monkeypatch):
+        calls = []
+        full_mesh = models.full_mesh
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("h_normal"))
+            return full_mesh(*args, **kwargs)
+
+        monkeypatch.setattr(models, "full_mesh", spy)
+        parse(tmp_path, self.RESOLVED.format(h_normal="1/32",
+                                             out=tmp_path / "res"))
+        assert calls == [1 / 32]
+
+    def test_unbuildable_ref_h_normal_exits_2(self, tmp_path, monkeypatch,
+                                              capsys):
+        # a spacing across the fracture too fine to allocate fails the
+        # parse, citing its own line, instead of every row of the run
+        full_mesh = models.full_mesh
+
+        def no_memory(*args, h_normal=None, **kwargs):
+            if h_normal is not None and h_normal < 1e-6:
+                raise MemoryError("Unable to allocate")
+            return full_mesh(*args, h_normal=h_normal, **kwargs)
+
+        out = tmp_path / "res"
+        path = write_config(tmp_path, self.RESOLVED.format(h_normal="1e-9",
+                                                           out=out))
+        monkeypatch.setattr(models, "full_mesh", no_memory)
+        with pytest.raises(cli.ConfigError, match=r":6: .*MemoryError: "
+                           r"Unable to allocate.*coarsen ref_h_normal"):
+            cli.parse_config(path)
+        assert cli.main([path]) == 2
+        assert "cannot be built" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMain:
     def test_nonfinite_config_exit_code(self, tmp_path, capsys):

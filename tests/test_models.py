@@ -45,8 +45,8 @@ class TestVariantTable:
             models.ModelVariant.of("III")
 
     def test_transport_gating_matches_assembly_variants(self):
-        # the assembler includes the wall-trace transport form exactly for
-        # the variants whose flag says so
+        # a variant's system adds the wall-trace transport form exactly
+        # when its flag says so
         for name in ("I", "I-R", "II", "II-R"):
             v = models.ModelVariant.of(name)
             assert (name in ("I", "I-R")) == v.gradient_terms_in_transport
@@ -235,6 +235,60 @@ class TestRunReduced:
         sol = models.run_reduced(preset, "II", 0.25)
         assert sol.report.method == "direct-LU"
         assert sol.report.relative_residual <= 1e-10
+
+
+class TestReducedProblem:
+    PRESET = models.preset_by_name("perp-asym", d0=0.1)
+
+    def problem(self, mode, preset=None):
+        return models.ReducedProblem.build(preset or self.PRESET, mode, 0.25)
+
+    def test_variant_mesh_validation(self):
+        curved = self.problem("curved-reduced")
+        rectified = self.problem("rectified")
+        with pytest.raises(ValueError, match="wall-conforming"):
+            rectified.solve("I")
+        with pytest.raises(ValueError, match="rectified"):
+            curved.solve("II-R")
+        with pytest.raises(ValueError, match="variant"):
+            curved.solve("III")
+        assert curved.solve("I").report.converged
+        assert rectified.solve("I-R").report.converged
+
+    def test_variant_is_shared_system_plus_its_forms(self):
+        problem = self.problem("curved-reduced")
+        shared = problem.system
+        assert problem.system_of("II") is shared
+        system = problem.system_of("I")
+        assert system.rhs is shared.rhs
+        transport = asm.transport_form(problem.mesh, problem.grid,
+                                       problem.bulk_space,
+                                       problem.iface_space, problem.perm,
+                                       self.PRESET.profile)
+        assert (system.matrix != shared.matrix + transport).nnz == 0
+
+    def test_wellposedness_warned_once_per_problem(self, caplog):
+        preset = models.preset_by_name("perp-sym", d0=0.2)
+        with caplog.at_level(logging.WARNING, logger="fracdg.models"):
+            problem = self.problem("curved-reduced", preset)
+            sols = [problem.solve(v) for v in ("I", "II")]
+        assert all(s.wellposedness is problem.wellposedness for s in sols)
+        assert sum("wellposedness" in r.message
+                   for r in caplog.records) == 1
+
+    def test_prepare_returns_problem_and_variant_system(self):
+        problem, system = models.prepare_reduced(self.PRESET, "I-R", 0.25)
+        assert problem.mesh.mode == "rectified"
+        assert system.rhs is problem.system.rhs
+        assert (system.matrix != problem.system.matrix).nnz > 0
+        # the entries of the shared matrix that the transport form cancels
+        # stay stored, as in a single assembly: the LU ordering sees the
+        # same pattern
+        def stored(matrix):
+            coo = matrix.tocoo()
+            return set(zip(coo.row.tolist(), coo.col.tolist()))
+
+        assert stored(problem.system.matrix) <= stored(system.matrix)
 
 
 class TestEffectiveVelocity:

@@ -250,6 +250,32 @@ class TestSweep:
         assert math.isnan(bad.l2_error)
         assert "unknown model" in bad.note
 
+    def test_unbuildable_problem_fails_every_row_on_its_mesh(self,
+                                                              monkeypatch):
+        # the rectified problem cannot be built: I-R and II-R fail with
+        # its note after one attempt, I and II on the other mesh run
+        modes = []
+        assemble = models.assemble_reduced
+
+        def rectified_fails(mesh, *args, **kwargs):
+            modes.append(mesh.mode)
+            if mesh.mode == "rectified":
+                raise MemoryError("Unable to allocate")
+            return assemble(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(models, "assemble_reduced", rectified_fails)
+        table = postproc.aperture_sweep("perp-sym",
+                                        ["I", "I-R", "II", "II-R"], [0.1],
+                                        0.125, reference="exact")
+        assert modes == ["curved-reduced", "rectified"]
+        assert [r.variant for r in table.rows] == ["I", "I-R", "II", "II-R"]
+        for name in ("I", "II"):
+            assert np.isfinite(table.get(0.1, name).l2_error)
+        for name in ("I-R", "II-R"):
+            row = table.get(0.1, name)
+            assert math.isnan(row.l2_error) and row.bulk_dofs == 0
+            assert row.note == "Unable to allocate"
+
     def test_exact_reference_skips_full_run(self):
         table = postproc.aperture_sweep("perp-sym", ["I"], [0.1], 0.125,
                                         reference="exact")

@@ -42,9 +42,13 @@ def reduced_system(h=0.25, variant="I"):
     bs = asm.DGSpace.bulk(mesh, 1)
     ifs = asm.DGSpace.interface(grid, 1)
     perm = PermeabilityData(np.eye(2), np.eye(2), np.eye(2), 1.0)
-    return asm.assemble_reduced(mesh, grid, bs, ifs, perm, profile,
-                                None, None, lambda x: 1.0 - x[:, 0],
-                                lambda t: 0.5, variant, 10.0, 10.0)
+    system = asm.assemble_reduced(mesh, grid, bs, ifs, perm, profile,
+                                  None, None, lambda x: 1.0 - x[:, 0],
+                                  lambda t: 0.5, 10.0, 10.0)
+    if asm.ModelVariant.of(variant).gradient_terms_in_transport:
+        system.matrix = system.matrix + asm.transport_form(
+            mesh, grid, bs, ifs, perm, profile)
+    return system
 
 
 class TestSmallSystems:
@@ -128,6 +132,20 @@ class TestAssembledSystems:
         sys_ = reduced_system(variant="I")
         with pytest.raises(ValueError, match="nonsymmetric"):
             solver.solve(sys_, method="CG")
+
+    @pytest.mark.parametrize("method", ["direct-LU", "BiCGStab"])
+    def test_named_method_skips_symmetry_defect(self, method, monkeypatch):
+        # A - A^T is built only where the symmetry gate decides something
+        def refuse(self):
+            raise AssertionError("symmetry defect computed")
+
+        monkeypatch.setattr(asm.SparseSystem, "symmetry_defect", refuse)
+        _, rep = solver.solve(full_system(), method=method)
+        assert rep.converged and rep.method == method
+        _, rep = solver.solve(reduced_system(variant="I"))
+        assert rep.converged and rep.method == "direct-LU"
+        with pytest.raises(AssertionError, match="symmetry defect"):
+            solver.solve(full_system(), method="CG")
 
     def test_bicgstab_matches_direct_on_reduced(self):
         sys_ = reduced_system(variant="I")
@@ -356,8 +374,9 @@ class TestSymmetricModeLU:
         assert sol.report.fill < 2_500_000
 
     def test_nonsymmetric_reduced_system(self):
-        # the aperture of the symmetric walls varies, so the transport
-        # form makes II-R nonsymmetric (with perp-asym it is symmetric)
+        # the aperture of the symmetric walls varies, so the d' p_gamma
+        # term of the tangential flow form makes II-R nonsymmetric (with
+        # perp-asym d is constant and II-R is symmetric)
         preset = models.preset_by_name("tangential", d0=1e-1)
         system = models.prepare_reduced(preset, "II-R", 1 / 16)[-1]
         assert system.symmetry_defect() > solver.SYMMETRY_TOL
