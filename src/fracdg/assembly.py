@@ -44,11 +44,6 @@ sign-flipped symmetrizing term and drops the permeability factor from the
 transport edge term, reproducing a formulation found in the literature
 that is inconsistent at inflow/outflow edges of the interface.  The flag
 exists for sensitivity studies.
-
-The variant table (:class:`ModelVariant`) is the single source of truth
-for what distinguishes the models, and :func:`mesh_mode_of` and
-:func:`resolve_mesh_mode` hold the one rule for which mesh each reduced
-variant runs on.
 """
 
 from __future__ import annotations
@@ -73,7 +68,6 @@ from .mesh import (
 )
 
 __all__ = [
-    "ModelVariant", "mesh_mode_of", "resolve_mesh_mode",
     "DGSpace", "SparseSystem",
     "triangle_rule", "segment_rule",
     "tri_basis", "tri_basis_grad", "seg_basis", "seg_basis_deriv",
@@ -85,96 +79,6 @@ __all__ = [
 MAX_DEGREE = 4
 EDGE_TERMS = ("consistent", "printed")
 REDUCED_MESH_MODES = tuple(mode for mode in MESH_MODES if mode != "full")
-
-
-# ---------------------------------------------------------------------------
-# variants
-
-@dataclass(frozen=True)
-class ModelVariant:
-    """One row of the model table.
-
-    ``uses_rectified_bulk``: bulk domains flattened onto the midline, so
-    the wall traces sit on the midline rather than on the curved walls.
-    ``gradient_terms_in_transport``: wall-slope terms kept in the
-    tangential transport equation.
-    """
-
-    name: str
-    uses_rectified_bulk: bool
-    gradient_terms_in_transport: bool
-
-    @property
-    def is_full(self) -> bool:
-        return self.name == "full"
-
-    @classmethod
-    def of(cls, name) -> "ModelVariant":
-        if isinstance(name, ModelVariant):
-            return name
-        try:
-            return _VARIANTS[name]
-        except KeyError:
-            raise ValueError(f"unknown model variant {name!r}, expected one "
-                             f"of {MODEL_NAMES}") from None
-
-
-_VARIANTS = {v.name: v for v in (
-    ModelVariant("full", False, False),
-    ModelVariant("I", False, True),
-    ModelVariant("I-R", True, True),
-    ModelVariant("II", False, False),
-    ModelVariant("II-R", True, False),
-)}
-MODEL_NAMES = tuple(_VARIANTS)
-VARIANTS = tuple(v.name for v in _VARIANTS.values() if not v.is_full)
-
-
-def mesh_mode_of(variant, profile: ApertureProfile,
-                 mesh_mode: str = "auto") -> str:
-    """Mesh mode a reduced variant runs on: ``mesh_mode`` as given, or
-    the one "auto" picks.
-
-    "auto" picks the wall-conforming mesh for the wall-trace variants and
-    for any variant with a constant aperture (where the flattened and
-    wall-conforming descriptions carry the same model and the wall mesh
-    keeps the trace offsets exact); rectified variants with genuinely
-    varying walls get the rectified mesh.  Whether the variant may run on
-    the mode is :func:`resolve_mesh_mode`'s check.
-    """
-    var = ModelVariant.of(variant)
-    if var.is_full:
-        raise ValueError("the full model is not a reduced variant; use "
-                         "run_full")
-    if mesh_mode != "auto":
-        return mesh_mode
-    if profile.is_constant or not var.uses_rectified_bulk:
-        return "curved-reduced"
-    return "rectified"
-
-
-def resolve_mesh_mode(variant, profile: ApertureProfile,
-                      mesh_mode: str = "auto") -> str:
-    """Mesh mode of a reduced run (:func:`mesh_mode_of`); raises if the
-    variant cannot run on it."""
-    var = ModelVariant.of(variant)
-    mesh_mode = mesh_mode_of(var, profile, mesh_mode)
-    if mesh_mode not in MESH_MODES:
-        raise ValueError(f"unknown mesh mode {mesh_mode!r}")
-    if mesh_mode not in REDUCED_MESH_MODES:
-        raise ValueError("reduced variants cannot use a full-dimensional mesh")
-    if var.uses_rectified_bulk:
-        # With a constant aperture the wall-conforming mesh carries the
-        # same model (every slope term vanishes and the trace offset is
-        # exact), so it is accepted as the canonical degenerate case.
-        if mesh_mode == "curved-reduced" and not profile.is_constant:
-            raise ValueError(f"variant {var.name} needs a rectified mesh for "
-                             "non-constant apertures")
-    elif mesh_mode != "curved-reduced":
-        raise ValueError(f"variant {var.name} evaluates traces on the "
-                         "fracture walls and needs a wall-conforming "
-                         f"mesh, got {mesh_mode!r}")
-    return mesh_mode
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,7 @@ import numpy as np
 from scipy import sparse
 
 from . import models, postproc, solver
-from .assembly import EDGE_TERMS, MAX_DEGREE, REDUCED_MESH_MODES, \
-    VARIANTS
+from .assembly import EDGE_TERMS, MAX_DEGREE, REDUCED_MESH_MODES
 
 logger = logging.getLogger("fracdg.cli")
 
@@ -286,7 +285,7 @@ class ExperimentConfig:
     """Validated experiment description with all defaults filled."""
 
     preset: str
-    variants: tuple = VARIANTS
+    variants: tuple = models.MODEL_NAMES
     d0_list: tuple = (1e-1, 3e-2, 1e-2)
     h: float = 1.0 / 16.0
     degrees: int = 1
@@ -373,10 +372,10 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
             fail("experiment", "variants",
                  "the full model is the comparison reference, not a sweep "
                  "variant; list reduced models only")
-        if name not in VARIANTS:
+        if name not in models.MODEL_NAMES:
             fail("experiment", "variants",
                  f"unknown variant {name!r}; expected a subset of "
-                 f"{', '.join(VARIANTS)}")
+                 f"{', '.join(models.MODEL_NAMES)}")
     if len(set(config.variants)) != len(config.variants):
         fail("experiment", "variants", "variants listed twice")
 

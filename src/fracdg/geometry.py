@@ -288,6 +288,9 @@ class PermeabilityData:
         raise ValueError(f"bulk side must be 1 or 2, got {side}")
 
 
+WELLPOSEDNESS_SAMPLES_PER_UNIT = 1024
+
+
 @dataclass(frozen=True)
 class WellposednessReport:
     lhs: float
@@ -297,18 +300,19 @@ class WellposednessReport:
     samples: int
 
 
-def check_wellposedness(profile: ApertureProfile, perm: PermeabilityData,
-                        samples_per_unit: int = 1024) -> WellposednessReport:
+def check_wellposedness(profile: ApertureProfile,
+                        perm: PermeabilityData) -> WellposednessReport:
     """Evaluate the coercivity bound for the coupled reduced problem.
 
     ``lhs = (kmax/kmin)^2 * (D / d_min)
     * ((2 xi - 1) * sup|grad d|^2 + sup|grad d1 - grad d2|^2)``
     with the fracture-permeability eigenvalue bounds ``kmin, kmax``;
     the problem is guaranteed solvable when ``lhs < 16``.  Sup-norms are
-    approximated by dense sampling of the parameter range.
+    approximated by sampling the parameter range at
+    ``WELLPOSEDNESS_SAMPLES_PER_UNIT`` points per unit length.
     """
     lo, hi = profile.t_range
-    n = max(2, int(math.ceil(samples_per_unit * (hi - lo)))) + 1
+    n = max(2, int(math.ceil(WELLPOSEDNESS_SAMPLES_PER_UNIT * (hi - lo)))) + 1
     t = np.linspace(lo, hi, n)
     g1 = np.asarray(profile.dd1_fn(t), dtype=float)
     g2 = np.asarray(profile.dd2_fn(t), dtype=float)

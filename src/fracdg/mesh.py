@@ -138,10 +138,6 @@ class Mesh:
     h_target: float
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
     def n_elements(self) -> int:
         return len(self.elements)
 

@@ -1,12 +1,13 @@
 """End-to-end model runs: geometry, mesh, assembly, solve, evaluation.
 
-The variant table in :mod:`fracdg.assembly` (``ModelVariant``, re-exported
-here) is the single source of truth for what distinguishes the reduced
-models: whether the bulk domains are rectified onto the midline and
-whether the tangential transport equation keeps the wall-slope terms.
-A :class:`ReducedProblem` is one reduced discretization, a mesh with its
-shared system; a variant is those shared forms plus what its table row
-adds, the transport form for ``I`` and ``I-R``.  The problem presets
+This module owns the model table and the mesh rule.  A
+:class:`ModelVariant` row says what distinguishes a reduced model:
+whether the bulk domains are rectified onto the midline and whether the
+tangential transport equation keeps the wall-slope terms;
+:func:`resolve_mesh_mode` is the one rule for which mesh a variant runs
+on.  A :class:`ReducedProblem` is one reduced discretization, a mesh with
+its shared system; a variant is those shared forms plus what its table
+row adds, the transport form for ``I`` and ``I-R``.  The problem presets
 bundle the data of the benchmark configurations.
 """
 
@@ -19,14 +20,13 @@ from typing import Callable
 import numpy as np
 
 from . import solver
-from .assembly import MODEL_NAMES, DGSpace, ModelVariant, SparseSystem, \
+from .assembly import REDUCED_MESH_MODES, DGSpace, SparseSystem, \
     _basis_at, _by_degree, _element_dofs, _interface_basis, \
-    _wall_trace_matrix, assemble_full, assemble_reduced, mesh_mode_of, \
-    resolve_mesh_mode, transport_form
+    _wall_trace_matrix, assemble_full, assemble_reduced, transport_form
 from .geometry import ApertureProfile, FractureFrame, PermeabilityData, \
     WellposednessReport, check_wellposedness
-from .mesh import ElementMaps, InterfaceGrid, Mesh, build_bulk_mesh, \
-    build_interface_grid
+from .mesh import MESH_MODES, ElementMaps, InterfaceGrid, Mesh, \
+    build_bulk_mesh, build_interface_grid
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +34,77 @@ PRESET_NAMES = ("perp-asym", "perp-sym", "tangential", "manufactured",
                 "custom")
 
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# variants
+
+@dataclass(frozen=True)
+class ModelVariant:
+    """One row of the model table.
+
+    ``uses_rectified_bulk``: bulk domains flattened onto the midline, so
+    the wall traces sit on the midline rather than on the curved walls.
+    ``gradient_terms_in_transport``: wall-slope terms kept in the
+    tangential transport equation.
+    """
+
+    name: str
+    uses_rectified_bulk: bool
+    gradient_terms_in_transport: bool
+
+    @classmethod
+    def of(cls, name) -> "ModelVariant":
+        if isinstance(name, ModelVariant):
+            return name
+        try:
+            return _VARIANTS[name]
+        except KeyError:
+            raise ValueError(f"unknown model variant {name!r}, expected one "
+                             f"of {MODEL_NAMES} (the full model runs "
+                             "through run_full)") from None
+
+
+_VARIANTS = {v.name: v for v in (
+    ModelVariant("I", False, True),
+    ModelVariant("I-R", True, True),
+    ModelVariant("II", False, False),
+    ModelVariant("II-R", True, False),
+)}
+MODEL_NAMES = tuple(_VARIANTS)
+
+
+def resolve_mesh_mode(variant, profile: ApertureProfile,
+                      mesh_mode: str = "auto") -> str:
+    """Mesh mode a reduced variant runs on; raises ValueError if the
+    variant cannot run on ``mesh_mode``.
+
+    "auto" picks the wall-conforming mesh for the wall-trace variants and
+    for any variant with a constant aperture (where the flattened and
+    wall-conforming descriptions carry the same model and the wall mesh
+    keeps the trace offsets exact); rectified variants with genuinely
+    varying walls get the rectified mesh.
+    """
+    var = ModelVariant.of(variant)
+    if mesh_mode == "auto":
+        return ("rectified" if var.uses_rectified_bulk
+                and not profile.is_constant else "curved-reduced")
+    if mesh_mode not in MESH_MODES:
+        raise ValueError(f"unknown mesh mode {mesh_mode!r}")
+    if mesh_mode not in REDUCED_MESH_MODES:
+        raise ValueError("reduced variants cannot use a full-dimensional mesh")
+    if var.uses_rectified_bulk:
+        # With a constant aperture the wall-conforming mesh carries the
+        # same model (every slope term vanishes and the trace offset is
+        # exact), so it is accepted as the canonical degenerate case.
+        if mesh_mode == "curved-reduced" and not profile.is_constant:
+            raise ValueError(f"variant {var.name} needs a rectified mesh for "
+                             "non-constant apertures")
+    elif mesh_mode != "curved-reduced":
+        raise ValueError(f"variant {var.name} evaluates traces on the "
+                         "fracture walls and needs a wall-conforming "
+                         f"mesh, got {mesh_mode!r}")
+    return mesh_mode
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +138,9 @@ class ProblemPreset:
     exact_pressure: Callable | None = None
     gamma_reference: Callable | None = None
 
-    def permeability(self, xi: float | None = None) -> PermeabilityData:
-        return PermeabilityData.from_fracture(
-            self.k1, self.k2, self.k_f, self.xi if xi is None else xi,
-            self.frame)
+    def permeability(self) -> PermeabilityData:
+        return PermeabilityData.from_fracture(self.k1, self.k2, self.k_f,
+                                              self.xi, self.frame)
 
     def gamma_data(self) -> Callable:
         if self.g_gamma is not None:
@@ -239,10 +309,6 @@ class FullSolution:
     perm: PermeabilityData
     system: SparseSystem | None = None
 
-    @property
-    def variant(self) -> ModelVariant:
-        return ModelVariant.of("full")
-
     def evaluate(self, points) -> np.ndarray:
         """Pressure at arbitrary points of the meshed domain."""
         return _eval_bulk(self.mesh, self.space, self.coefficients, points)
@@ -406,9 +472,9 @@ class ReducedProblem:
 
     @classmethod
     def build(cls, preset: ProblemPreset, mesh_mode: str, h: float,
-              degrees=1, mu0: float = 10.0, xi: float | None = None, *,
-              mu0_gamma: float | None = None, edge_terms: str = "consistent",
-              g_gamma=None) -> "ReducedProblem":
+              degrees=1, mu0: float = 10.0, *,
+              mu0_gamma: float | None = None,
+              edge_terms: str = "consistent") -> "ReducedProblem":
         """Mesh the preset in ``mesh_mode`` ("curved-reduced" or
         "rectified") and assemble the shared system.
 
@@ -421,11 +487,10 @@ class ReducedProblem:
         grid = build_interface_grid(mesh)
         bulk_space = DGSpace.bulk(mesh, _bulk_degree(degrees))
         iface_space = DGSpace.interface(grid, _iface_degree(degrees))
-        perm = preset.permeability(xi)
+        perm = preset.permeability()
         system = assemble_reduced(
             mesh, grid, bulk_space, iface_space, perm, preset.profile,
-            preset.q, preset.q_gamma, preset.g,
-            preset.gamma_data() if g_gamma is None else g_gamma,
+            preset.q, preset.q_gamma, preset.g, preset.gamma_data(),
             mu0, mu0 if mu0_gamma is None else mu0_gamma,
             edge_terms=edge_terms)
         wp = check_wellposedness(preset.profile, perm)
@@ -466,25 +531,25 @@ class ReducedProblem:
 
 
 def prepare_reduced(preset: ProblemPreset, variant, h: float, degrees=1,
-                    mu0: float = 10.0, xi: float | None = None, *,
-                    mu0_gamma: float | None = None, mesh_mode: str = "auto",
-                    edge_terms: str = "consistent", g_gamma=None):
+                    mu0: float = 10.0, *, mu0_gamma: float | None = None,
+                    mesh_mode: str = "auto", edge_terms: str = "consistent"):
     """The problem on the mesh a reduced variant runs on, and that
-    variant's system."""
+    variant's system.  A variant that cannot run on ``mesh_mode`` is
+    refused before anything is meshed."""
     problem = ReducedProblem.build(
-        preset, mesh_mode_of(variant, preset.profile, mesh_mode), h, degrees,
-        mu0, xi, mu0_gamma=mu0_gamma, edge_terms=edge_terms, g_gamma=g_gamma)
+        preset, resolve_mesh_mode(variant, preset.profile, mesh_mode), h,
+        degrees, mu0, mu0_gamma=mu0_gamma, edge_terms=edge_terms)
     return problem, problem.system_of(variant)
 
 
 def run_reduced(preset: ProblemPreset, variant, h: float, degrees=1,
-                mu0: float = 10.0, xi: float | None = None, *,
-                mu0_gamma: float | None = None, mesh_mode: str = "auto",
-                edge_terms: str = "consistent", g_gamma=None,
+                mu0: float = 10.0, *, mu0_gamma: float | None = None,
+                mesh_mode: str = "auto", edge_terms: str = "consistent",
                 method: str | None = None, tol: float = 1e-10,
                 max_iter: int | None = None) -> ReducedSolution:
-    """Solve one reduced model end to end (:class:`ReducedProblem`)."""
+    """Solve one reduced model end to end (:class:`ReducedProblem`); a
+    variant that cannot run on ``mesh_mode`` is refused before meshing."""
     problem = ReducedProblem.build(
-        preset, mesh_mode_of(variant, preset.profile, mesh_mode), h, degrees,
-        mu0, xi, mu0_gamma=mu0_gamma, edge_terms=edge_terms, g_gamma=g_gamma)
+        preset, resolve_mesh_mode(variant, preset.profile, mesh_mode), h,
+        degrees, mu0, mu0_gamma=mu0_gamma, edge_terms=edge_terms)
     return problem.solve(variant, method, tol, max_iter)

@@ -101,7 +101,6 @@ class GammaAverage:
     full: models.FullSolution
     profile: ApertureProfile
     frame: FractureFrame
-    n_quad: int = DEFAULT_N_QUAD
 
     def __post_init__(self):
         self._lat, self._cols = _fracture_block(self.full.mesh)
@@ -131,7 +130,7 @@ class GammaAverage:
         which = (mid <= np.take_along_axis(diag, col, axis=1)).astype(int)
         elems = lat.elem_ids[j[:, None], cols[col], which]
 
-        tq, wq = segment_rule(self.n_quad)
+        tq, wq = segment_rule(DEFAULT_N_QUAD)
         xs = lo[..., None] + tq * size[..., None]
         pts = np.stack([xs, np.broadcast_to(t[:, None, None], xs.shape)],
                        axis=-1)
@@ -148,14 +147,13 @@ class GammaAverage:
 
 def average_across_fracture(full: models.FullSolution,
                             profile: ApertureProfile | None = None,
-                            frame: FractureFrame | None = None,
-                            n_quad: int = DEFAULT_N_QUAD) -> GammaAverage:
+                            frame: FractureFrame | None = None
+                            ) -> GammaAverage:
     """Aperture average of the full-dimensional pressure as an interface
     field.  Profile and frame default to the solution's preset."""
     return GammaAverage(full=full,
                         profile=profile or full.preset.profile,
-                        frame=frame or full.preset.frame,
-                        n_quad=n_quad)
+                        frame=frame or full.preset.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +168,14 @@ def _as_gamma_callable(obj) -> Callable:
     return lambda t: np.full_like(np.asarray(t, dtype=float), value)
 
 
-def l2_error_gamma(field_a, field_b, grid: InterfaceGrid,
-                   n_quad: int = DEFAULT_N_QUAD) -> float:
+def l2_error_gamma(field_a, field_b, grid: InterfaceGrid) -> float:
     """L2 norm of the difference of two interface fields over the grid.
 
     Fields may be callables of the tangential coordinate, reduced
     solutions, or constants.
     """
     fa, fb = _as_gamma_callable(field_a), _as_gamma_callable(field_b)
-    tq, wq = segment_rule(n_quad)
+    tq, wq = segment_rule(DEFAULT_N_QUAD)
     lengths = np.diff(grid.t_breaks)
     ts = (grid.t_breaks[:-1, None] + tq * lengths[:, None]).ravel()
     diff = np.asarray(fa(ts), dtype=float) - np.asarray(fb(ts), dtype=float)
@@ -186,9 +183,9 @@ def l2_error_gamma(field_a, field_b, grid: InterfaceGrid,
     return float(np.sqrt(np.sum((diff**2 @ wq) * lengths)))
 
 
-def l2_error_bulk(solution, exact: Callable,
-                  n_quad: int | None = None) -> float:
-    """L2 norm of (discrete - exact) over the meshed bulk domain."""
+def l2_error_bulk(solution, exact: Callable) -> float:
+    """L2 norm of (discrete - exact) over the meshed bulk domain, with
+    the degree-(k+2) rule on elements of degree k."""
     if isinstance(solution, models.FullSolution):
         space, coeffs = solution.space, solution.coefficients
     else:
@@ -196,7 +193,7 @@ def l2_error_bulk(solution, exact: Callable,
     maps = solution.mesh.maps
     total = 0.0
     for k, elems in _by_degree(space.degrees):
-        pts, w = triangle_rule(k + 2 if n_quad is None else n_quad)
+        pts, w = triangle_rule(k + 2)
         vals = coeffs[_element_dofs(space, elems, k)] @ tri_basis(k, pts).T
         diff = vals - _data_at(exact, maps.points(elems, pts))
         total += float((diff**2 @ w) @ np.abs(maps.det[elems]))
@@ -264,8 +261,7 @@ def _require_converged(report, tol: float) -> None:
 
 def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                    h: float, *, degrees=1, mu0: float = 10.0,
-                   mu0_gamma: float | None = None, xi: float | None = None,
-                   n_quad: int = DEFAULT_N_QUAD, ref_h: float | None = None,
+                   mu0_gamma: float | None = None, ref_h: float | None = None,
                    ref_degrees=None, ref_h_normal: float | None = None,
                    fracture_layers: int = 4, reference: str = "full",
                    ref_method: str = "direct-LU",
@@ -276,16 +272,20 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
     """Error table over an aperture-scale sweep.
 
     ``preset`` is a preset name or a callable mapping d0 to a
-    ProblemPreset.  For each d0 one full-dimensional reference is solved
-    and averaged (``reference="full"``); all variants in that row compare
-    against that same reference field.  ``reference="exact"`` uses the
-    preset's closed-form interface reference instead and skips the full
-    run.  The variants of a d0 that run on the same mesh share one
+    ProblemPreset.  The preset carries the coupling weight ``xi``: to
+    sweep another ``xi``, pass a callable such as
+    ``lambda d0: preset_by_name(name, d0, xi)``.  For each d0 one
+    full-dimensional reference is solved and averaged
+    (``reference="full"``); all variants in that row compare against that
+    same reference field.  ``reference="exact"`` uses the preset's
+    closed-form interface reference instead and skips the full run.  The
+    variants of a d0 that run on the same mesh share one
     :class:`~fracdg.models.ReducedProblem`, built on first use.  Failures
-    are recorded per row and leave the rest of the sweep intact; a solve
-    that misses its residual target ``tol`` fails its row, a problem that
-    cannot be built every row on its mesh, and a failed reference every
-    row of its d0.
+    are recorded per row and leave the rest of the sweep intact: a
+    variant that cannot run on ``mesh_mode`` fails its row before anything
+    is meshed for it, a solve that misses its residual target ``tol``
+    fails its row, a problem that cannot be built every row on its mesh,
+    and a failed reference every row of its d0.
 
     ``on_solution(d0, tag, solution)`` is invoked after every successful
     solve with tag "reference" for the full run and the variant name for
@@ -294,9 +294,7 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
     if callable(preset):
         make = preset
     else:
-        make = lambda d0: models.preset_by_name(preset, d0=d0, xi=xi
-                                                if xi is not None
-                                                else 2.0 / 3.0)
+        make = lambda d0: models.preset_by_name(preset, d0=d0)
     if reference not in REFERENCES:
         raise ValueError(f"unknown reference {reference!r}")
 
@@ -323,7 +321,7 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                                        method=ref_method, tol=tol,
                                        max_iter=max_iter)
                 _require_converged(full.report, tol)
-                ref = average_across_fracture(full, n_quad=n_quad)
+                ref = average_across_fracture(full)
                 logger.info("d0=%g: reference %s", d0, full.report.method)
                 if on_solution is not None:
                     on_solution(d0, "reference", full)
@@ -337,11 +335,12 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                 continue
             sol = None
             try:
-                mode = models.mesh_mode_of(variant, pset.profile, mesh_mode)
+                mode = models.resolve_mesh_mode(variant, pset.profile,
+                                                mesh_mode)
                 if mode not in problems:
                     try:
                         problems[mode] = models.ReducedProblem.build(
-                            pset, mode, h, degrees, mu0, xi,
+                            pset, mode, h, degrees, mu0,
                             mu0_gamma=mu0_gamma, edge_terms=edge_terms)
                     except Exception as exc:
                         problems[mode] = str(exc)
@@ -350,7 +349,7 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                     raise RuntimeError(problem)
                 sol = problem.solve(variant, method, tol, max_iter)
                 _require_converged(sol.report, tol)
-                err = l2_error_gamma(sol, ref, sol.grid, n_quad)
+                err = l2_error_gamma(sol, ref, sol.grid)
                 table.add(ErrorRow(d0, str(variant), err,
                                    sol.bulk_space.n_dofs,
                                    sol.iface_space.n_dofs,

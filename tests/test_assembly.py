@@ -19,6 +19,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from fracdg import assembly as asm
+from fracdg import models
 from fracdg.geometry import ApertureProfile, FractureFrame, PermeabilityData
 from fracdg.mesh import BOUNDARY, FRACTURE, GAMMA_1, GAMMA_2, INTERIOR, \
     SIDE_1, SIDE_2, build_bulk_mesh, build_interface_grid
@@ -72,7 +73,7 @@ def variant_system(variant, mesh, grid, bs, ifs, perm, profile, q_bulk,
     system = asm.assemble_reduced(mesh, grid, bs, ifs, perm, profile,
                                   q_bulk, q_gamma, g_bulk, g_gamma, mu0,
                                   mu0_gamma, edge_terms=edge_terms)
-    if asm.ModelVariant.of(variant).gradient_terms_in_transport:
+    if models.ModelVariant.of(variant).gradient_terms_in_transport:
         system.matrix = system.matrix + asm.transport_form(
             mesh, grid, bs, ifs, perm, profile, edge_terms)
     return system
@@ -706,7 +707,7 @@ class TestReducedAssembly:
         # satisfy the assembled equations of every variant
         profile, mesh, grid, bs, ifs = const_setup()
         x = exact_state(mesh, grid, bs, ifs)
-        for variant in asm.VARIANTS:
+        for variant in models.MODEL_NAMES:
             sys_ = variant_system(variant, mesh, grid, bs, ifs, iso_perm(),
                                   profile, None, None, g_linear,
                                   pgamma_half, 10.0, 10.0)
@@ -729,7 +730,7 @@ class TestReducedAssembly:
         systems = [variant_system(v, mesh, grid, bs, ifs, perm, profile,
                                   None, None, g_linear, pgamma_half,
                                   10.0, 10.0)
-                   for v in asm.VARIANTS]
+                   for v in models.MODEL_NAMES]
         a0 = systems[0].matrix
         for s in systems[1:]:
             d = (s.matrix - a0).tocoo()

@@ -12,6 +12,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from fracdg import assembly, cli, mesh, models, postproc, solver
@@ -245,6 +247,89 @@ class TestParseErrors:
             """)
 
 
+# spacings stay at or above 1/16 so no example meshes more than a small
+# problem; the pools mix valid, malformed and extreme text
+_SPACINGS = ("1/4", "1/8", "1/16")
+_MALFORMED = ("1/0", "0", "-1/8", "nan", "inf", "abc", "1/", "/8")
+_VALUES = (
+    "1e308", "-1e308", "1e-308", "nan", "inf", "-inf", "1/0", "0", "-1",
+    "1", "2", "0.5", "0.75", "0.1", "1e-3", "0.1, 0.05", "0.1, 0.1", ",",
+    "I", "I, I", "I-R, II", "II-R", "full", "III", "auto", "rectified",
+    "curved-reduced", "exact", "perp-sym", "CG", "direct-LU", "true",
+    "maybe", "diag: 1, 2", "diag: 1", "diag: -1, 2", "affine: 1, 0, 0",
+    "affine: 1, 0", "constant: 0.5", "constant:", "trace", "zero",
+    "inflow-bubble", "cosine-product", "cosine-product-source",
+    "sinusoidal", "constant", "symmetric", "printed", "x = y", "")
+
+
+def _converts(entry, text):
+    try:
+        cli._SCHEMA[entry](text)
+    except ValueError:
+        return False
+    return True
+
+
+def _value_text(entry, clean):
+    """Text for a schema entry: a pool value its converter accepts, or
+    unless ``clean``, one in four from the malformed or whole pool."""
+    key = entry[1]
+    if key in ("h", "ref_h"):
+        valid, pool = _SPACINGS, _MALFORMED
+    elif key == "ref_h_normal":
+        valid, pool = _SPACINGS + ("1e308",), _MALFORMED
+    elif key == "preset":
+        valid, pool = models.PRESET_NAMES, ("tilted",)
+    else:
+        valid = [text for text in _VALUES if _converts(entry, text)]
+        pool = _VALUES
+    if clean:
+        return st.sampled_from(valid)
+    return st.one_of(*[st.sampled_from(valid)] * 3, st.sampled_from(pool))
+
+
+@st.composite
+def _config_text(draw):
+    """A config file that names a preset and sets some schema keys; in
+    half the files every value converts."""
+    clean = draw(st.booleans())
+    entries = draw(st.lists(
+        st.sampled_from(sorted(set(cli._SCHEMA) - {("experiment", "preset")})),
+        unique=True, max_size=6))
+    entries = draw(st.permutations(entries + [("experiment", "preset")]))
+    return "".join(
+        f"[{section}]\n{key} = {draw(_value_text((section, key), clean))}\n"
+        for section, key in entries)
+
+
+class TestConfigFuzz:
+    """Any config either parses or raises a ConfigError that cites the
+    file and, where the fault sits on a line, that line."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_config_text())
+    def test_parses_or_cites_path_and_line(self, tmp_path, text):
+        path = tmp_path / "fuzz.cfg"
+        path.write_text(text)
+        try:
+            config = cli.parse_config(str(path))
+        except cli.ConfigError as exc:
+            message = str(exc)
+            cited = re.match(re.escape(str(path)) + r"(?::(\d+))?: ", message)
+            assert cited, message
+            bad = re.search(r"bad value for '([^']+)'", message)
+            if cited.group(1) is None:
+                assert bad is None, message
+            else:
+                line = text.splitlines()[int(cited.group(1)) - 1]
+                assert "=" in line, message
+                if bad:
+                    assert line.partition("=")[0].strip() == bad.group(1)
+        else:
+            assert isinstance(config, cli.ExperimentConfig)
+
+
 class TestLibraryChoices:
     """The CLI accepts exactly what the library can run."""
 
@@ -261,8 +346,8 @@ class TestLibraryChoices:
 
     def test_choices_match_library(self, tmp_path):
         assert self.parses(tmp_path, "experiment",
-                           "h = 1/16").variants == assembly.VARIANTS
-        for name in assembly.VARIANTS:
+                           "h = 1/16").variants == models.MODEL_NAMES
+        for name in models.MODEL_NAMES:
             assert self.parses(tmp_path, "experiment", f"variants = {name}")
         assert not self.parses(tmp_path, "experiment", "variants = full")
         for degree in range(1, assembly.MAX_DEGREE + 1):
@@ -281,7 +366,7 @@ class TestLibraryChoices:
             # each mode fits some variant on the wavy walls of perp-asym
             assert any(self.parses(tmp_path, "experiment",
                                    f"mesh_mode = {mode}\nvariants = {name}")
-                       for name in assembly.VARIANTS)
+                       for name in models.MODEL_NAMES)
         for mode in set(mesh.MESH_MODES) - set(assembly.REDUCED_MESH_MODES):
             assert not self.parses(tmp_path, "experiment",
                                    f"mesh_mode = {mode}")

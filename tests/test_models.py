@@ -9,6 +9,7 @@ runs must collapse variants I and II-R onto each other.
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracdg import assembly as asm
-from fracdg import models
+from fracdg import models, postproc
 from fracdg.geometry import ApertureProfile, FractureFrame
 from fracdg.mesh import MESH_MODES, build_bulk_mesh
 
@@ -24,7 +25,6 @@ from fracdg.mesh import MESH_MODES, build_bulk_mesh
 class TestVariantTable:
     def test_flag_table(self):
         rows = {
-            "full": (False, False),
             "I": (False, True),
             "I-R": (True, True),
             "II": (False, False),
@@ -35,8 +35,6 @@ class TestVariantTable:
             assert (v.uses_rectified_bulk,
                     v.gradient_terms_in_transport) == flags
             assert v.name == name
-        assert models.ModelVariant.of("full").is_full
-        assert not models.ModelVariant.of("I").is_full
 
     def test_passthrough_and_unknown(self):
         v = models.ModelVariant.of("II")
@@ -147,11 +145,6 @@ class TestRunFull:
         with pytest.raises(ValueError, match="outside"):
             sol.evaluate(np.array([[1.4, 0.2]]))
 
-    def test_variant_property(self):
-        preset = models.constant_aperture_preset(0.05)
-        sol = models.run_full(preset, 0.25)
-        assert sol.variant.is_full
-
 
 class TestRunReduced:
     def test_rejects_full_variant(self):
@@ -229,6 +222,30 @@ class TestRunReduced:
         preset = models.preset_by_name("perp-asym", d0=0.1)
         with pytest.raises(ValueError, match="wall-conforming"):
             models.run_reduced(preset, "I", 0.25, mesh_mode="rectified")
+
+    def test_refused_before_meshing(self, monkeypatch):
+        # a variant that cannot run on the requested mesh is refused
+        # before any mesh is built, by every entry point
+        builds = []
+        build = models.build_bulk_mesh
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(models, "build_bulk_mesh", counting_build)
+        preset = models.preset_by_name("perp-asym", d0=0.1)
+        for run in (models.run_reduced, models.prepare_reduced):
+            with pytest.raises(ValueError, match="wall-conforming"):
+                run(preset, "I", 0.25, mesh_mode="rectified")
+            assert builds == []
+        table = postproc.aperture_sweep("perp-sym", ["I"], [0.1], 0.125,
+                                        reference="exact",
+                                        mesh_mode="rectified")
+        (row,) = table.rows
+        assert math.isnan(row.l2_error) and row.bulk_dofs == 0
+        assert "wall-conforming" in row.note
+        assert builds == []
 
     def test_solver_report_attached(self):
         preset = models.preset_by_name("perp-asym", d0=0.1)

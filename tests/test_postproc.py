@@ -241,6 +241,28 @@ class TestSweep:
         assert alive == [0, 0]
         assert all(np.isfinite(r.l2_error) for r in table.rows)
 
+    def test_preset_xi_reaches_reduced_runs(self):
+        # the preset is the one source of xi: run_reduced and the sweep's
+        # preset callable both assemble with it
+        def preset(d0):
+            return dataclasses.replace(
+                models.preset_by_name("perp-asym", d0), xi=0.8)
+
+        h = 0.0625
+        default = models.run_reduced(models.preset_by_name("perp-asym", 0.1),
+                                     "I", h).system.matrix
+        direct = models.run_reduced(preset(0.1), "I", h)
+        solutions = {}
+        postproc.aperture_sweep(
+            preset, ["I"], [0.1], h, ref_h=h,
+            on_solution=lambda d0, tag, sol: solutions.setdefault(tag, sol))
+        sweep_sol = solutions["I"]
+        for sol in (direct, sweep_sol):
+            assert sol.perm.xi == 0.8
+            assert sol.system.matrix.shape == default.shape
+            assert abs(sol.system.matrix - default).max() > 1e-8
+        assert (direct.system.matrix != sweep_sol.system.matrix).nnz == 0
+
     def test_failure_recorded_per_row(self):
         table = postproc.aperture_sweep("perp-asym", ["I", "XXL"], [0.1],
                                         0.0625, ref_h=0.0625)

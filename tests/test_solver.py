@@ -45,7 +45,7 @@ def reduced_system(h=0.25, variant="I"):
     system = asm.assemble_reduced(mesh, grid, bs, ifs, perm, profile,
                                   None, None, lambda x: 1.0 - x[:, 0],
                                   lambda t: 0.5, 10.0, 10.0)
-    if asm.ModelVariant.of(variant).gradient_terms_in_transport:
+    if models.ModelVariant.of(variant).gradient_terms_in_transport:
         system.matrix = system.matrix + asm.transport_form(
             mesh, grid, bs, ifs, perm, profile)
     return system
