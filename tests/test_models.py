@@ -218,14 +218,9 @@ class TestRunReduced:
             pg = sol.evaluate_interface(np.linspace(0.01, 0.99, 41))
             assert pg.min() > -0.05 and pg.max() < 1.05
 
-    def test_explicit_rectified_mesh_with_wall_variant_fails(self):
-        preset = models.preset_by_name("perp-asym", d0=0.1)
-        with pytest.raises(ValueError, match="wall-conforming"):
-            models.run_reduced(preset, "I", 0.25, mesh_mode="rectified")
-
-    def test_refused_before_meshing(self, monkeypatch):
-        # a variant that cannot run on the requested mesh is refused
-        # before any mesh is built, by every entry point
+    def test_explicit_rectified_mesh_with_wall_variant_fails(self,
+                                                             monkeypatch):
+        # every entry point refuses the variant before it builds a mesh
         builds = []
         build = models.build_bulk_mesh
 
