@@ -5,11 +5,12 @@ element; quadrature is Gauss-Legendre (segments) and a conical product of
 Gauss-Legendre with Gauss-Jacobi (triangles), with enough points to
 integrate products of two basis gradients exactly.
 
-The bulk SIPG form is assembled in batches: the volume term per element
-degree, boundary facets per degree and interior flux facets per pair of
-adjacent degrees, each batch one ``einsum`` over reference-element tables
-and one block of COO triplets.  Data functions are called once per batch
-on all of its quadrature points.
+Every space has one polynomial degree on all of its elements; the bulk
+and the interface space may differ.  The bulk SIPG form is assembled in
+three batches, the volume terms of all elements, the boundary facets and
+the interior flux facets, each batch one ``einsum`` over
+reference-element tables and one block of COO triplets.  Data functions
+are called once per batch on all of its quadrature points.
 
 Three coupled bilinear forms make up the system every reduced variant on
 a mesh shares (:func:`assemble_reduced`, with the whole rhs):
@@ -177,66 +178,56 @@ def seg_basis_deriv(k: int, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DGSpace:
-    """Broken polynomial space with per-element degrees and dof offsets.
+    """Broken polynomial space of one degree on every element.
 
-    ``kind`` is "bulk" (triangles) or "interface" (segments).  Bulk dofs
-    are grouped by subdomain (side 1, side 2, fracture slab) in
-    deterministic element order, so system matrices are reproducible.
+    ``kind`` is "bulk" (triangles) or "interface" (segments).  Every
+    element holds ``dim`` contiguous dofs, starting at its entry of
+    ``offsets``.  Bulk dofs are grouped by subdomain (side 1, side 2,
+    fracture slab) in deterministic element order, so system matrices are
+    reproducible.
     """
 
     kind: str
-    degrees: np.ndarray
+    degree: int
     offsets: np.ndarray
-    n_dofs: int
 
     def __post_init__(self) -> None:
-        if np.any(self.degrees < 1) or np.any(self.degrees > MAX_DEGREE):
-            raise ValueError(f"degrees must lie in [1, {MAX_DEGREE}]")
+        if not isinstance(self.degree, (int, np.integer)) \
+                or not 1 <= self.degree <= MAX_DEGREE:
+            raise ValueError(f"the degree must be one integer in "
+                             f"[1, {MAX_DEGREE}]")
 
     @property
-    def n_elements(self) -> int:
-        return len(self.degrees)
+    def dim(self) -> int:
+        """Number of dofs on each element."""
+        return tri_dim(self.degree) if self.kind == "bulk" else self.degree + 1
 
-    def local_dim(self, e: int) -> int:
-        k = int(self.degrees[e])
-        return tri_dim(k) if self.kind == "bulk" else k + 1
+    @property
+    def n_dofs(self) -> int:
+        return self.dim * len(self.offsets)
 
-    def element_dofs(self, e: int) -> np.ndarray:
-        start = int(self.offsets[e])
-        return np.arange(start, start + self.local_dim(e))
+    def dofs(self, elems) -> np.ndarray:
+        """Dofs of ``elems``, shape ``np.shape(elems) + (dim,)``."""
+        return self.offsets[elems][..., None] + np.arange(self.dim)
 
     @classmethod
-    def bulk(cls, mesh: Mesh, degree: int | np.ndarray) -> "DGSpace":
-        degrees = np.broadcast_to(np.asarray(degree, dtype=np.int64),
-                                  (mesh.n_elements,)).copy()
-        dims = np.array([tri_dim(int(k)) for k in degrees])
+    def _ranked(cls, kind: str, degree: int, rank: np.ndarray) -> "DGSpace":
+        """The space whose element e holds the rank[e]-th block of dofs."""
+        space = cls(kind, degree, rank)
+        return replace(space, offsets=space.dim * rank)
+
+    @classmethod
+    def bulk(cls, mesh: Mesh, degree: int) -> "DGSpace":
         group = np.argsort(np.where(mesh.subdomain == FRACTURE, 3,
                                     mesh.subdomain), kind="stable")
-        offsets = np.empty(mesh.n_elements, dtype=np.int64)
-        offsets[group] = np.concatenate([[0], np.cumsum(dims[group])[:-1]])
-        return cls(kind="bulk", degrees=degrees, offsets=offsets,
-                   n_dofs=int(dims.sum()))
+        rank = np.empty(mesh.n_elements, dtype=np.int64)
+        rank[group] = np.arange(mesh.n_elements)
+        return cls._ranked("bulk", degree, rank)
 
     @classmethod
-    def interface(cls, grid: InterfaceGrid, degree: int | np.ndarray) -> "DGSpace":
-        degrees = np.broadcast_to(np.asarray(degree, dtype=np.int64),
-                                  (grid.n_elements,)).copy()
-        dims = degrees + 1
-        offsets = np.concatenate([[0], np.cumsum(dims)[:-1]])
-        return cls(kind="interface", degrees=degrees, offsets=offsets,
-                   n_dofs=int(dims.sum()))
-
-
-def _by_degree(keys):
-    """Group items by degree: yields (key, indices) for every distinct
-    key, in ascending order.  ``keys`` holds one degree per item, shape
-    (N,), or one degree pair per item, shape (N, 2)."""
-    keys = np.asarray(keys)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    for i, key in enumerate(uniq):
-        yield (int(key) if key.ndim == 0 else tuple(int(v) for v in key),
-               np.flatnonzero(inverse == i))
+    def interface(cls, grid: InterfaceGrid, degree: int) -> "DGSpace":
+        return cls._ranked("interface", degree,
+                           np.arange(grid.n_elements, dtype=np.int64))
 
 
 def _data_at(f, x: np.ndarray) -> np.ndarray:
@@ -254,33 +245,19 @@ def _data_on_t(f, t: np.ndarray) -> np.ndarray:
     return np.broadcast_to(vals, (t.size,)).reshape(t.shape)
 
 
-def _element_dofs(space: DGSpace, elems: np.ndarray, k: int) -> np.ndarray:
-    """Dofs of elements of degree k, shape (N, local dimension)."""
-    dim = tri_dim(k) if space.kind == "bulk" else k + 1
-    return space.offsets[elems, None] + np.arange(dim)
-
-
 def _basis_at(mesh_maps: ElementMaps, space: DGSpace, elems,
               x_phys: np.ndarray, grad: bool = False):
     """Element bases (and physical gradients) at physical points.
 
     ``elems`` is one element with points of shape (m, 2), or an array of
-    N elements of one degree with points of shape (N, m, 2) on each.
-    Values have shape (..., m, dim), gradients (..., m, dim, 2).  Items of
-    mixed degree are split with :func:`_by_degree` first.
+    N elements with points of shape (N, m, 2) on each.  Values have shape
+    (..., m, dim), gradients (..., m, dim, 2).
     """
+    k = space.degree
     jac_inv = mesh_maps.jac_inv[elems]
-    if np.ndim(elems) == 0:
-        k = int(space.degrees[elems])
-        ref = (np.atleast_2d(x_phys) - mesh_maps.v0[elems]) @ jac_inv.T
-    else:
-        k = int(space.degrees[elems[0]])
-        if np.any(space.degrees[elems] != k):
-            raise ValueError("_basis_at needs elements of a single degree")
-        ref = (x_phys - mesh_maps.v0[elems, None]) \
-            @ np.swapaxes(jac_inv, 1, 2)
+    ref = (x_phys - mesh_maps.v0[elems, None]) @ np.swapaxes(jac_inv, -1, -2)
     flat = ref.reshape(-1, 2)
-    vals = tri_basis(k, flat).reshape(ref.shape[:-1] + (-1,))
+    vals = tri_basis(k, flat).reshape(ref.shape[:-1] + (space.dim,))
     if not grad:
         return vals
     g_ref = tri_basis_grad(k, flat).reshape(vals.shape + (2,))
@@ -290,62 +267,52 @@ def _basis_at(mesh_maps: ElementMaps, space: DGSpace, elems,
 # ---------------------------------------------------------------------------
 # penalty
 
-def _facet_penalty(degrees, h_values, mu0: float, dim: int = 2):
-    """mu0 * max over the last axis of (k+1)(k+dim)/h, the last axis
-    holding one (degree, h) pair per element adjacent to a facet."""
+def penalty_bulk(k: int, h_values, mu0: float, dim: int = 2):
+    """Facet penalty of degree k, mu0 * (k+1)(k+dim) / min h.  The
+    minimum runs over the last axis of ``h_values``, which holds the sizes
+    of the elements adjacent to a facet: one for boundary facets and two
+    for interior ones."""
+    h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
+    if h_values.shape[-1] not in (1, 2):
+        raise ValueError("need one or two element sizes")
     if mu0 <= 0.0:
         raise ValueError("mu0 must be positive")
     if np.any(h_values <= 0.0):
         raise ValueError("nonpositive element size")
-    return mu0 * np.max((degrees + 1) * (degrees + dim) / h_values, axis=-1)
-
-
-def penalty_bulk(degrees, h_values, mu0: float, dim: int = 2) -> float:
-    """Facet penalty: mu0 * max over adjacent elements of
-    (k+1)(k+dim)/h.  One (degree, h) pair for boundary facets, two for
-    interior ones."""
-    degrees = np.atleast_1d(np.asarray(degrees))
-    h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
-    if len(degrees) != len(h_values) or len(degrees) not in (1, 2):
-        raise ValueError("need one or two (degree, h) pairs")
-    return float(_facet_penalty(degrees, h_values, mu0, dim))
+    return mu0 * np.max((k + 1) * (k + dim) / h_values, axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # interpolation (local L2 projection; exact for polynomials of degree <= k)
 
 def interpolate_bulk(mesh: Mesh, space: DGSpace, f) -> np.ndarray:
-    maps = mesh.maps
+    maps, elems = mesh.maps, np.arange(mesh.n_elements)
+    k = space.degree
+    pts, w = triangle_rule(k + 2)
+    phi = tri_basis(k, pts)
+    wq = w * maps.det[:, None]
+    mass = np.einsum("qi,qj,eq->eij", phi, phi, wq)
+    rhs = np.einsum("qi,eq->ei",
+                    phi, _data_at(f, maps.points(elems, pts)) * wq)
     coeffs = np.zeros(space.n_dofs)
-    for k, elems in _by_degree(space.degrees):
-        pts, w = triangle_rule(k + 2)
-        phi = tri_basis(k, pts)
-        wq = w * maps.det[elems, None]
-        mass = np.einsum("qi,qj,eq->eij", phi, phi, wq)
-        rhs = np.einsum("qi,eq->ei",
-                        phi, _data_at(f, maps.points(elems, pts)) * wq)
-        coeffs[_element_dofs(space, elems, k)] = \
-            np.linalg.solve(mass, rhs[..., None])[..., 0]
+    coeffs[space.dofs(elems)] = np.linalg.solve(mass, rhs[..., None])[..., 0]
     return coeffs
 
 
 def interpolate_interface(grid: InterfaceGrid, space: DGSpace, f) -> np.ndarray:
-    coeffs = np.zeros(space.n_dofs)
-    for k, elems in _by_degree(space.degrees):
-        tq, w = segment_rule(k + 2)
-        psi = seg_basis(k, tq)
-        t0 = grid.t_breaks[elems, None]
-        length = grid.t_breaks[elems + 1, None] - t0
-        t = t0 + tq * length
-        wq = w * length
-        vals = _data_on_t(f, t)
-        # stacked matmuls reproduce a per-element loop bit for bit; an
-        # einsum moves degree-4 monomial coefficients by ~1e-11
-        mass = psi.T @ (psi * wq[..., None])
-        rhs = psi.T @ (vals * wq)[..., None]
-        coeffs[_element_dofs(space, elems, k)] = \
-            np.linalg.solve(mass, rhs)[..., 0]
-    return coeffs
+    k = space.degree
+    tq, w = segment_rule(k + 2)
+    psi = seg_basis(k, tq)
+    t0 = grid.t_breaks[:-1, None]
+    length = grid.t_breaks[1:, None] - t0
+    wq = w * length
+    vals = _data_on_t(f, t0 + tq * length)
+    # stacked matmuls reproduce a per-element loop bit for bit; an
+    # einsum moves degree-4 monomial coefficients by ~1e-11
+    mass = psi.T @ (psi * wq[..., None])
+    rhs = psi.T @ (vals * wq)[..., None]
+    # interface dofs run in element order
+    return np.linalg.solve(mass, rhs)[..., 0].ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -481,26 +448,26 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
     maps = mesh.maps
     h_elem = mesh.element_h
     perm_elem = _element_permeability(mesh, perm)
-    degrees = space.degrees
+    k = space.degree
+    elems = np.arange(mesh.n_elements)
 
-    for k, elems in _by_degree(degrees):
-        pts, w = triangle_rule(k + 2)
-        wq = w * maps.det[elems, None]
-        grad = tri_basis_grad(k, pts) @ maps.jac_inv[elems, None]
-        kgrad = grad @ np.swapaxes(perm_elem[elems, None], -1, -2)
-        blocks = np.einsum("eqid,eqjd->eij", grad * wq[..., None, None],
-                           kgrad, optimize=True)
-        dofs = _element_dofs(space, elems, k)
-        acc.add(dofs, dofs, blocks)
-        if q is not None:
-            qw = _data_at(q, maps.points(elems, pts)) * wq
-            acc.add_rhs(dofs, np.einsum("qi,eq->ei", tri_basis(k, pts), qw))
+    pts, w = triangle_rule(k + 2)
+    wq = w * maps.det[:, None]
+    grad = tri_basis_grad(k, pts) @ maps.jac_inv[:, None]
+    kgrad = grad @ np.swapaxes(perm_elem[:, None], -1, -2)
+    blocks = np.einsum("eqid,eqjd->eij", grad * wq[..., None, None],
+                       kgrad, optimize=True)
+    dofs = space.dofs(elems)
+    acc.add(dofs, dofs, blocks)
+    if q is not None:
+        qw = _data_at(q, maps.points(elems, pts)) * wq
+        acc.add_rhs(dofs, np.einsum("qi,eq->ei", tri_basis(k, pts), qw))
 
     va, vb, length, normal = _facet_geometry(mesh)
     e0, e1 = mesh.facet_elements[:, 0], mesh.facet_elements[:, 1]
+    tq, w = segment_rule(k + 2)
 
-    def facet_rule(facets, n_pts):
-        tq, w = segment_rule(n_pts)
+    def facet_rule(facets):
         x = va[facets, None] + tq[:, None] * (vb - va)[facets, None]
         return x, w * length[facets, None]
 
@@ -510,47 +477,40 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
         phi, gphi = _basis_at(maps, space, elems, x, grad=True)
         kn = np.einsum("fds,fs->fd", perm_elem[elems], normal[facets])
         kdn = np.einsum("fqnd,fd->fqn", gphi, kn)
-        return phi, kdn, _element_dofs(space, elems, int(degrees[elems[0]]))
+        return phi, kdn, space.dofs(elems)
 
     def tmul(a, b):
         """a^T b per facet: (F, q, m), (F, q, n) -> (F, m, n)."""
         return np.swapaxes(a, -1, -2) @ b
 
-    boundary = np.flatnonzero(mesh.facet_class == BOUNDARY)
-    for k, sel in _by_degree(degrees[e0[boundary]]):
-        facets = boundary[sel]
-        elems = e0[facets]
-        x, wq = facet_rule(facets, k + 2)
-        mu = _facet_penalty(np.array([k]), h_elem[elems, None], mu0)
-        phi, kdn, dofs = side(elems, facets, x)
-        pw = phi * wq[..., None]
-        flux = tmul(pw, kdn)
-        acc.add(dofs, dofs, mu[:, None, None] * tmul(pw, phi)
-                - flux - np.swapaxes(flux, -1, -2))
-        gw = _data_at(g, x) * wq
-        acc.add_rhs(dofs, np.einsum("fqi,fq->fi",
-                                    mu[:, None, None] * phi - kdn, gw))
+    facets = np.flatnonzero(mesh.facet_class == BOUNDARY)
+    x, wq = facet_rule(facets)
+    mu = penalty_bulk(k, h_elem[e0[facets], None], mu0)
+    phi, kdn, dofs = side(e0[facets], facets, x)
+    pw = phi * wq[..., None]
+    flux = tmul(pw, kdn)
+    acc.add(dofs, dofs, mu[:, None, None] * tmul(pw, phi)
+            - flux - np.swapaxes(flux, -1, -2))
+    gw = _data_at(g, x) * wq
+    acc.add_rhs(dofs, np.einsum("fqi,fq->fi",
+                                mu[:, None, None] * phi - kdn, gw))
 
-    interior = np.flatnonzero(np.isin(mesh.facet_class, flux_classes)
-                              & (e1 >= 0))
-    pairs = np.column_stack([degrees[e0[interior]], degrees[e1[interior]]])
-    for (ka, kb), sel in _by_degree(pairs):
-        facets = interior[sel]
-        x, wq = facet_rule(facets, max(ka, kb) + 2)
-        mu = _facet_penalty(np.array([ka, kb]),
-                            np.column_stack([h_elem[e0[facets]],
-                                             h_elem[e1[facets]]]), mu0)
-        sides = [side(e0[facets], facets, x), side(e1[facets], facets, x)]
-        signs = (1.0, -1.0)
-        for i, (phi_i, kdn_i, dofs_i) in enumerate(sides):
-            pw_i = phi_i * wq[..., None]
-            kw_i = kdn_i * wq[..., None]
-            for j, (phi_j, kdn_j, dofs_j) in enumerate(sides):
-                block = (mu * signs[i] * signs[j])[:, None, None] \
-                    * tmul(pw_i, phi_j) \
-                    - 0.5 * signs[i] * tmul(pw_i, kdn_j) \
-                    - 0.5 * signs[j] * tmul(kw_i, phi_j)
-                acc.add(dofs_i, dofs_j, block)
+    facets = np.flatnonzero(np.isin(mesh.facet_class, flux_classes)
+                            & (e1 >= 0))
+    x, wq = facet_rule(facets)
+    mu = penalty_bulk(k, np.column_stack([h_elem[e0[facets]],
+                                          h_elem[e1[facets]]]), mu0)
+    sides = [side(e0[facets], facets, x), side(e1[facets], facets, x)]
+    signs = (1.0, -1.0)
+    for i, (phi_i, kdn_i, dofs_i) in enumerate(sides):
+        pw_i = phi_i * wq[..., None]
+        kw_i = kdn_i * wq[..., None]
+        for j, (phi_j, kdn_j, dofs_j) in enumerate(sides):
+            block = (mu * signs[i] * signs[j])[:, None, None] \
+                * tmul(pw_i, phi_j) \
+                - 0.5 * signs[i] * tmul(pw_i, kdn_j) \
+                - 0.5 * signs[j] * tmul(kw_i, phi_j)
+            acc.add(dofs_i, dofs_j, block)
 
 
 # ---------------------------------------------------------------------------
@@ -571,21 +531,16 @@ def _wall_points(mesh: Mesh, profile: ApertureProfile, t: np.ndarray,
     return x
 
 
-def _point_matrix(space: DGSpace, elems: np.ndarray, values, n_cols: int,
-                  col_offset: int = 0) -> sp.csr_matrix:
+def _point_matrix(space: DGSpace, elems: np.ndarray, values: np.ndarray,
+                  n_cols: int, col_offset: int = 0) -> sp.csr_matrix:
     """Sparse (points x n_cols) evaluation matrix of the basis of
     ``space``, its dofs shifted by ``col_offset``.  Point i lies on element
-    ``elems[i]``; ``values(k, idx)`` gives the basis values at the points
-    ``idx``, all on elements of degree k, shape (len(idx), local dim)."""
-    rows, cols, vals = [], [], []
-    for k, idx in _by_degree(space.degrees[elems]):
-        v = values(k, idx)
-        rows.append(np.repeat(idx, v.shape[1]))
-        cols.append(col_offset + _element_dofs(space, elems[idx], k).ravel())
-        vals.append(v.ravel())
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                 np.concatenate(cols))),
-                         shape=(len(elems), n_cols))
+    ``elems[i]``, where the basis takes the values ``values[i]``, shape
+    (len(elems), dim)."""
+    return sp.csr_matrix(
+        (values.ravel(), (np.repeat(np.arange(len(elems)), space.dim),
+                          col_offset + space.dofs(elems).ravel())),
+        shape=(len(elems), n_cols))
 
 
 def _interface_basis(grid: InterfaceGrid, space: DGSpace, elems: np.ndarray,
@@ -596,13 +551,9 @@ def _interface_basis(grid: InterfaceGrid, space: DGSpace, elems: np.ndarray,
     t0 = grid.t_breaks[elems]
     length = grid.t_breaks[elems + 1] - t0
     loc = (t - t0) / length
-    if derivative:
-        return _point_matrix(
-            space, elems,
-            lambda k, i: seg_basis_deriv(k, loc[i]) / length[i, None],
-            n_cols, col_offset)
-    return _point_matrix(space, elems, lambda k, i: seg_basis(k, loc[i]),
-                         n_cols, col_offset)
+    values = seg_basis_deriv(space.degree, loc) / length[:, None] \
+        if derivative else seg_basis(space.degree, loc)
+    return _point_matrix(space, elems, values, n_cols, col_offset)
 
 
 def _wall_trace_matrix(mesh: Mesh, grid: InterfaceGrid, space: DGSpace,
@@ -615,31 +566,25 @@ def _wall_trace_matrix(mesh: Mesh, grid: InterfaceGrid, space: DGSpace,
     belem = (grid.belem1 if side == 1 else grid.belem2)[elems]
     x = _wall_points(mesh, profile, t, side)
     return _point_matrix(
-        space, belem,
-        lambda k, i: _basis_at(mesh.maps, space, belem[i], x[i, None])[:, 0],
+        space, belem, _basis_at(mesh.maps, space, belem, x[:, None])[:, 0],
         n_cols)
 
 
-def _gauss(grid: InterfaceGrid, n_pts: np.ndarray):
+def _gauss(grid: InterfaceGrid, n_pts: int):
     """Element, coordinate and weight of every Gauss point of the
-    interface grid, with n_pts[e] points on element e."""
-    parts = []
-    for npt, elems in _by_degree(n_pts):
-        tq, w = segment_rule(npt)
-        t0 = grid.t_breaks[elems, None]
-        length = grid.t_breaks[elems + 1, None] - t0
-        parts.append((np.repeat(elems, npt), (t0 + tq * length).ravel(),
-                      (w * length).ravel()))
-    return [np.concatenate(a) for a in zip(*parts)]
+    interface grid, with n_pts points on each element."""
+    tq, w = segment_rule(n_pts)
+    t0 = grid.t_breaks[:-1, None]
+    length = grid.t_breaks[1:, None] - t0
+    return (np.repeat(np.arange(grid.n_elements), n_pts),
+            (t0 + tq * length).ravel(), (w * length).ravel())
 
 
 def _coupling_gauss(grid: InterfaceGrid, bulk_space: DGSpace,
                     iface_space: DGSpace):
     """Gauss points of the coupling rule, which integrates the products
     of the interface basis and the wall traces on every element."""
-    kb = np.maximum(bulk_space.degrees[grid.belem1],
-                    bulk_space.degrees[grid.belem2])
-    return _gauss(grid, np.maximum(iface_space.degrees, kb) + 3)
+    return _gauss(grid, max(bulk_space.degree, iface_space.degree) + 3)
 
 
 def _edge_limits(grid: InterfaceGrid):
@@ -705,7 +650,7 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     """
     n, off, m = acc.n, bulk_space.n_dofs, grid.n_elements
     kt = _tangential_k(grid, perm)
-    kf = iface_space.degrees
+    kf = iface_space.degree
 
     def iface(elems, t):
         return [_interface_basis(grid, iface_space, elems, t, n, off,
@@ -739,7 +684,7 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     # (k+1)^2 / length over the adjacent elements
     adjacent = np.clip(np.column_stack([np.arange(-1, m), np.arange(m + 1)]),
                        0, m - 1)
-    mu = _facet_penalty(kf[adjacent], grid.lengths[adjacent], mu0, dim=1)
+    mu = penalty_bulk(kf, grid.lengths[adjacent], mu0, dim=1)
     # the printed flavour flips the symmetrizing term on boundary edges
     sym = np.where(boundary & (edge_terms == "printed"), -1.0, 1.0)
     mat += _form(jpsi, mu, jpsi) - _form(jpsi, kt * dd * mean, spsi) \

@@ -421,7 +421,24 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
                            f"custom, not {config.preset!r}")
 
     make = _preset_factory(config)
-    trial = make(config.d0_list[0])
+    presets = []
+    for d0 in config.d0_list:
+        # scalar bounds, so no wall is evaluated: the walls lie d_min or
+        # more apart, and the reference slab has fracture_layers columns
+        try:
+            preset = make(d0)
+            (xmin, _), (xmax, _) = preset.domain
+            d_min = preset.profile.d_min
+            if not d_min < xmax - xmin:
+                raise ValueError("the fracture walls leave the domain")
+            if not d_min / config.fracture_layers \
+                    > 4.0 * np.spacing(max(abs(xmin), abs(xmax))):
+                raise ValueError("the fracture slab is too thin for double "
+                                 "precision")
+        except ValueError as exc:
+            fail("experiment", "d0", f"d0 = {d0:g}: {exc}")
+        presets.append(preset)
+    trial = presets[0]
     for name in config.variants:
         try:
             models.resolve_mesh_mode(name, trial.profile, config.mesh_mode)
@@ -440,8 +457,7 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
         # the averaging, which depends on the fracture block and the rows
         key = "ref_h" if config.ref_h is not None else "h"
         size_key = "ref_h_normal" if config.ref_h_normal is not None else key
-        for d0 in config.d0_list:
-            preset = make(d0)
+        for d0, preset in zip(config.d0_list, presets):
             try:
                 mesh = models.full_mesh(
                     preset, config.ref_h or config.h,

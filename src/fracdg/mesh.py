@@ -258,10 +258,16 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
     two.  ``h_target_normal`` optionally loosens the spacing across the
     fracture direction (anisotropic meshes for reference solutions).
     ``fracture_layers`` sets the number of element layers across the
-    fracture slab in full mode.
+    fracture slab in full mode.  The lattices need a vertical fracture:
+    ``frame`` must have normal (1, 0) and tangent (0, 1).
     """
     if frame is None:
         frame = FractureFrame.vertical_line(0.5)
+    if not (np.array_equal(frame.normal, (1.0, 0.0))
+            and np.array_equal(frame.tangents, ((0.0, 1.0),))):
+        raise ValueError("the mesh needs a vertical fracture: frame normal "
+                         "(1, 0) and tangent (0, 1), got normal "
+                         f"{tuple(frame.normal.tolist())}")
     if domain is None:
         domain = ((0.0, 0.0), (1.0, 1.0))
     (xmin, ymin), (xmax, ymax) = domain

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import solver
 from .assembly import REDUCED_MESH_MODES, DGSpace, SparseSystem, \
-    _basis_at, _by_degree, _element_dofs, _interface_basis, \
-    _wall_trace_matrix, assemble_full, assemble_reduced, transport_form
+    _basis_at, _interface_basis, _wall_trace_matrix, assemble_full, \
+    assemble_reduced, transport_form
 from .geometry import ApertureProfile, FractureFrame, PermeabilityData, \
     WellposednessReport, check_wellposedness
 from .mesh import MESH_MODES, ElementMaps, InterfaceGrid, Mesh, \
@@ -277,14 +277,10 @@ def _field_at(maps: ElementMaps, space: DGSpace, coeffs: np.ndarray,
     ``pts.shape[:-1]``.
     """
     flat_elems = elems.reshape(-1)
-    flat_pts = pts.reshape((-1,) + pts.shape[-2:])
-    out = np.empty(flat_pts.shape[:-1])
-    for k, idx in _by_degree(space.degrees[flat_elems]):
-        el = flat_elems[idx]
-        phi = _basis_at(maps, space, el, flat_pts[idx])
-        c = coeffs[_element_dofs(space, el, k)]
-        out[idx] = (phi @ c[..., None])[..., 0]
-    return out.reshape(pts.shape[:-1])
+    phi = _basis_at(maps, space, flat_elems,
+                    pts.reshape((-1,) + pts.shape[-2:]))
+    c = coeffs[space.dofs(flat_elems)]
+    return (phi @ c[..., None])[..., 0].reshape(pts.shape[:-1])
 
 
 def _eval_bulk(mesh: Mesh, space: DGSpace, coeffs: np.ndarray,
@@ -396,18 +392,13 @@ def effective_velocity(solution: ReducedSolution, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # run orchestration
 
-def _bulk_degree(degrees) -> int:
-    if isinstance(degrees, (tuple, list)):
-        return int(degrees[0])
-    return int(degrees)
-
-
-def _iface_degree(degrees) -> int:
-    if isinstance(degrees, (tuple, list)):
-        if len(degrees) != 2:
-            raise ValueError("degrees must be an int or (bulk, interface)")
-        return int(degrees[1])
-    return int(degrees)
+def _degree_pair(degrees) -> tuple[int, int]:
+    """(bulk, interface) degrees from one int or a pair."""
+    if not isinstance(degrees, (tuple, list)):
+        degrees = (degrees, degrees)
+    if len(degrees) != 2:
+        raise ValueError("degrees must be an int or (bulk, interface)")
+    return int(degrees[0]), int(degrees[1])
 
 
 def full_mesh(preset: ProblemPreset, h: float, *, fracture_layers: int = 4,
@@ -425,7 +416,7 @@ def prepare_full(preset: ProblemPreset, h: float, degrees=1,
     """Mesh, spaces and assembled system of the full-dimensional model."""
     mesh = full_mesh(preset, h, fracture_layers=fracture_layers,
                      h_normal=h_normal)
-    space = DGSpace.bulk(mesh, _bulk_degree(degrees))
+    space = DGSpace.bulk(mesh, _degree_pair(degrees)[0])
     perm = preset.permeability()
     system = assemble_full(mesh, space, perm, preset.q, preset.g, mu0)
     return mesh, space, perm, system
@@ -485,8 +476,9 @@ class ReducedProblem:
         mesh = build_bulk_mesh(preset.domain, preset.profile, mesh_mode, h,
                                frame=preset.frame)
         grid = build_interface_grid(mesh)
-        bulk_space = DGSpace.bulk(mesh, _bulk_degree(degrees))
-        iface_space = DGSpace.interface(grid, _iface_degree(degrees))
+        k_bulk, k_iface = _degree_pair(degrees)
+        bulk_space = DGSpace.bulk(mesh, k_bulk)
+        iface_space = DGSpace.interface(grid, k_iface)
         perm = preset.permeability()
         system = assemble_reduced(
             mesh, grid, bulk_space, iface_space, perm, preset.profile,

@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import models
-from .assembly import _by_degree, _data_at, _element_dofs, segment_rule, \
-    tri_basis, tri_dim, triangle_rule
+from .assembly import _data_at, segment_rule, tri_basis, triangle_rule
 from .geometry import ApertureProfile, FractureFrame
 from .mesh import FRACTURE, InterfaceGrid, Mesh, _pow2_count
 
@@ -185,19 +184,17 @@ def l2_error_gamma(field_a, field_b, grid: InterfaceGrid) -> float:
 
 def l2_error_bulk(solution, exact: Callable) -> float:
     """L2 norm of (discrete - exact) over the meshed bulk domain, with
-    the degree-(k+2) rule on elements of degree k."""
+    the degree-(k+2) rule for a bulk space of degree k."""
     if isinstance(solution, models.FullSolution):
         space, coeffs = solution.space, solution.coefficients
     else:
         space, coeffs = solution.bulk_space, solution.bulk_coefficients
-    maps = solution.mesh.maps
-    total = 0.0
-    for k, elems in _by_degree(space.degrees):
-        pts, w = triangle_rule(k + 2)
-        vals = coeffs[_element_dofs(space, elems, k)] @ tri_basis(k, pts).T
-        diff = vals - _data_at(exact, maps.points(elems, pts))
-        total += float((diff**2 @ w) @ np.abs(maps.det[elems]))
-    return float(np.sqrt(total))
+    maps, k = solution.mesh.maps, space.degree
+    elems = np.arange(solution.mesh.n_elements)
+    pts, w = triangle_rule(k + 2)
+    vals = coeffs[space.dofs(elems)] @ tri_basis(k, pts).T
+    diff = vals - _data_at(exact, maps.points(elems, pts))
+    return float(np.sqrt((diff**2 @ w) @ np.abs(maps.det)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +415,12 @@ def write_fields(solution, prefix) -> list:
            for i, (x, y) in enumerate(mesh.vertices.tolist())))
 
     write(".elements.txt", "# element v0 v1 v2 subdomain degree\n",
-          (f"{e} {v0} {v1} {v2} {sub} {k}\n"
-           for e, ((v0, v1, v2), sub, k) in enumerate(zip(
-               mesh.elements.tolist(), mesh.subdomain.tolist(),
-               space.degrees.tolist()))))
+          (f"{e} {v0} {v1} {v2} {sub} {space.degree}\n"
+           for e, ((v0, v1, v2), sub) in enumerate(zip(
+               mesh.elements.tolist(), mesh.subdomain.tolist()))))
 
     values = [f"{c:.17g}" for c in coeffs.tolist()]
-    ends = space.offsets + tri_dim(space.degrees)
+    ends = space.offsets + space.dim
     write(".coefficients.txt", "# element coefficients...\n",
           (f"{e} {' '.join(values[start:end])}\n" for e, (start, end) in
            enumerate(zip(space.offsets.tolist(), ends.tolist()))))

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import re
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,27 @@ class TestParseErrors:
                 preset = perp-asym
                 d0 = 1e-1, -2e-2
             """)
+        # a d0 too wide for the domain or too thin for double precision is
+        # refused at its line from the profile's bounds, before numpy
+        # overflows or divides by zero on the walls
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d0, reason in (("1e308", "leave the domain"),
+                               ("1e-308", "too thin"), ("1e-16", "too thin")):
+                with pytest.raises(cli.ConfigError,
+                                   match=rf"exp\.cfg:4: d0 = .*{reason}"):
+                    parse(tmp_path, f"""
+                        [experiment]
+                        preset = perp-asym
+                        d0 = {d0}
+                    """)
+            for d0 in (1e-14, 0.3):
+                config = parse(tmp_path, f"""
+                    [experiment]
+                    preset = perp-asym
+                    d0 = {d0!r}
+                """)
+                assert list(config.d0_list) == [d0]
 
     def test_degrees_out_of_range(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="1..4"):

@@ -250,6 +250,21 @@ class TestBuildErrors:
         with pytest.raises(ValueError, match="outside"):
             build_bulk_mesh(UNIT, self.PROF, "rectified", 0.25, frame)
 
+    @pytest.mark.parametrize("normal, tangent", [
+        ((0.0, 1.0), (1.0, 0.0)), ((-1.0, 0.0), (0.0, 1.0)),
+        ((1.0, 0.0), (0.0, -1.0)), ((0.6, 0.8), (-0.8, 0.6))],
+        ids=["horizontal", "normal-flipped", "tangent-flipped", "oblique"])
+    def test_frame_other_than_vertical(self, normal, tangent):
+        # the lattices are built along x = offset; any other frame would
+        # be meshed as that vertical slab without notice
+        frame = FractureFrame(normal=normal, tangents=[tangent], offset=0.3)
+        for mode in ("full", "curved-reduced", "rectified"):
+            with pytest.raises(ValueError, match="vertical fracture"):
+                build_bulk_mesh(UNIT, self.PROF, mode, 0.25, frame)
+        frame = FractureFrame.vertical_line(0.3)
+        assert build_bulk_mesh(UNIT, self.PROF, "full", 0.25, frame).frame \
+            is frame
+
     def test_zero_fracture_layers(self):
         with pytest.raises(ValueError, match="layers"):
             build_bulk_mesh(UNIT, self.PROF, "full", 0.25, FRAME,

@@ -379,15 +379,17 @@ def looped_locate(mesh, points, tol=1e-9):
     return out
 
 
-def looped_eval_bulk(mesh, space, coeffs, points):
-    """Bulk field values, one point at a time."""
+def looped_eval_bulk(mesh, space, coeffs, points, elems=None):
+    """Bulk field values, one point at a time, on the elements
+    ``looped_locate`` finds unless they are given."""
     maps = mesh.maps
-    elems = looped_locate(mesh, points)
+    if elems is None:
+        elems = looped_locate(mesh, points)
     vals = np.empty(len(points))
     for i, e in enumerate(elems):
         e = int(e)
         phi = asm._basis_at(maps, space, e, points[i:i + 1])
-        vals[i] = phi[0] @ coeffs[space.element_dofs(e)]
+        vals[i] = phi[0] @ coeffs[space.dofs(e)]
     return vals
 
 
@@ -468,21 +470,24 @@ class TestPointLocation:
         assert models._locate(mesh, x)[0] == e
 
 
-def mixed_degree_reduced(variant, seed):
-    """A reduced solution on the wavy profile with random degrees 1..4
-    and random coefficients on both spaces."""
+DEGREES = range(1, asm.MAX_DEGREE + 1)
+
+
+def random_fields_reduced(variant, seed):
+    """Reduced solutions on the wavy profile with random coefficients,
+    one for each bulk degree k = 1..MAX_DEGREE, with interface degree
+    MAX_DEGREE + 1 - k, so the two degrees differ."""
     preset = dataclasses.replace(models.preset_by_name("perp-asym"),
                                  profile=WAVY)
     sol = models.run_reduced(preset, variant, 0.125)
     rng = np.random.default_rng(seed)
-    bulk = asm.DGSpace.bulk(sol.mesh, rng.integers(
-        1, asm.MAX_DEGREE + 1, size=sol.mesh.n_elements))
-    iface = asm.DGSpace.interface(sol.grid, rng.integers(
-        1, asm.MAX_DEGREE + 1, size=sol.grid.n_elements))
-    return dataclasses.replace(
-        sol, bulk_space=bulk, iface_space=iface,
-        bulk_coefficients=rng.standard_normal(bulk.n_dofs),
-        iface_coefficients=rng.standard_normal(iface.n_dofs))
+    for degree in DEGREES:
+        bulk = asm.DGSpace.bulk(sol.mesh, degree)
+        iface = asm.DGSpace.interface(sol.grid, asm.MAX_DEGREE + 1 - degree)
+        yield dataclasses.replace(
+            sol, bulk_space=bulk, iface_space=iface,
+            bulk_coefficients=rng.standard_normal(bulk.n_dofs),
+            iface_coefficients=rng.standard_normal(iface.n_dofs))
 
 
 def sample_t(grid, rng):
@@ -493,67 +498,76 @@ def sample_t(grid, rng):
 class TestBatchedEvaluation:
     @pytest.mark.parametrize("variant", ["I", "II-R"])
     def test_bulk_matches_pointwise(self, variant):
-        sol = mixed_degree_reduced(variant, 3)
-        rng = np.random.default_rng(8)
-        pts = rng.random((800, 2))
-        pts = pts[looped_locate(sol.mesh, pts) >= 0]
-        want = looped_eval_bulk(sol.mesh, sol.bulk_space,
-                                sol.bulk_coefficients, pts)
-        np.testing.assert_allclose(sol.evaluate_bulk(pts), want,
-                                   rtol=0.0, atol=1e-14 * np.abs(want).max())
+        sols = list(random_fields_reduced(variant, 3))
+        pts = np.random.default_rng(8).random((800, 2))
+        elems = looped_locate(sols[0].mesh, pts)
+        pts, elems = pts[elems >= 0], elems[elems >= 0]
+        for sol in sols:
+            want = looped_eval_bulk(sol.mesh, sol.bulk_space,
+                                    sol.bulk_coefficients, pts, elems)
+            np.testing.assert_allclose(
+                sol.evaluate_bulk(pts), want, rtol=0.0,
+                atol=1e-14 * np.abs(want).max(),
+                err_msg=f"degree {sol.bulk_space.degree}")
 
     def test_full_matches_pointwise(self):
         preset = dataclasses.replace(models.preset_by_name("perp-asym"),
                                      profile=WAVY)
         sol = models.run_full(preset, 0.125)
         rng = np.random.default_rng(9)
-        space = asm.DGSpace.bulk(sol.mesh, rng.integers(
-            1, asm.MAX_DEGREE + 1, size=sol.mesh.n_elements))
-        sol = dataclasses.replace(
-            sol, space=space,
-            coefficients=rng.standard_normal(space.n_dofs))
         pts = np.concatenate([rng.random((800, 2)), sol.mesh.vertices])
-        want = looped_eval_bulk(sol.mesh, space, sol.coefficients, pts)
-        got = sol.evaluate(pts)
-        # vertices may tie-break to another element than the loop did
-        inner = slice(0, 800)
-        np.testing.assert_allclose(got[inner], want[inner], rtol=0.0,
-                                   atol=1e-14 * np.abs(want).max())
+        elems = looped_locate(sol.mesh, pts)
+        for degree in DEGREES:
+            space = asm.DGSpace.bulk(sol.mesh, degree)
+            field = dataclasses.replace(
+                sol, space=space,
+                coefficients=rng.standard_normal(space.n_dofs))
+            want = looped_eval_bulk(sol.mesh, space, field.coefficients, pts,
+                                    elems)
+            got = field.evaluate(pts)
+            # vertices may tie-break to another element than the loop did
+            inner = slice(0, 800)
+            np.testing.assert_allclose(got[inner], want[inner], rtol=0.0,
+                                       atol=1e-14 * np.abs(want).max(),
+                                       err_msg=f"degree {degree}")
 
     @pytest.mark.parametrize("variant", ["I", "II-R"])
     def test_interface_matches_pointwise(self, variant):
-        sol = mixed_degree_reduced(variant, 4)
-        grid, space, c = sol.grid, sol.iface_space, sol.iface_coefficients
-        t = sample_t(grid, np.random.default_rng(2))
-        vals, ders = np.empty(len(t)), np.empty(len(t))
-        for i, ti in enumerate(t):
-            e = grid.element_of_t(float(ti))
-            t0, t1 = grid.t_breaks[e], grid.t_breaks[e + 1]
-            loc = np.array([(ti - t0) / (t1 - t0)])
-            k = int(space.degrees[e])
-            vals[i] = asm.seg_basis(k, loc)[0] @ c[space.element_dofs(e)]
-            ders[i] = (asm.seg_basis_deriv(k, loc)[0] / (t1 - t0)) \
-                @ c[space.element_dofs(e)]
-        np.testing.assert_allclose(sol.evaluate_interface(t), vals,
-                                   rtol=0.0, atol=1e-14 * np.abs(vals).max())
-        np.testing.assert_allclose(sol.interface_derivative(t), ders,
-                                   rtol=0.0, atol=1e-14 * np.abs(ders).max())
-        assert sol.evaluate_interface(0.3) == pytest.approx(
-            sol.evaluate_interface(np.array([0.3]))[0], abs=0.0)
+        for sol in random_fields_reduced(variant, 4):
+            grid, space = sol.grid, sol.iface_space
+            c, k = sol.iface_coefficients, space.degree
+            t = sample_t(grid, np.random.default_rng(2))
+            vals, ders = np.empty(len(t)), np.empty(len(t))
+            for i, ti in enumerate(t):
+                e = grid.element_of_t(float(ti))
+                t0, t1 = grid.t_breaks[e], grid.t_breaks[e + 1]
+                loc = np.array([(ti - t0) / (t1 - t0)])
+                vals[i] = asm.seg_basis(k, loc)[0] @ c[space.dofs(e)]
+                ders[i] = (asm.seg_basis_deriv(k, loc)[0] / (t1 - t0)) \
+                    @ c[space.dofs(e)]
+            np.testing.assert_allclose(
+                sol.evaluate_interface(t), vals, rtol=0.0,
+                atol=1e-14 * np.abs(vals).max(), err_msg=f"degree {k}")
+            np.testing.assert_allclose(
+                sol.interface_derivative(t), ders, rtol=0.0,
+                atol=1e-14 * np.abs(ders).max(), err_msg=f"degree {k}")
+            assert sol.evaluate_interface(0.3) == pytest.approx(
+                sol.evaluate_interface(np.array([0.3]))[0], abs=0.0)
 
     @pytest.mark.parametrize("variant", ["I", "II-R"])
     def test_wall_trace_matches_pointwise(self, variant):
-        sol = mixed_degree_reduced(variant, 6)
-        maps = sol.mesh.maps
-        t = sample_t(sol.grid, np.random.default_rng(7))
-        for side, belem in ((1, sol.grid.belem1), (2, sol.grid.belem2)):
-            x = asm._wall_points(sol.mesh, WAVY, t, side)
-            want = np.empty(len(t))
-            for i, ti in enumerate(t):
-                e = int(belem[sol.grid.element_of_t(float(ti))])
-                phi = asm._basis_at(maps, sol.bulk_space, e, x[i:i + 1])
-                want[i] = phi[0] @ sol.bulk_coefficients[
-                    sol.bulk_space.element_dofs(e)]
-            np.testing.assert_allclose(sol.wall_trace(side, t), want,
-                                       rtol=0.0,
-                                       atol=1e-14 * np.abs(want).max())
+        for sol in random_fields_reduced(variant, 6):
+            maps = sol.mesh.maps
+            t = sample_t(sol.grid, np.random.default_rng(7))
+            for side, belem in ((1, sol.grid.belem1), (2, sol.grid.belem2)):
+                x = asm._wall_points(sol.mesh, WAVY, t, side)
+                want = np.empty(len(t))
+                for i, ti in enumerate(t):
+                    e = int(belem[sol.grid.element_of_t(float(ti))])
+                    phi = asm._basis_at(maps, sol.bulk_space, e, x[i:i + 1])
+                    want[i] = phi[0] @ sol.bulk_coefficients[
+                        sol.bulk_space.dofs(e)]
+                np.testing.assert_allclose(
+                    sol.wall_trace(side, t), want, rtol=0.0,
+                    atol=1e-14 * np.abs(want).max(),
+                    err_msg=f"degree {sol.bulk_space.degree}")

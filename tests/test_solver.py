@@ -26,10 +26,10 @@ def raw_system(matrix, rhs):
                             n_bulk=matrix.shape[0], n_iface=0)
 
 
-def full_system(h=0.25, degrees=1):
+def full_system(h=0.25, degree=1):
     profile = ApertureProfile.constant(0.05, 0.05)
     mesh = build_bulk_mesh(DOMAIN, profile, "full", h, frame=FRAME)
-    space = asm.DGSpace.bulk(mesh, degrees)
+    space = asm.DGSpace.bulk(mesh, degree)
     perm = PermeabilityData(np.eye(2), np.eye(2), np.eye(2), 1.0)
     return asm.assemble_full(mesh, space, perm, None,
                              lambda x: 1.0 - x[:, 0], 10.0)
@@ -187,26 +187,27 @@ def block_bounds(system):
     return zip(starts, np.append(starts[1:], system.n_dofs))
 
 
-def mixed_degree_full_system():
-    profile = ApertureProfile.constant(0.05, 0.05)
-    mesh = build_bulk_mesh(DOMAIN, profile, "full", 0.25, frame=FRAME)
-    degrees = np.random.default_rng(4).integers(
-        1, asm.MAX_DEGREE + 1, size=mesh.n_elements)
-    assert set(degrees) == set(range(1, asm.MAX_DEGREE + 1))
-    return full_system(degrees=degrees)
+# a full system of every degree, and a reduced one, whose bulk and
+# interface blocks differ in size
+SYSTEM_KINDS = [f"full k={k}" for k in range(1, asm.MAX_DEGREE + 1)] \
+    + ["reduced II"]
+
+
+def system_of(kind):
+    if kind == "reduced II":
+        return reduced_system(variant="II")
+    return full_system(degree=int(kind.removeprefix("full k=")))
 
 
 class TestBlockPreconditioner:
-    @pytest.mark.parametrize("kind", ["mixed-degree full", "reduced II"])
+    @pytest.mark.parametrize("kind", SYSTEM_KINDS)
     def test_inverts_every_element_block(self, kind):
+        sys_ = system_of(kind)
         if kind == "reduced II":
-            sys_ = reduced_system(variant="II")
             # interface segments are blocks too: degree 1, two dofs each
             iface = sys_.block_offsets[sys_.block_offsets >= sys_.n_bulk]
             assert iface[0] == sys_.n_bulk and len(iface) > 1
             assert np.all(np.diff(np.append(iface, sys_.n_dofs)) == 2)
-        else:
-            sys_ = mixed_degree_full_system()
         precond, _ = solver._block_jacobi(sys_.matrix.tocsr(),
                                           sys_.block_offsets)
         a, m = sys_.matrix.toarray(), precond.toarray()
@@ -267,10 +268,9 @@ class TestCoarseLevel:
     """The exact solve on the element-constant space added to block
     Jacobi: ``M^-1 = B + R^T A0^-1 R`` with ``A0 = R A R^T``."""
 
-    @pytest.mark.parametrize("kind", ["mixed-degree full", "reduced II"])
+    @pytest.mark.parametrize("kind", SYSTEM_KINDS)
     def test_operator_adds_exact_coarse_solve(self, kind):
-        sys_ = (mixed_degree_full_system() if kind == "mixed-degree full"
-                else reduced_system(variant="II"))
+        sys_ = system_of(kind)
         matrix = sys_.matrix.tocsr()
         precond, _ = solver._two_level(matrix, sys_.block_offsets)
         smoother, _ = solver._block_jacobi(matrix, sys_.block_offsets)
