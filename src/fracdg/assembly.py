@@ -34,9 +34,10 @@ terms take their points at the Gauss points of every interface element,
 edge terms at the left and right limits of every edge, which a sparse
 (edges x limits) matrix sums into jumps and means.  Interior and
 boundary edges share one expression, a missing side counting as zero.
-Wall traces are evaluated where the mesh mode dictates: on the walls
-themselves for curved meshes (polynomial extension of the wall element at
-the analytic wall points) and on the midsurface for rectified meshes.
+Wall traces are evaluated at the mesh's walls (``Mesh.walls``): on the
+walls themselves for curved meshes (polynomial extension of the wall element
+at the analytic wall points) and on the midsurface for rectified meshes.
+The aperture profile and the frame are the mesh's own as well.
 
 The interface Nitsche edge terms exist in two flavours (``edge_terms``):
 ``"consistent"`` (default) symmetrizes the boundary-edge terms so that the
@@ -55,14 +56,13 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import ApertureProfile, PermeabilityData
+from .geometry import PermeabilityData
 from .mesh import (
     BOUNDARY,
     FRACTURE,
     GAMMA_1,
     GAMMA_2,
     INTERIOR,
-    MESH_MODES,
     ElementMaps,
     InterfaceGrid,
     Mesh,
@@ -79,7 +79,6 @@ __all__ = [
 
 MAX_DEGREE = 4
 EDGE_TERMS = ("consistent", "printed")
-REDUCED_MESH_MODES = tuple(mode for mode in MESH_MODES if mode != "full")
 
 
 # ---------------------------------------------------------------------------
@@ -516,21 +515,6 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
 # ---------------------------------------------------------------------------
 # interface forms (tangential flow, coupling, wall-slope transport)
 
-def _wall_points(mesh: Mesh, profile: ApertureProfile, t: np.ndarray,
-                 side: int) -> np.ndarray:
-    """Physical evaluation points of the wall traces at parameters t."""
-    gamma0 = mesh.frame.offset
-    x = np.empty((len(t), 2))
-    x[:, 1] = t
-    if mesh.mode == "rectified":
-        x[:, 0] = gamma0
-    elif side == 1:
-        x[:, 0] = gamma0 - np.asarray(profile.d1_fn(t), dtype=float)
-    else:
-        x[:, 0] = gamma0 + np.asarray(profile.d2_fn(t), dtype=float)
-    return x
-
-
 def _point_matrix(space: DGSpace, elems: np.ndarray, values: np.ndarray,
                   n_cols: int, col_offset: int = 0) -> sp.csr_matrix:
     """Sparse (points x n_cols) evaluation matrix of the basis of
@@ -557,14 +541,13 @@ def _interface_basis(grid: InterfaceGrid, space: DGSpace, elems: np.ndarray,
 
 
 def _wall_trace_matrix(mesh: Mesh, grid: InterfaceGrid, space: DGSpace,
-                       profile: ApertureProfile, side: int,
-                       elems: np.ndarray, t: np.ndarray,
+                       side: int, elems: np.ndarray, t: np.ndarray,
                        n_cols: int) -> sp.csr_matrix:
     """Evaluation matrix of the bulk trace on wall ``side`` (1 or 2) at
-    the points t, point i over interface element ``elems[i]`` and taken
-    on that element's wall element."""
+    the points t of the mesh's wall, point i over interface element
+    ``elems[i]`` and taken on that element's wall element."""
     belem = (grid.belem1 if side == 1 else grid.belem2)[elems]
-    x = _wall_points(mesh, profile, t, side)
+    x = np.column_stack([mesh.walls(t)[side - 1], t])
     return _point_matrix(
         space, belem, _basis_at(mesh.maps, space, belem, x[:, None])[:, 0],
         n_cols)
@@ -611,22 +594,22 @@ def _edge_limits(grid: InterfaceGrid):
 
 
 def _wall_traces(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
-                 profile: ApertureProfile, elems: np.ndarray, t: np.ndarray,
-                 n_cols: int):
+                 elems: np.ndarray, t: np.ndarray, n_cols: int):
     """Evaluation matrices of the bulk traces on walls 1 and 2."""
-    return [_wall_trace_matrix(mesh, grid, bulk_space, profile, side, elems,
-                               t, n_cols) for side in (1, 2)]
+    return [_wall_trace_matrix(mesh, grid, bulk_space, side, elems, t,
+                               n_cols) for side in (1, 2)]
 
 
-def _aperture(profile: ApertureProfile, t: np.ndarray):
-    """d, d', d1' and d2' at t."""
+def _aperture(mesh: Mesh, t: np.ndarray):
+    """d, d', d1' and d2' of the mesh's profile at t."""
+    p = mesh.profile
     d1, d2, dd1, dd2 = (_data_on_t(f, t) for f in (
-        profile.d1_fn, profile.d2_fn, profile.dd1_fn, profile.dd2_fn))
+        p.d1_fn, p.d2_fn, p.dd1_fn, p.dd2_fn))
     return d1 + d2, dd1 + dd2, dd1, dd2
 
 
-def _tangential_k(grid: InterfaceGrid, perm: PermeabilityData) -> float:
-    tau = grid.frame.tangents[0]
+def _tangential_k(mesh: Mesh, perm: PermeabilityData) -> float:
+    tau = mesh.frame.tangents[0]
     return float(tau @ perm.k_gamma @ tau)
 
 
@@ -637,8 +620,8 @@ def _form(b, w, c):
 
 def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
                      bulk_space: DGSpace, iface_space: DGSpace,
-                     profile: ApertureProfile, perm: PermeabilityData,
-                     q_gamma, g_gamma, mu0: float, edge_terms: str) -> None:
+                     perm: PermeabilityData, q_gamma, g_gamma, mu0: float,
+                     edge_terms: str) -> None:
     """Tangential-flow and coupling forms on the interface grid.
 
     Every term is B^T diag(w) C, with B and C sparse (points x dofs)
@@ -649,7 +632,7 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     [v] = v_left - v_right and a mean {v} = (v_left + v_right) / sides.
     """
     n, off, m = acc.n, bulk_space.n_dofs, grid.n_elements
-    kt = _tangential_k(grid, perm)
+    kt = _tangential_k(mesh, perm)
     kf = iface_space.degree
 
     def iface(elems, t):
@@ -659,7 +642,7 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     # tangential flow kt (d p)' phi' and the interface source
     e, t, w = _gauss(grid, kf + 3)
     psi, dpsi = iface(e, t)
-    d, dd, _, _ = _aperture(profile, t)
+    d, dd, _, _ = _aperture(mesh, t)
     mat = _form(dpsi, kt * dd * w, psi) + _form(dpsi, kt * d * w, dpsi)
     if q_gamma is not None:
         acc.rhs += psi.T @ (_data_on_t(q_gamma, t) * w)
@@ -668,8 +651,8 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     # beta (p_gamma - {p})(phi_gamma - {phi})
     e, t, w = _coupling_gauss(grid, bulk_space, iface_space)
     psi = _interface_basis(grid, iface_space, e, t, n, off)
-    p1, p2 = _wall_traces(mesh, grid, bulk_space, profile, e, t, n)
-    d = _aperture(profile, t)[0]
+    p1, p2 = _wall_traces(mesh, grid, bulk_space, e, t, n)
+    d = _aperture(mesh, t)[0]
     closure = psi - 0.5 * (p1 + p2)
     mat += _form(p2 - p1, perm.k_gamma_perp / d * w, p2 - p1) \
         + _form(closure, perm.beta_gamma(d) * w, closure)
@@ -678,7 +661,7 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     psi, dpsi = iface(lim_e, lim_t)
     jpsi, spsi, sdpsi = jump @ psi, total @ psi, total @ dpsi
     boundary, mean = sides == 1, 1.0 / sides
-    d, dd, _, _ = _aperture(profile, grid.t_breaks)
+    d, dd, _, _ = _aperture(mesh, grid.t_breaks)
     # penalty mu [p][v], consistency -kt [v]{(d p)'} and symmetrization
     # -kt d {v'}[p]; mu is the bulk rule with the segment dimension,
     # (k+1)^2 / length over the adjacent elements
@@ -700,7 +683,6 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
 
 def transport_form(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
                    iface_space: DGSpace, perm: PermeabilityData,
-                   profile: ApertureProfile,
                    edge_terms: str = "consistent") -> sp.csr_matrix:
     """Wall-slope transport form, a matrix on the dofs of the reduced
     system ([bulk | interface]); it has no rhs.
@@ -716,19 +698,19 @@ def transport_form(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
         raise ValueError(f"unknown edge_terms {edge_terms!r}")
     off = bulk_space.n_dofs
     n = off + iface_space.n_dofs
-    kt = _tangential_k(grid, perm)
+    kt = _tangential_k(mesh, perm)
 
     e, t, w = _coupling_gauss(grid, bulk_space, iface_space)
     dpsi = _interface_basis(grid, iface_space, e, t, n, off, derivative=True)
-    p1, p2 = _wall_traces(mesh, grid, bulk_space, profile, e, t, n)
-    _, _, dd1, dd2 = _aperture(profile, t)
+    p1, p2 = _wall_traces(mesh, grid, bulk_space, e, t, n)
+    _, _, dd1, dd2 = _aperture(mesh, t)
     mat = -(_form(dpsi, kt * dd1 * w, p1) + _form(dpsi, kt * dd2 * w, p2))
 
     lim_e, lim_t, total, jump, sides = _edge_limits(grid)
     jpsi = jump @ _interface_basis(grid, iface_space, lim_e, lim_t, n, off)
     s1, s2 = (total @ p for p in _wall_traces(mesh, grid, bulk_space,
-                                               profile, lim_e, lim_t, n))
-    _, dd, dd1, dd2 = _aperture(profile, grid.t_breaks)
+                                               lim_e, lim_t, n))
+    _, dd, dd1, dd2 = _aperture(mesh, grid.t_breaks)
     boundary = sides == 1
     kfac = kt if edge_terms == "consistent" else 1.0
     interior = 0.25 * kt * dd
@@ -759,8 +741,8 @@ def assemble_full(mesh: Mesh, space: DGSpace, perm: PermeabilityData,
 
 def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
                      iface_space: DGSpace, perm: PermeabilityData,
-                     profile: ApertureProfile, q_bulk, q_gamma, g_bulk,
-                     g_gamma, mu0_bulk: float, mu0_gamma: float,
+                     q_bulk, q_gamma, g_bulk, g_gamma, mu0_bulk: float,
+                     mu0_gamma: float,
                      edge_terms: str = "consistent") -> SparseSystem:
     """Assemble the coupled bulk/interface system every reduced variant
     on this mesh shares.
@@ -768,12 +750,12 @@ def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
     The system is blocked as [bulk dofs | interface dofs] and holds the
     bulk SIPG form, the tangential interface form and the coupling form
     with the full rhs.  Variants that keep the wall-slope transport terms
-    add :func:`transport_form` to its matrix.  Wall traces are taken on
-    the walls for curved meshes and on the midsurface for rectified ones.
+    add :func:`transport_form` to its matrix.  Geometry and wall traces
+    come from the mesh (``Mesh.walls``, ``Mesh.profile``).
     """
     if edge_terms not in EDGE_TERMS:
         raise ValueError(f"unknown edge_terms {edge_terms!r}")
-    if mesh.mode not in REDUCED_MESH_MODES:
+    if mesh.mode == "full":
         raise ValueError("reduced assembly cannot use a full-dimensional "
                          "mesh")
 
@@ -781,7 +763,7 @@ def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
     acc = _Accumulator(off + iface_space.n_dofs)
     _bulk_sipg(acc, mesh, bulk_space, perm, q_bulk, g_bulk, mu0_bulk,
                flux_classes=(INTERIOR,))
-    _interface_forms(acc, mesh, grid, bulk_space, iface_space, profile, perm,
+    _interface_forms(acc, mesh, grid, bulk_space, iface_space, perm,
                      q_gamma, g_gamma, mu0_gamma, edge_terms)
     return SparseSystem(matrix=acc.matrix(), rhs=acc.rhs,
                         n_bulk=off, n_iface=iface_space.n_dofs,

@@ -75,7 +75,8 @@ import numpy as np
 from scipy import sparse
 
 from . import models, postproc, solver
-from .assembly import EDGE_TERMS, MAX_DEGREE, REDUCED_MESH_MODES
+from .assembly import EDGE_TERMS, MAX_DEGREE
+from .mesh import REDUCED_MESH_MODES, check_aperture_bounds
 
 logger = logging.getLogger("fracdg.cli")
 
@@ -423,18 +424,11 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
     make = _preset_factory(config)
     presets = []
     for d0 in config.d0_list:
-        # scalar bounds, so no wall is evaluated: the walls lie d_min or
-        # more apart, and the reference slab has fracture_layers columns
+        # scalar bounds only; the reference slab has fracture_layers columns
         try:
             preset = make(d0)
-            (xmin, _), (xmax, _) = preset.domain
-            d_min = preset.profile.d_min
-            if not d_min < xmax - xmin:
-                raise ValueError("the fracture walls leave the domain")
-            if not d_min / config.fracture_layers \
-                    > 4.0 * np.spacing(max(abs(xmin), abs(xmax))):
-                raise ValueError("the fracture slab is too thin for double "
-                                 "precision")
+            check_aperture_bounds(preset.domain, preset.profile,
+                                  config.fracture_layers)
         except ValueError as exc:
             fail("experiment", "d0", f"d0 = {d0:g}: {exc}")
         presets.append(preset)
@@ -470,8 +464,7 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
                      f"the reference mesh at d0 = {d0:g} cannot be built "
                      f"({type(exc).__name__}: {exc}); coarsen {size_key}")
             try:
-                postproc.check_wall_fit(mesh, preset.profile, preset.frame,
-                                        config.h)
+                postproc.check_wall_fit(mesh, config.h)
             except ValueError as exc:
                 fail("experiment", key,
                      f"the reference mesh at d0 = {d0:g} cannot be "
@@ -531,10 +524,10 @@ def _preset_factory(config: ExperimentConfig):
         if prob.get("profile", "sinusoidal") == "constant":
             profile = models.ApertureProfile.constant(d0 / 2.0, d0 / 2.0)
         else:
-            profile = models.ApertureProfile.sinusoidal(
-                d0, frequency=prob.get("frequency", 8.0 * math.pi),
-                phase=prob.get("phase", 0.0),
-                asymmetry=prob.get("asymmetry", "antisymmetric"))
+            # the profile's own defaults fill the keys left unset
+            profile = models.ApertureProfile.sinusoidal(d0, **{
+                key: prob[key] for key in ("frequency", "phase", "asymmetry")
+                if key in prob})
         eye = np.eye(2)
         return models.ProblemPreset(
             name="custom", profile=profile,

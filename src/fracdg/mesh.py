@@ -15,6 +15,12 @@ vertex-snapped onto the analytic wall graphs).  Three modes exist:
     Two disconnected blocks abutting along the fracture midsurface itself
     (wall vertices on Gamma, duplicated per side).
 
+A mesh owns the fracture geometry it was built from, its ``profile`` and
+``frame``; :meth:`Mesh.walls` places both walls for its mode by the rule
+that places the lattice wall lines, and assembly and averaging read them
+there.  :func:`check_aperture_bounds` refuses an aperture too wide for the
+domain or too thin for double precision before any wall is evaluated.
+
 Both blocks of a two-block mesh share the same rows, and the wall lines
 are vertex-snapped to them, so :func:`build_interface_grid` reads the
 interface grid off the lattices: its elements are the rows, and the wall
@@ -40,10 +46,10 @@ from .geometry import ApertureProfile, FractureFrame
 
 __all__ = [
     "INTERIOR", "BOUNDARY", "GAMMA_1", "GAMMA_2",
-    "SIDE_1", "SIDE_2", "FRACTURE", "MESH_MODES",
+    "SIDE_1", "SIDE_2", "FRACTURE", "MESH_MODES", "REDUCED_MESH_MODES",
     "ElementMaps", "Mesh", "InterfaceGrid", "StructuredLattice",
-    "build_bulk_mesh", "build_interface_grid", "classify_facets",
-    "mesh_quality",
+    "build_bulk_mesh", "build_interface_grid", "check_aperture_bounds",
+    "classify_facets", "mesh_quality",
 ]
 
 # facet classes
@@ -58,6 +64,7 @@ SIDE_2 = 2
 FRACTURE = 3
 
 MESH_MODES = ("full", "curved-reduced", "rectified")
+REDUCED_MESH_MODES = MESH_MODES[1:]  # the two-block modes
 
 _FACET_NAMES = {INTERIOR: "interior", BOUNDARY: "exterior-boundary",
                 GAMMA_1: "gamma-side-1", GAMMA_2: "gamma-side-2"}
@@ -122,7 +129,8 @@ class Mesh:
 
     ``facet_elements[f]`` lists the one or two adjacent elements
     (second entry ``-1`` on one-sided facets).  Facet classes split into
-    interior, exterior boundary and the two fracture-wall families.
+    interior, exterior boundary and the two fracture-wall families.  The
+    ``profile`` and ``frame`` are those the mesh was built from.
     """
 
     vertices: np.ndarray
@@ -176,6 +184,39 @@ class Mesh:
 
     def facets_of_class(self, cls: int) -> np.ndarray:
         return np.nonzero(self.facet_class == cls)[0]
+
+    def walls(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """The x of wall 1 and wall 2 at tangential coordinates ``t``:
+        the midline on rectified meshes, gamma -+ d_i(t) otherwise."""
+        return _wall_lines(self.profile, self.frame.offset, self.mode, t)
+
+
+def _wall_lines(profile: ApertureProfile, gamma0: float, mode: str, t):
+    """The walls of a ``mode`` mesh at ``t`` (see :meth:`Mesh.walls`)."""
+    t = np.asarray(t, dtype=float)
+    if mode == "rectified":
+        return np.full(t.shape, gamma0), np.full(t.shape, gamma0)
+    d1 = np.broadcast_to(np.asarray(profile.d1_fn(t), dtype=float), t.shape)
+    d2 = np.broadcast_to(np.asarray(profile.d2_fn(t), dtype=float), t.shape)
+    return gamma0 - d1, gamma0 + d2
+
+
+def _ulps(xmin: float, xmax: float) -> float:
+    """The narrowest width a mesh column of the domain may take."""
+    return 4.0 * np.spacing(max(abs(xmin), abs(xmax)))
+
+
+def check_aperture_bounds(domain, profile: ApertureProfile,
+                          fracture_layers: int) -> None:
+    """Raise ValueError unless the profile's scalar bounds fit the domain
+    in double precision: the walls, ``d_min`` or more apart, fit in its
+    width, and ``fracture_layers`` slab columns stay a few ulps wide."""
+    (xmin, _), (xmax, _) = domain
+    d_min = profile.d_min
+    if not d_min < xmax - xmin:
+        raise ValueError("the fracture walls leave the domain")
+    if not d_min / fracture_layers > _ulps(xmin, xmax):
+        raise ValueError("the fracture slab is too thin for double precision")
 
 
 def _build_block(ys: np.ndarray, xs: np.ndarray, col_tags: np.ndarray,
@@ -282,6 +323,9 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
         raise ValueError("fracture hyperplane lies outside the domain")
     if abs(profile.t_range[0] - ymin) > 1e-12 or abs(profile.t_range[1] - ymax) > 1e-12:
         raise ValueError("aperture profile parameter range must span the domain height")
+    # the two-block meshes have no slab to split
+    check_aperture_bounds(domain, profile,
+                          fracture_layers if mode == "full" else 1)
 
     h_n = h_target if h_target_normal is None else h_target_normal
     n_rows = _pow2_count(ymax - ymin, h_target)
@@ -289,16 +333,10 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
     n2 = _pow2_count(xmax - gamma0, h_n)
     ys = np.linspace(ymin, ymax, n_rows + 1)
 
-    if mode == "rectified":
-        w1 = np.full(n_rows + 1, gamma0)
-        w2 = np.full(n_rows + 1, gamma0)
-    else:
-        d1 = np.asarray(profile.d1_fn(ys), dtype=float)
-        d2 = np.asarray(profile.d2_fn(ys), dtype=float)
-        if np.any(d1 + d2 <= 0.0):
+    w1, w2 = _wall_lines(profile, gamma0, mode, ys)
+    if mode != "rectified":
+        if np.any(w2 <= w1):
             raise ValueError("total aperture not positive along the fracture")
-        w1 = gamma0 - d1
-        w2 = gamma0 + d2
         if np.any(w1 <= xmin):
             raise ValueError("fracture wall on side 1 exits the domain "
                              f"(min x = {w1.min():.6g} <= {xmin})")
@@ -323,6 +361,10 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
     else:
         blocks.append((ys, xs1, np.full(n1, SIDE_1, dtype=np.int8), n1, None))
         blocks.append((ys, xs2, np.full(n2, SIDE_2, dtype=np.int8), None, 0))
+    # a block squeezed against an edge would give singular element maps
+    if any(not np.diff(xs_b, axis=1).min() > _ulps(xmin, xmax)
+           for _, xs_b, *_ in blocks):
+        raise ValueError("a mesh column is too thin for double precision")
 
     all_verts, all_elems, all_tags, lattices = [], [], [], []
     gamma1_edges: set[tuple[int, int]] = set()
@@ -433,7 +475,6 @@ class InterfaceGrid:
     t_breaks: np.ndarray
     belem1: np.ndarray
     belem2: np.ndarray
-    frame: FractureFrame
 
     @property
     def n_elements(self) -> int:
@@ -470,5 +511,4 @@ def build_interface_grid(mesh: Mesh) -> InterfaceGrid:
     lat1, lat2 = mesh.lattices
     return InterfaceGrid(t_breaks=lat1.ys,
                          belem1=lat1.elem_ids[:, lat1.gamma1_line - 1, 0],
-                         belem2=lat2.elem_ids[:, lat2.gamma2_line, 1],
-                         frame=mesh.frame)
+                         belem2=lat2.elem_ids[:, lat2.gamma2_line, 1])

@@ -20,13 +20,13 @@ from typing import Callable
 import numpy as np
 
 from . import solver
-from .assembly import REDUCED_MESH_MODES, DGSpace, SparseSystem, \
-    _basis_at, _interface_basis, _wall_trace_matrix, assemble_full, \
-    assemble_reduced, transport_form
+from .assembly import DGSpace, SparseSystem, _aperture, _basis_at, \
+    _interface_basis, _wall_trace_matrix, assemble_full, assemble_reduced, \
+    transport_form
 from .geometry import ApertureProfile, FractureFrame, PermeabilityData, \
     WellposednessReport, check_wellposedness
-from .mesh import MESH_MODES, ElementMaps, InterfaceGrid, Mesh, \
-    build_bulk_mesh, build_interface_grid
+from .mesh import MESH_MODES, REDUCED_MESH_MODES, ElementMaps, \
+    InterfaceGrid, Mesh, build_bulk_mesh, build_interface_grid
 
 logger = logging.getLogger(__name__)
 
@@ -351,13 +351,12 @@ class ReducedSolution:
 
     def wall_trace(self, side: int, t) -> np.ndarray:
         """Bulk pressure trace on wall 1 or 2 at tangential coordinates
-        ``t``, evaluated where the mesh mode puts the traces."""
+        ``t``, evaluated at the mesh's walls."""
         if side not in (1, 2):
             raise ValueError("side must be 1 or 2")
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         trace = _wall_trace_matrix(self.mesh, self.grid, self.bulk_space,
-                                   self.preset.profile, side,
-                                   self.grid.element_of_t(tt), tt,
+                                   side, self.grid.element_of_t(tt), tt,
                                    self.bulk_space.n_dofs)
         vals = trace @ self.bulk_coefficients
         return vals if np.ndim(t) else float(vals[0])
@@ -371,19 +370,15 @@ def effective_velocity(solution: ReducedSolution, t) -> np.ndarray:
     variant keeps them in the transport equation.
     """
     tt = np.atleast_1d(np.asarray(t, dtype=float))
-    profile = solution.preset.profile
     pg = np.atleast_1d(solution.evaluate_interface(tt))
     dpg = np.atleast_1d(solution.interface_derivative(tt))
-    d1 = np.asarray(profile.d1_fn(tt), dtype=float)
-    d2 = np.asarray(profile.d2_fn(tt), dtype=float)
-    dd1 = np.asarray(profile.dd1_fn(tt), dtype=float)
-    dd2 = np.asarray(profile.dd2_fn(tt), dtype=float)
-    total = (dd1 + dd2) * pg + (d1 + d2) * dpg
+    d, dd, dd1, dd2 = _aperture(solution.mesh, tt)
+    total = dd * pg + d * dpg
     if solution.variant.gradient_terms_in_transport:
         p1 = np.atleast_1d(solution.wall_trace(1, tt))
         p2 = np.atleast_1d(solution.wall_trace(2, tt))
         total = total - (p1 * dd1 + p2 * dd2)
-    tau = solution.preset.frame.tangents[0]
+    tau = solution.mesh.frame.tangents[0]
     ktau = solution.perm.k_gamma @ tau
     u = -np.multiply.outer(total, ktau)
     return u if np.ndim(t) else u[0]
@@ -393,12 +388,12 @@ def effective_velocity(solution: ReducedSolution, t) -> np.ndarray:
 # run orchestration
 
 def _degree_pair(degrees) -> tuple[int, int]:
-    """(bulk, interface) degrees from one int or a pair."""
+    """(bulk, interface) degrees, one or a pair, as given: DGSpace checks."""
     if not isinstance(degrees, (tuple, list)):
         degrees = (degrees, degrees)
     if len(degrees) != 2:
         raise ValueError("degrees must be an int or (bulk, interface)")
-    return int(degrees[0]), int(degrees[1])
+    return degrees[0], degrees[1]
 
 
 def full_mesh(preset: ProblemPreset, h: float, *, fracture_layers: int = 4,
@@ -481,7 +476,7 @@ class ReducedProblem:
         iface_space = DGSpace.interface(grid, k_iface)
         perm = preset.permeability()
         system = assemble_reduced(
-            mesh, grid, bulk_space, iface_space, perm, preset.profile,
+            mesh, grid, bulk_space, iface_space, perm,
             preset.q, preset.q_gamma, preset.g, preset.gamma_data(),
             mu0, mu0 if mu0_gamma is None else mu0_gamma,
             edge_terms=edge_terms)
@@ -496,12 +491,12 @@ class ReducedProblem:
     def system_of(self, variant) -> SparseSystem:
         """The system of a variant that may run on this mesh."""
         var = ModelVariant.of(variant)
-        resolve_mesh_mode(var, self.preset.profile, self.mesh.mode)
+        resolve_mesh_mode(var, self.mesh.profile, self.mesh.mode)
         if not var.gradient_terms_in_transport:
             return self.system
         return self.system.plus(transport_form(
             self.mesh, self.grid, self.bulk_space, self.iface_space,
-            self.perm, self.preset.profile, self.edge_terms))
+            self.perm, self.edge_terms))
 
     def solve(self, variant, method: str | None = None, tol: float = 1e-10,
               max_iter: int | None = None) -> ReducedSolution:

@@ -3,8 +3,9 @@ aperture sweeps, and field dumps.
 
 The reference interface pressure is the aperture average of a
 full-dimensional solution, taken per transversal line with the analytic
-wall positions as integration endpoints and the integration split at
-element boundaries so each piece sees a single polynomial.
+wall positions of its mesh (``Mesh.walls``) as integration endpoints and
+the integration split at element boundaries so each piece sees a single
+polynomial.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import models
-from .assembly import _data_at, segment_rule, tri_basis, triangle_rule
-from .geometry import ApertureProfile, FractureFrame
+from .assembly import _aperture, _data_at, segment_rule, tri_basis, \
+    triangle_rule
 from .mesh import FRACTURE, InterfaceGrid, Mesh, _pow2_count
 
 logger = logging.getLogger(__name__)
@@ -40,13 +41,12 @@ def _fracture_block(mesh: Mesh):
     return lat, cols
 
 
-def _transversal_lines(mesh: Mesh, profile: ApertureProfile,
-                       frame: FractureFrame, t: np.ndarray):
+def _transversal_lines(mesh: Mesh, t: np.ndarray):
     """Where the transversal lines at coordinates ``t`` cross the fracture
     block of a full mesh.
 
     Returns the row ``j`` of each line, its fraction ``s`` of the row
-    (shape (n, 1)), the half-apertures ``d1`` and ``d2``, and the block's
+    (shape (n, 1)), the mesh's walls ``w1`` and ``w2``, and the block's
     lattice lines on the row's lower and upper line and on the transversal
     line itself (``lower``, ``upper``, ``edges``, shape (n, ncols + 1)).
     Raises ValueError when a coordinate leaves the block, or when the
@@ -62,23 +62,20 @@ def _transversal_lines(mesh: Mesh, profile: ApertureProfile,
                          "fracture block")
     j = np.clip(np.searchsorted(ys, t, side="right") - 1, 0, lat.n_rows - 1)
     s = ((t - ys[j]) / (ys[j + 1] - ys[j]))[:, None]
-    gamma0 = frame.offset
-    d1 = np.broadcast_to(np.asarray(profile.d1_fn(t), dtype=float), t.shape)
-    d2 = np.broadcast_to(np.asarray(profile.d2_fn(t), dtype=float), t.shape)
+    w1, w2 = mesh.walls(t)
 
     lines = np.arange(cols[0], cols[-1] + 2)
     lower, upper = lat.xs[j][:, lines], lat.xs[j + 1][:, lines]
     edges = (1.0 - s) * lower + s * upper
     width = np.diff(edges, axis=1).min(axis=1)
-    if np.any((np.abs(edges[:, 0] - (gamma0 - d1)) > 0.5 * width)
-              | (np.abs(edges[:, -1] - (gamma0 + d2)) > 0.5 * width)):
+    if np.any((np.abs(edges[:, 0] - w1) > 0.5 * width)
+              | (np.abs(edges[:, -1] - w2) > 0.5 * width)):
         raise ValueError("transversal segment exits the fracture block; "
                          "the mesh does not match the aperture profile")
-    return j, s, d1, d2, lower, upper, edges
+    return j, s, w1, w2, lower, upper, edges
 
 
-def check_wall_fit(mesh: Mesh, profile: ApertureProfile,
-                   frame: FractureFrame, h: float) -> None:
+def check_wall_fit(mesh: Mesh, h: float) -> None:
     """Raise ValueError when the fracture block of a full mesh cannot be
     averaged where an error table at spacing ``h`` evaluates the average:
     :func:`_transversal_lines` at the ``DEFAULT_N_QUAD`` Gauss points of
@@ -87,19 +84,17 @@ def check_wall_fit(mesh: Mesh, profile: ApertureProfile,
     ys = mesh.lattices[0].ys
     breaks = np.linspace(ys[0], ys[-1], _pow2_count(ys[-1] - ys[0], h) + 1)
     tq, _ = segment_rule(DEFAULT_N_QUAD)
-    _transversal_lines(mesh, profile, frame,
-                       (breaks[:-1, None] + tq * np.diff(breaks)[:, None])
-                       .ravel())
+    _transversal_lines(mesh, (breaks[:-1, None]
+                              + tq * np.diff(breaks)[:, None]).ravel())
 
 
 @dataclass
 class GammaAverage:
     """Aperture-averaged pressure of a full-dimensional solution,
-    evaluable at tangential coordinates."""
+    evaluable at tangential coordinates; the walls and the aperture are
+    those of the solution's mesh."""
 
     full: models.FullSolution
-    profile: ApertureProfile
-    frame: FractureFrame
 
     def __post_init__(self):
         self._lat, self._cols = _fracture_block(self.full.mesh)
@@ -110,12 +105,12 @@ class GammaAverage:
         Every line is split at the lattice lines and the cell diagonals
         it crosses, 2 * ncols + 1 breakpoints clipped to the walls [a, b],
         so each piece lies in one triangle; pieces shorter than 1e-14
-        contribute nothing.
+        contribute nothing.  The integral is divided by the profile's
+        aperture d1 + d2.
         """
         lat, cols = self._lat, self._cols
-        j, s, d1, d2, lower, upper, edges = _transversal_lines(
-            self.full.mesh, self.profile, self.frame, t)
-        a, b = self.frame.offset - d1, self.frame.offset + d2
+        full, mesh = self.full, self.full.mesh
+        j, s, a, b, lower, upper, edges = _transversal_lines(mesh, t)
 
         # diagonal crossings: each cell's lower-left to upper-right split
         diag = (1.0 - s) * lower[:, :-1] + s * upper[:, 1:]
@@ -133,26 +128,20 @@ class GammaAverage:
         xs = lo[..., None] + tq * size[..., None]
         pts = np.stack([xs, np.broadcast_to(t[:, None, None], xs.shape)],
                        axis=-1)
-        full = self.full
-        values = models._field_at(full.mesh.maps, full.space,
-                                  full.coefficients, elems, pts)
+        values = models._field_at(mesh.maps, full.space, full.coefficients,
+                                  elems, pts)
         pieces = (values @ wq) * np.where(size < 1e-14, 0.0, size)
-        return pieces.sum(axis=1) / (d1 + d2)
+        return pieces.sum(axis=1) / _aperture(mesh, t)[0]
 
     def __call__(self, t) -> np.ndarray:
         out = self._average(np.atleast_1d(np.asarray(t, dtype=float)))
         return out if np.ndim(t) else float(out[0])
 
 
-def average_across_fracture(full: models.FullSolution,
-                            profile: ApertureProfile | None = None,
-                            frame: FractureFrame | None = None
-                            ) -> GammaAverage:
+def average_across_fracture(full: models.FullSolution) -> GammaAverage:
     """Aperture average of the full-dimensional pressure as an interface
-    field.  Profile and frame default to the solution's preset."""
-    return GammaAverage(full=full,
-                        profile=profile or full.preset.profile,
-                        frame=frame or full.preset.frame)
+    field, across the walls of the solution's mesh."""
+    return GammaAverage(full)
 
 
 # ---------------------------------------------------------------------------

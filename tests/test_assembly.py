@@ -65,17 +65,16 @@ def exact_state(mesh, grid, bs, ifs):
     return np.concatenate([xb, xi])
 
 
-def variant_system(variant, mesh, grid, bs, ifs, perm, profile, q_bulk,
-                   q_gamma, g_bulk, g_gamma, mu0, mu0_gamma,
-                   edge_terms="consistent"):
+def variant_system(variant, mesh, grid, bs, ifs, perm, q_bulk, q_gamma,
+                   g_bulk, g_gamma, mu0, mu0_gamma, edge_terms="consistent"):
     """The shared reduced system plus, where the variant's table row
     keeps it, the transport form."""
-    system = asm.assemble_reduced(mesh, grid, bs, ifs, perm, profile,
-                                  q_bulk, q_gamma, g_bulk, g_gamma, mu0,
-                                  mu0_gamma, edge_terms=edge_terms)
+    system = asm.assemble_reduced(mesh, grid, bs, ifs, perm, q_bulk,
+                                  q_gamma, g_bulk, g_gamma, mu0, mu0_gamma,
+                                  edge_terms=edge_terms)
     if models.ModelVariant.of(variant).gradient_terms_in_transport:
         system.matrix = system.matrix + asm.transport_form(
-            mesh, grid, bs, ifs, perm, profile, edge_terms)
+            mesh, grid, bs, ifs, perm, edge_terms)
     return system
 
 
@@ -414,15 +413,15 @@ class TestBatchedBulkForm:
 # batched interface forms against a per-element, per-edge reference
 
 
-def looped_interface_forms(acc, mesh, grid, bulk_space, iface_space,
-                           profile, perm, q_gamma, g_gamma, mu0, edge_terms,
-                           transport):
+def looped_interface_forms(acc, mesh, grid, bulk_space, iface_space, perm,
+                           q_gamma, g_gamma, mu0, edge_terms, transport):
     """Tangential-flow, coupling and (with ``transport``) wall-slope
     transport forms, one interface element and one edge at a time, added
     to the triplet accumulator ``acc`` of the coupled system."""
     off = bulk_space.n_dofs
     maps = mesh.maps
-    tau = grid.frame.tangents[0]
+    profile = mesh.profile
+    tau = mesh.frame.tangents[0]
     kt = float(tau @ perm.k_gamma @ tau)
     lengths = grid.lengths
     m = grid.n_elements
@@ -448,7 +447,7 @@ def looped_interface_forms(acc, mesh, grid, bulk_space, iface_space,
         """Per-side (dofs, basis values) of the wall traces at t."""
         out = []
         for side, belem in ((1, grid.belem1[e]), (2, grid.belem2[e])):
-            x = asm._wall_points(mesh, profile, t, side)
+            x = np.column_stack([mesh.walls(t)[side - 1], t])
             out.append((bulk_space.dofs(int(belem)),
                         asm._basis_at(maps, bulk_space, int(belem), x)))
         return out
@@ -574,8 +573,8 @@ class TestBatchedInterfaceForms:
         for degrees in ((1, 1), (2, 3), (3, 2), (4, 4)):
             bs = asm.DGSpace.bulk(mesh, degrees[0])
             ifs = asm.DGSpace.interface(grid, degrees[1])
-            args = (mesh, grid, bs, ifs, profile, perm, q_gamma, g_gamma,
-                    7.0, edge_terms)
+            args = (mesh, grid, bs, ifs, perm, q_gamma, g_gamma, 7.0,
+                    edge_terms)
             n = bs.n_dofs + ifs.n_dofs
             got, want = asm._Accumulator(n), asm._Accumulator(n)
             # the shared forms alone, or with the transport form added
@@ -584,7 +583,7 @@ class TestBatchedInterfaceForms:
             a, b = got.matrix(), want.matrix()
             if transport:
                 a = a + asm.transport_form(mesh, grid, bs, ifs, perm,
-                                           profile, edge_terms)
+                                           edge_terms)
             # summation order differs, so agreement is to rounding only
             assert abs(a - b).max() <= 1e-13 * abs(b).max(), degrees
             assert np.abs(got.rhs - want.rhs).max() \
@@ -683,10 +682,9 @@ class TestFullAssembly:
 
 class TestReducedAssembly:
     def test_block_sizes(self):
-        profile, mesh, grid, bs, ifs = const_setup()
-        sys_ = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(), profile,
-                                    None, None, g_linear, pgamma_half,
-                                    10.0, 10.0)
+        _, mesh, grid, bs, ifs = const_setup()
+        sys_ = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(), None,
+                                    None, g_linear, pgamma_half, 10.0, 10.0)
         n = bs.n_dofs + ifs.n_dofs
         assert sys_.matrix.shape == (n, n)
         assert sys_.n_bulk == bs.n_dofs and sys_.n_iface == ifs.n_dofs
@@ -695,31 +693,30 @@ class TestReducedAssembly:
         # with matching boundary data, unit permeabilities and a constant
         # aperture, the piecewise-linear pressure and the midline trace
         # satisfy the assembled equations of every variant
-        profile, mesh, grid, bs, ifs = const_setup()
+        _, mesh, grid, bs, ifs = const_setup()
         x = exact_state(mesh, grid, bs, ifs)
         for variant in models.MODEL_NAMES:
             sys_ = variant_system(variant, mesh, grid, bs, ifs, iso_perm(),
-                                  profile, None, None, g_linear,
-                                  pgamma_half, 10.0, 10.0)
+                                  None, None, g_linear, pgamma_half,
+                                  10.0, 10.0)
             res = np.abs(sys_.matrix @ x - sys_.rhs).max()
             assert res < 1e-10, (variant, res)
 
     def test_printed_edge_terms_lose_consistency(self):
-        profile, mesh, grid, bs, ifs = const_setup()
+        _, mesh, grid, bs, ifs = const_setup()
         x = exact_state(mesh, grid, bs, ifs)
-        sys_ = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(), profile,
-                                    None, None, g_linear, pgamma_half,
-                                    10.0, 10.0, edge_terms="printed")
+        sys_ = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(), None,
+                                    None, g_linear, pgamma_half, 10.0, 10.0,
+                                    edge_terms="printed")
         assert np.abs(sys_.matrix @ x - sys_.rhs).max() > 1e-3
 
     def test_constant_aperture_variants_coincide(self):
-        profile, mesh, grid, bs, ifs = const_setup()
+        _, mesh, grid, bs, ifs = const_setup()
         perm = PermeabilityData.from_fracture(np.eye(2), np.eye(2),
                                               2.0 * np.eye(2),
                                               2.0 / 3.0, FRAME)
-        systems = [variant_system(v, mesh, grid, bs, ifs, perm, profile,
-                                  None, None, g_linear, pgamma_half,
-                                  10.0, 10.0)
+        systems = [variant_system(v, mesh, grid, bs, ifs, perm, None, None,
+                                  g_linear, pgamma_half, 10.0, 10.0)
                    for v in models.MODEL_NAMES]
         a0 = systems[0].matrix
         for s in systems[1:]:
@@ -728,10 +725,10 @@ class TestReducedAssembly:
             np.testing.assert_allclose(s.rhs, systems[0].rhs, atol=1e-12)
 
     def test_transport_terms_only_in_interface_rows(self):
-        profile, mesh, grid, bs, ifs = wavy_setup()
+        _, mesh, grid, bs, ifs = wavy_setup()
         perm = iso_perm()
-        args = (mesh, grid, bs, ifs, perm, profile, None, None,
-                g_linear, pgamma_half, 10.0, 10.0)
+        args = (mesh, grid, bs, ifs, perm, None, None, g_linear,
+                pgamma_half, 10.0, 10.0)
         s1 = variant_system("I", *args)
         s2 = variant_system("II", *args)
         nb = bs.n_dofs
@@ -742,20 +739,20 @@ class TestReducedAssembly:
         np.testing.assert_allclose(s1.rhs, s2.rhs, atol=1e-14)
 
     def test_symmetry_by_variant(self):
-        profile, mesh, grid, bs, ifs = wavy_setup()
-        args = (mesh, grid, bs, ifs, iso_perm(), profile, None, None,
-                g_linear, pgamma_half, 10.0, 10.0)
+        _, mesh, grid, bs, ifs = wavy_setup()
+        args = (mesh, grid, bs, ifs, iso_perm(), None, None, g_linear,
+                pgamma_half, 10.0, 10.0)
         assert variant_system("II", *args).symmetry_defect() < 1e-12
         assert variant_system("I", *args).symmetry_defect() > 1e-8
 
     def test_coupling_scales_linearly_in_transversal_permeability(self):
-        profile, mesh, grid, bs, ifs = const_setup()
+        _, mesh, grid, bs, ifs = const_setup()
         mats = []
         for kperp in (1.0, 2.0, 3.0):
             perm = iso_perm(kperp=kperp)
-            mats.append(asm.assemble_reduced(mesh, grid, bs, ifs, perm,
-                                             profile, None, None, g_linear,
-                                             pgamma_half, 10.0, 10.0).matrix)
+            mats.append(asm.assemble_reduced(mesh, grid, bs, ifs, perm, None,
+                                             None, g_linear, pgamma_half,
+                                             10.0, 10.0).matrix)
         d21 = (mats[1] - mats[0]).toarray()
         d32 = (mats[2] - mats[1]).toarray()
         np.testing.assert_allclose(d32, d21, atol=1e-10)
@@ -765,22 +762,21 @@ class TestReducedAssembly:
     def test_coupling_closure_diagonal_entry(self):
         # beta = 4 kperp / ((2 xi - 1) d): the increment per unit kperp is
         # 4/((1/3)*0.1) = 120, integrated over one element of length 0.25
-        profile, mesh, grid, bs, ifs = const_setup()
-        a1 = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(1.0),
-                                  profile, None, None, g_linear,
-                                  pgamma_half, 10.0, 10.0).matrix
-        a2 = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(2.0),
-                                  profile, None, None, g_linear,
-                                  pgamma_half, 10.0, 10.0).matrix
+        _, mesh, grid, bs, ifs = const_setup()
+        a1 = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(1.0), None,
+                                  None, g_linear, pgamma_half, 10.0,
+                                  10.0).matrix
+        a2 = asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(2.0), None,
+                                  None, g_linear, pgamma_half, 10.0,
+                                  10.0).matrix
         off = bs.n_dofs
         # only the closure term reaches pure interface entries
         got = (a2 - a1)[off, off]
         assert got == pytest.approx(120.0 * 0.25, rel=1e-12)
 
     def test_gamma_data_enters_rhs_only(self):
-        profile, mesh, grid, bs, ifs = const_setup()
-        args = (mesh, grid, bs, ifs, iso_perm(), profile, None, None,
-                g_linear)
+        _, mesh, grid, bs, ifs = const_setup()
+        args = (mesh, grid, bs, ifs, iso_perm(), None, None, g_linear)
         s1 = asm.assemble_reduced(*args, pgamma_half, 10.0, 10.0)
         s2 = asm.assemble_reduced(*args, lambda t: 1.0 + 0.0 * t, 10.0, 10.0)
         d = (s1.matrix - s2.matrix).tocoo()
@@ -793,24 +789,23 @@ class TestReducedAssembly:
         _, cmesh, grid, _, ifs = const_setup()
         bs = asm.DGSpace.bulk(fmesh, 1)
         with pytest.raises(ValueError, match="full"):
-            asm.assemble_reduced(fmesh, grid, bs, ifs, iso_perm(), profile,
-                                 None, None, g_linear, pgamma_half,
-                                 10.0, 10.0)
+            asm.assemble_reduced(fmesh, grid, bs, ifs, iso_perm(), None,
+                                 None, g_linear, pgamma_half, 10.0, 10.0)
 
     def test_rejects_unknown_edge_terms(self):
-        profile, mesh, grid, bs, ifs = const_setup()
+        _, mesh, grid, bs, ifs = const_setup()
         with pytest.raises(ValueError, match="edge_terms"):
-            asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(), profile,
-                                 None, None, g_linear, pgamma_half,
-                                 10.0, 10.0, edge_terms="upwind")
+            asm.assemble_reduced(mesh, grid, bs, ifs, iso_perm(), None,
+                                 None, g_linear, pgamma_half, 10.0, 10.0,
+                                 edge_terms="upwind")
         with pytest.raises(ValueError, match="edge_terms"):
-            asm.transport_form(mesh, grid, bs, ifs, iso_perm(), profile,
+            asm.transport_form(mesh, grid, bs, ifs, iso_perm(),
                                edge_terms="upwind")
 
     def test_reduced_solve_recovers_linear_field(self):
-        profile, mesh, grid, bs, ifs = const_setup(h=0.25)
-        sys_ = variant_system("I", mesh, grid, bs, ifs, iso_perm(), profile,
-                              None, None, g_linear, pgamma_half, 10.0, 10.0)
+        _, mesh, grid, bs, ifs = const_setup(h=0.25)
+        sys_ = variant_system("I", mesh, grid, bs, ifs, iso_perm(), None,
+                              None, g_linear, pgamma_half, 10.0, 10.0)
         x = spla.spsolve(sys_.matrix.tocsc(), sys_.rhs)
         ref = exact_state(mesh, grid, bs, ifs)
         assert np.abs(x - ref).max() < 1e-9

@@ -384,12 +384,12 @@ class TestLibraryChoices:
             assert getattr(self.parses(tmp_path, "solver", f"{key} = auto"),
                            key) is None
             assert not self.parses(tmp_path, "solver", f"{key} = GMRES")
-        for mode in ("auto",) + assembly.REDUCED_MESH_MODES:
+        for mode in ("auto",) + mesh.REDUCED_MESH_MODES:
             # each mode fits some variant on the wavy walls of perp-asym
             assert any(self.parses(tmp_path, "experiment",
                                    f"mesh_mode = {mode}\nvariants = {name}")
                        for name in models.MODEL_NAMES)
-        for mode in set(mesh.MESH_MODES) - set(assembly.REDUCED_MESH_MODES):
+        for mode in set(mesh.MESH_MODES) - set(mesh.REDUCED_MESH_MODES):
             assert not self.parses(tmp_path, "experiment",
                                    f"mesh_mode = {mode}")
         assert not self.parses(tmp_path, "experiment", "mesh_mode = flat")
@@ -769,8 +769,7 @@ class TestWallResolution:
         preset = cli._preset_factory(config)(1e-1)
         ref_mesh = models.full_mesh(preset, 1 / 16)
         with pytest.raises(ValueError, match="exits the fracture block"):
-            postproc.check_wall_fit(ref_mesh, preset.profile, preset.frame,
-                                    1 / 16)
+            postproc.check_wall_fit(ref_mesh, 1 / 16)
         assert cli.main([path]) == 0
         rows = (out / "errors.csv").read_text().splitlines()[1:]
         assert len(rows) == 2

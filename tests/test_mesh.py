@@ -8,10 +8,11 @@ every row's trace element must own the wall facet spanning that row.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracdg.geometry import ApertureProfile, FractureFrame
@@ -21,6 +22,7 @@ from fracdg.mesh import (
     GAMMA_1,
     GAMMA_2,
     INTERIOR,
+    MESH_MODES,
     Mesh,
     SIDE_1,
     SIDE_2,
@@ -270,10 +272,75 @@ class TestBuildErrors:
             build_bulk_mesh(UNIT, self.PROF, "full", 0.25, FRAME,
                             fracture_layers=0)
 
+    def test_thin_slab_refused_only_where_it_is_meshed(self):
+        # d = 2e-15 is nine ulps of 1: one slab layer fits, four do not,
+        # and the two-block meshes have no slab to split
+        prof = ApertureProfile.constant(1e-15, 1e-15)
+        with pytest.raises(ValueError, match="too thin"):
+            build_bulk_mesh(UNIT, prof, "full", 0.25, FRAME)
+        build_bulk_mesh(UNIT, prof, "full", 0.25, FRAME, fracture_layers=1)
+        for mode in ("curved-reduced", "rectified"):
+            build_bulk_mesh(UNIT, prof, mode, 0.25, FRAME)
+
     def test_profile_range_mismatch(self):
         prof = ApertureProfile.constant(0.05, 0.05, t_range=(0.0, 2.0))
         with pytest.raises(ValueError, match="range"):
             build_bulk_mesh(UNIT, prof, "rectified", 0.25, FRAME)
+
+
+class TestWalls:
+    @pytest.mark.parametrize("mode", MESH_MODES)
+    def test_walls_are_the_lattice_wall_lines(self, mode):
+        prof = ApertureProfile.sinusoidal(0.07, phase=0.3,
+                                          asymmetry="symmetric")
+        offset = 0.4
+        mesh = build_bulk_mesh(UNIT, prof, mode, 1.0 / 16.0,
+                               FractureFrame.vertical_line(offset),
+                               fracture_layers=3)
+        # bit for bit: the lattice wall lines come from the same rule
+        lat1, lat2 = mesh.lattices[0], mesh.lattices[-1]
+        w1, w2 = mesh.walls(lat1.ys)
+        assert np.array_equal(w1, lat1.xs[:, lat1.gamma1_line])
+        assert np.array_equal(w2, lat2.xs[:, lat2.gamma2_line])
+        # between the rows, the analytic walls or the midline
+        t = np.linspace(0.0, 1.0, 37)
+        if mode == "rectified":
+            want = (np.full_like(t, offset), np.full_like(t, offset))
+        else:
+            want = (offset - prof.d1_fn(t), offset + prof.d2_fn(t))
+        np.testing.assert_array_equal(mesh.walls(t), want)
+
+    @settings(max_examples=150, deadline=None)
+    @example(mode="full", log10_d0=308.2, asymmetry="symmetric", phase=1.0,
+             offset=0.5, h=0.25, layers=4)  # walls overflow
+    @example(mode="rectified", log10_d0=-1.0, asymmetry="symmetric",
+             phase=0.0, offset=1e-310, h=0.25, layers=1)  # empty block
+    @given(mode=st.sampled_from(MESH_MODES),
+           log10_d0=st.one_of(st.floats(-310.0, 310.0),
+                              st.floats(-17.0, 0.0)),
+           asymmetry=st.sampled_from(("antisymmetric", "symmetric")),
+           phase=st.floats(0.0, 2.0 * math.pi),
+           offset=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           h=st.floats(1.0 / 16.0, 2.0),
+           layers=st.integers(1, 4))
+    def test_build_gives_a_mesh_or_a_value_error(self, mode, log10_d0,
+                                                  asymmetry, phase, offset,
+                                                  h, layers):
+        # d0 spans subnormal to infinite, and often lies in the band where
+        # a mesh can exist; h >= 1/16 keeps every mesh small
+        with np.errstate(over="ignore"):
+            d0 = float(np.float64(10.0) ** log10_d0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = ApertureProfile.sinusoidal(d0, phase=phase,
+                                              asymmetry=asymmetry)
+            try:
+                mesh = build_bulk_mesh(UNIT, prof, mode, h,
+                                       FractureFrame.vertical_line(offset),
+                                       fracture_layers=layers)
+            except ValueError:
+                return
+            assert np.all(mesh.element_volumes() > 0.0)
 
 
 class TestRefinementNesting:

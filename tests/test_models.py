@@ -10,6 +10,7 @@ runs must collapse variants I and II-R onto each other.
 import dataclasses
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,33 @@ class TestRunReduced:
         assert sol.report.relative_residual <= 1e-10
 
 
+class TestLibraryInputs:
+    @pytest.mark.parametrize("d0, reason", [(1e308, "walls leave the domain"),
+                                            (1e-308, "too thin")])
+    def test_extreme_d0_refused_before_numpy_warns(self, d0, reason):
+        # the mesh checks the profile's scalar bounds before it evaluates
+        # a wall, so numpy never overflows or divides by zero
+        preset = models.preset_by_name("perp-asym", d0=d0)
+        runs = {"full": lambda: models.run_full(preset, 0.5),
+                **{v: (lambda v=v: models.run_reduced(preset, v, 0.5))
+                   for v in ("I", "II-R")}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, run in runs.items():
+                with pytest.raises(ValueError, match=reason):
+                    run()
+
+    def test_non_integer_degrees_refused(self):
+        # degrees reach DGSpace as given, and it allows integers only
+        preset = models.preset_by_name("perp-asym")
+        with pytest.raises(ValueError, match="one integer"):
+            models.run_full(preset, 0.5, degrees=2.5)
+        with pytest.raises(ValueError, match="one integer"):
+            models.run_reduced(preset, "I", 0.5, degrees=(1, 1.9))
+        with pytest.raises(ValueError, match="one integer"):
+            models.run_reduced(preset, "I", 0.5, degrees=(2.0, 1))
+
+
 class TestReducedProblem:
     PRESET = models.preset_by_name("perp-asym", d0=0.1)
 
@@ -275,8 +303,7 @@ class TestReducedProblem:
         assert system.rhs is shared.rhs
         transport = asm.transport_form(problem.mesh, problem.grid,
                                        problem.bulk_space,
-                                       problem.iface_space, problem.perm,
-                                       self.PRESET.profile)
+                                       problem.iface_space, problem.perm)
         assert (system.matrix != shared.matrix + transport).nnz == 0
 
     def test_wellposedness_warned_once_per_problem(self, caplog):
@@ -560,7 +587,7 @@ class TestBatchedEvaluation:
             maps = sol.mesh.maps
             t = sample_t(sol.grid, np.random.default_rng(7))
             for side, belem in ((1, sol.grid.belem1), (2, sol.grid.belem2)):
-                x = asm._wall_points(sol.mesh, WAVY, t, side)
+                x = np.column_stack([sol.mesh.walls(t)[side - 1], t])
                 want = np.empty(len(t))
                 for i, ti in enumerate(t):
                     e = int(belem[sol.grid.element_of_t(float(ti))])

@@ -42,12 +42,12 @@ def reduced_system(h=0.25, variant="I"):
     bs = asm.DGSpace.bulk(mesh, 1)
     ifs = asm.DGSpace.interface(grid, 1)
     perm = PermeabilityData(np.eye(2), np.eye(2), np.eye(2), 1.0)
-    system = asm.assemble_reduced(mesh, grid, bs, ifs, perm, profile,
-                                  None, None, lambda x: 1.0 - x[:, 0],
-                                  lambda t: 0.5, 10.0, 10.0)
+    system = asm.assemble_reduced(mesh, grid, bs, ifs, perm, None, None,
+                                  lambda x: 1.0 - x[:, 0], lambda t: 0.5,
+                                  10.0, 10.0)
     if models.ModelVariant.of(variant).gradient_terms_in_transport:
         system.matrix = system.matrix + asm.transport_form(
-            mesh, grid, bs, ifs, perm, profile)
+            mesh, grid, bs, ifs, perm)
     return system
 
 
