@@ -9,10 +9,8 @@ interface conditions.
 
 from .geometry import (
     ApertureProfile,
-    FractureFrame,
     PermeabilityData,
     check_wellposedness,
-    project_to_gamma,
 )
 from .mesh import Mesh, build_bulk_mesh, build_interface_grid
 from .assembly import DGSpace, SparseSystem, assemble_full, assemble_reduced
@@ -41,10 +39,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApertureProfile",
-    "FractureFrame",
     "PermeabilityData",
     "check_wellposedness",
-    "project_to_gamma",
     "Mesh",
     "build_bulk_mesh",
     "build_interface_grid",

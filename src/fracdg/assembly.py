@@ -37,7 +37,8 @@ boundary edges share one expression, a missing side counting as zero.
 Wall traces are evaluated at the mesh's walls (``Mesh.walls``): on the
 walls themselves for curved meshes (polynomial extension of the wall element
 at the analytic wall points) and on the midsurface for rectified meshes.
-The aperture profile and the frame are the mesh's own as well.
+The aperture profile is the mesh's own as well; the tangential
+permeability is the (t, t) = (y, y) entry of ``k_gamma``.
 
 The interface Nitsche edge terms exist in two flavours (``edge_terms``):
 ``"consistent"`` (default) symmetrizes the boundary-edge terms so that the
@@ -608,9 +609,8 @@ def _aperture(mesh: Mesh, t: np.ndarray):
     return d1 + d2, dd1 + dd2, dd1, dd2
 
 
-def _tangential_k(mesh: Mesh, perm: PermeabilityData) -> float:
-    tau = mesh.frame.tangents[0]
-    return float(tau @ perm.k_gamma @ tau)
+def _tangential_k(perm: PermeabilityData) -> float:
+    return float(perm.k_gamma[1, 1])
 
 
 def _form(b, w, c):
@@ -632,7 +632,7 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     [v] = v_left - v_right and a mean {v} = (v_left + v_right) / sides.
     """
     n, off, m = acc.n, bulk_space.n_dofs, grid.n_elements
-    kt = _tangential_k(mesh, perm)
+    kt = _tangential_k(perm)
     kf = iface_space.degree
 
     def iface(elems, t):
@@ -698,7 +698,7 @@ def transport_form(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
         raise ValueError(f"unknown edge_terms {edge_terms!r}")
     off = bulk_space.n_dofs
     n = off + iface_space.n_dofs
-    kt = _tangential_k(mesh, perm)
+    kt = _tangential_k(perm)
 
     e, t, w = _coupling_gauss(grid, bulk_space, iface_space)
     dpsi = _interface_basis(grid, iface_space, e, t, n, off, derivative=True)

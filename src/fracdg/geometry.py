@@ -1,8 +1,9 @@
 """Fracture geometry for a single planar fracture inside a porous matrix.
 
-The fracture midsurface is a hyperplane segment Gamma inside the domain,
-described by a :class:`FractureFrame` (unit normal, tangent basis, offset).
-The fracture walls are offset graphs over Gamma given by an
+The fracture midsurface Gamma is the vertical line ``x = gamma0`` of the
+domain, with normal (1, 0) and tangential coordinate ``t = y``; a straight
+fracture in 2D is one offset once the domain is rotated so that it is
+vertical.  The fracture walls are offset graphs over Gamma given by an
 :class:`ApertureProfile` holding the two one-sided apertures ``d1`` and
 ``d2`` together with their analytic tangential gradients.  All operations
 here are pure functions of immutable value objects; everything is safe to
@@ -18,83 +19,11 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "FractureFrame",
     "ApertureProfile",
     "PermeabilityData",
     "WellposednessReport",
-    "project_to_gamma",
     "check_wellposedness",
 ]
-
-_ORTHONORMAL_TOL = 1e-12
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
-
-
-@dataclass(frozen=True)
-class FractureFrame:
-    """Orthonormal frame attached to the fracture hyperplane.
-
-    ``Gamma = { x : normal . x == offset }`` intersected with the domain.
-    Points on Gamma are parameterized by tangential coordinates ``t``
-    (a single scalar in 2D): ``x(t) = offset * normal + t * tangent``.
-
-    Parameters
-    ----------
-    normal : unit normal of the hyperplane.
-    tangents : the unit tangent completing the basis, stored as one row
-        (the package is two-dimensional).
-    offset : position of the hyperplane along its normal (length).
-    """
-
-    normal: np.ndarray
-    tangents: np.ndarray
-    offset: float
-
-    def __post_init__(self) -> None:
-        n = _unit(self.normal)
-        tau = np.atleast_2d(np.asarray(self.tangents, dtype=float))
-        if n.shape != (2,) or tau.shape != (1, 2):
-            raise ValueError("frames are two-dimensional: one normal and "
-                             "one tangent")
-        basis = np.vstack([n, tau])
-        gram = basis @ basis.T
-        if not np.allclose(gram, np.eye(len(basis)), atol=_ORTHONORMAL_TOL):
-            raise ValueError("frame basis is not orthonormal")
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "tangents", tau)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @property
-    def dim(self) -> int:
-        return self.normal.shape[0]
-
-    @classmethod
-    def vertical_line(cls, x_position: float = 0.5) -> "FractureFrame":
-        """2D frame for a fracture along ``x1 == x_position``."""
-        return cls(normal=np.array([1.0, 0.0]),
-                   tangents=np.array([[0.0, 1.0]]),
-                   offset=x_position)
-
-    def point(self, t) -> np.ndarray:
-        """Ambient coordinates of the point on Gamma with tangential
-        coordinate(s) ``t``."""
-        t = np.asarray(t, dtype=float)
-        base = self.offset * self.normal
-        return base + np.multiply.outer(t, self.tangents[0])
-
-    def eta(self, x: np.ndarray) -> np.ndarray:
-        """Signed normal coordinate of ambient point(s) ``x``."""
-        x = np.asarray(x, dtype=float)
-        return x @ self.normal - self.offset
-
-    def tangential(self, x: np.ndarray) -> np.ndarray:
-        """Tangential coordinate (a scalar per point) of ambient point(s)
-        ``x``."""
-        return np.asarray(x, dtype=float) @ self.tangents[0]
 
 
 @dataclass(frozen=True)
@@ -197,19 +126,12 @@ class ApertureProfile:
                    d_min=d_min, d_sup=d_sup, t_range=t_range)
 
 
-def project_to_gamma(x, frame: FractureFrame) -> np.ndarray:
-    """Orthogonal projection of ambient point(s) onto the hyperplane."""
-    x = np.asarray(x, dtype=float)
-    eta = x @ frame.normal - frame.offset
-    return x - np.multiply.outer(eta, frame.normal)
-
-
-def _as_tensor(K, dim: int = 2) -> np.ndarray:
+def _as_tensor(K) -> np.ndarray:
     K = np.asarray(K, dtype=float)
     if K.ndim == 0:
-        return float(K) * np.eye(dim)
-    if K.shape != (dim, dim):
-        raise ValueError(f"permeability tensor must be scalar or {dim}x{dim}")
+        return float(K) * np.eye(2)
+    if K.shape != (2, 2):
+        raise ValueError("permeability tensor must be scalar or 2x2")
     return K
 
 
@@ -243,10 +165,9 @@ class PermeabilityData:
     kappa_gamma_max: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
-        dim = 2
-        k1 = _as_tensor(self.k1, dim)
-        k2 = _as_tensor(self.k2, dim)
-        kg = _as_tensor(self.k_gamma, dim)
+        k1 = _as_tensor(self.k1)
+        k2 = _as_tensor(self.k2)
+        kg = _as_tensor(self.k_gamma)
         _spd_bounds(k1, "k1")
         _spd_bounds(k2, "k2")
         gmin, gmax = _spd_bounds(kg, "k_gamma")
@@ -254,7 +175,7 @@ class PermeabilityData:
             raise ValueError("k_gamma_perp must be positive")
         if not self.xi > 0.5:
             raise ValueError(f"coupling parameter xi must exceed 1/2, got {self.xi}")
-        kf = kg if self.k_f is None else _as_tensor(self.k_f, dim)
+        kf = kg if self.k_f is None else _as_tensor(self.k_f)
         _spd_bounds(kf, "k_f")
         object.__setattr__(self, "k1", k1)
         object.__setattr__(self, "k2", k2)
@@ -266,14 +187,13 @@ class PermeabilityData:
         object.__setattr__(self, "kappa_gamma_max", gmax)
 
     @classmethod
-    def from_fracture(cls, k1, k2, k_f, xi: float = 2.0 / 3.0,
-                      frame: FractureFrame | None = None) -> "PermeabilityData":
+    def from_fracture(cls, k1, k2, k_f,
+                      xi: float = 2.0 / 3.0) -> "PermeabilityData":
         """Derive the effective tangential/transversal fracture
-        permeabilities from the slab permeability ``k_f``."""
-        if frame is None:
-            frame = FractureFrame.vertical_line()
-        kf = _as_tensor(k_f, frame.dim)
-        perp = float(frame.normal @ kf @ frame.normal)
+        permeabilities from the slab permeability ``k_f``: the
+        transversal one is its component along the normal (1, 0)."""
+        kf = _as_tensor(k_f)
+        perp = float(kf[0, 0])
         return cls(k1=k1, k2=k2, k_gamma=kf, k_gamma_perp=perp, xi=xi, k_f=kf)
 
     def beta_gamma(self, d) -> np.ndarray:

@@ -16,7 +16,8 @@ vertex-snapped onto the analytic wall graphs).  Three modes exist:
     (wall vertices on Gamma, duplicated per side).
 
 A mesh owns the fracture geometry it was built from, its ``profile`` and
-``frame``; :meth:`Mesh.walls` places both walls for its mode by the rule
+the midline ``x = gamma0`` (the tangential coordinate is ``y``);
+:meth:`Mesh.walls` places both walls for its mode by the rule
 that places the lattice wall lines, and assembly and averaging read them
 there.  :func:`check_aperture_bounds` refuses an aperture too wide for the
 domain or too thin for double precision before any wall is evaluated.
@@ -42,14 +43,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import ApertureProfile, FractureFrame
+from .geometry import ApertureProfile
 
 __all__ = [
     "INTERIOR", "BOUNDARY", "GAMMA_1", "GAMMA_2",
     "SIDE_1", "SIDE_2", "FRACTURE", "MESH_MODES", "REDUCED_MESH_MODES",
     "ElementMaps", "Mesh", "InterfaceGrid", "StructuredLattice",
     "build_bulk_mesh", "build_interface_grid", "check_aperture_bounds",
-    "classify_facets", "mesh_quality",
 ]
 
 # facet classes
@@ -65,9 +65,6 @@ FRACTURE = 3
 
 MESH_MODES = ("full", "curved-reduced", "rectified")
 REDUCED_MESH_MODES = MESH_MODES[1:]  # the two-block modes
-
-_FACET_NAMES = {INTERIOR: "interior", BOUNDARY: "exterior-boundary",
-                GAMMA_1: "gamma-side-1", GAMMA_2: "gamma-side-2"}
 
 
 def _pow2_count(length: float, h: float) -> int:
@@ -130,7 +127,8 @@ class Mesh:
     ``facet_elements[f]`` lists the one or two adjacent elements
     (second entry ``-1`` on one-sided facets).  Facet classes split into
     interior, exterior boundary and the two fracture-wall families.  The
-    ``profile`` and ``frame`` are those the mesh was built from.
+    ``profile`` and the midline x ``gamma0`` are those the mesh was built
+    from.
     """
 
     vertices: np.ndarray
@@ -141,7 +139,7 @@ class Mesh:
     facet_elements: np.ndarray
     facet_class: np.ndarray
     lattices: tuple[StructuredLattice, ...]
-    frame: FractureFrame
+    gamma0: float
     profile: ApertureProfile
     h_target: float
 
@@ -182,13 +180,10 @@ class Mesh:
         l20 = np.linalg.norm(v[e[:, 0]] - v[e[:, 2]], axis=1)
         return np.maximum(np.maximum(l01, l12), l20)
 
-    def facets_of_class(self, cls: int) -> np.ndarray:
-        return np.nonzero(self.facet_class == cls)[0]
-
     def walls(self, t) -> tuple[np.ndarray, np.ndarray]:
         """The x of wall 1 and wall 2 at tangential coordinates ``t``:
         the midline on rectified meshes, gamma -+ d_i(t) otherwise."""
-        return _wall_lines(self.profile, self.frame.offset, self.mode, t)
+        return _wall_lines(self.profile, self.gamma0, self.mode, t)
 
 
 def _wall_lines(profile: ApertureProfile, gamma0: float, mode: str, t):
@@ -289,26 +284,19 @@ def _extract_facets(elements: np.ndarray):
 
 
 def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
-                    h_target: float, frame: FractureFrame | None = None,
+                    h_target: float, gamma0: float = 0.5,
                     fracture_layers: int = 4,
                     h_target_normal: float | None = None) -> Mesh:
     """Mesh the bulk subdomains around (or including) the fracture.
 
-    ``domain`` is ``((xmin, ymin), (xmax, ymax))`` (default unit square).
+    ``domain`` is ``((xmin, ymin), (xmax, ymax))`` (default unit square)
+    and the fracture midline is the line ``x = gamma0`` inside it.
     ``h_target`` bounds the lattice spacing; counts round up to powers of
     two.  ``h_target_normal`` optionally loosens the spacing across the
     fracture direction (anisotropic meshes for reference solutions).
     ``fracture_layers`` sets the number of element layers across the
-    fracture slab in full mode.  The lattices need a vertical fracture:
-    ``frame`` must have normal (1, 0) and tangent (0, 1).
+    fracture slab in full mode.
     """
-    if frame is None:
-        frame = FractureFrame.vertical_line(0.5)
-    if not (np.array_equal(frame.normal, (1.0, 0.0))
-            and np.array_equal(frame.tangents, ((0.0, 1.0),))):
-        raise ValueError("the mesh needs a vertical fracture: frame normal "
-                         "(1, 0) and tangent (0, 1), got normal "
-                         f"{tuple(frame.normal.tolist())}")
     if domain is None:
         domain = ((0.0, 0.0), (1.0, 1.0))
     (xmin, ymin), (xmax, ymax) = domain
@@ -318,9 +306,8 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
         raise ValueError(f"unknown mesh mode {mode!r}")
     if fracture_layers < 1:
         raise ValueError("fracture_layers must be at least 1")
-    gamma0 = frame.offset
     if not (xmin < gamma0 < xmax):
-        raise ValueError("fracture hyperplane lies outside the domain")
+        raise ValueError("fracture midline lies outside the domain")
     if abs(profile.t_range[0] - ymin) > 1e-12 or abs(profile.t_range[1] - ymax) > 1e-12:
         raise ValueError("aperture profile parameter range must span the domain height")
     # the two-block meshes have no slab to split
@@ -346,6 +333,7 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
 
     frac1 = np.linspace(0.0, 1.0, n1 + 1)
     xs1 = xmin + np.outer(w1 - xmin, frac1)
+    xs1[:, -1] = w1  # xmin + (w1 - xmin) need not round back to w1
     frac2 = np.linspace(0.0, 1.0, n2 + 1)
     xs2 = w2[:, None] + np.outer(xmax - w2, frac2)
 
@@ -394,7 +382,7 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
     mesh = Mesh(vertices=vertices, elements=elements, subdomain=subdomain,
                 mode=mode, facets=facets, facet_elements=facet_elements,
                 facet_class=facet_class, lattices=tuple(lattices),
-                frame=frame, profile=profile, h_target=h_target)
+                gamma0=gamma0, profile=profile, h_target=h_target)
 
     vol = mesh.element_volumes()
     if np.any(vol <= 0.0):
@@ -414,52 +402,6 @@ def _classify(facets: np.ndarray, facet_elements: np.ndarray,
         wall = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
         cls[np.isin(keys, _edge_keys(wall))] = tag
     return cls
-
-
-def classify_facets(mesh: Mesh) -> dict:
-    """Validate facet adjacency and report the class partition counts."""
-    ne_per_facet = np.sum(mesh.facet_elements >= 0, axis=1)
-    if np.any(ne_per_facet == 0) or np.any(ne_per_facet > 2):
-        raise ValueError("facet adjacent to zero or more than two elements")
-    counts = {name: int(np.sum(mesh.facet_class == cls))
-              for cls, name in _FACET_NAMES.items()}
-    total = sum(counts.values())
-    if total != mesh.n_facets:
-        raise ValueError("facet classes do not partition the facet set")
-    # wall facets carry one element per side tag in reduced modes, and in
-    # full mode separate the slab from the matching matrix side
-    for cls, tag in ((GAMMA_1, SIDE_1), (GAMMA_2, SIDE_2)):
-        for f in mesh.facets_of_class(cls):
-            e0, e1 = mesh.facet_elements[f]
-            tags = {int(mesh.subdomain[e0])}
-            if e1 >= 0:
-                tags.add(int(mesh.subdomain[e1]))
-            if mesh.mode == "full":
-                if tags != {tag, FRACTURE}:
-                    raise ValueError(f"facet {f}: wall facet with tags {tags}")
-            elif tags != {tag}:
-                raise ValueError(f"facet {f}: wall facet with tags {tags}")
-    return counts
-
-
-def mesh_quality(mesh: Mesh) -> dict:
-    """Mesh size range and the minimum interior angle (degrees)."""
-    if mesh.n_elements == 0:
-        raise ValueError("empty mesh")
-    h = mesh.element_h
-    v = mesh.vertices
-    e = mesh.elements
-    min_angle = math.inf
-    p0, p1, p2 = v[e[:, 0]], v[e[:, 1]], v[e[:, 2]]
-    for a, b, c in ((p0, p1, p2), (p1, p2, p0), (p2, p0, p1)):
-        u = b - a
-        w = c - a
-        cosang = np.sum(u * w, axis=1) / (np.linalg.norm(u, axis=1)
-                                          * np.linalg.norm(w, axis=1))
-        ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        min_angle = min(min_angle, float(ang.min()))
-    return {"h_max": float(h.max()), "h_min": float(h.min()),
-            "min_angle": min_angle}
 
 
 @dataclass(frozen=True)

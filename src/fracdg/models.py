@@ -14,7 +14,7 @@ bundle the data of the benchmark configurations.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,7 @@ from . import solver
 from .assembly import DGSpace, SparseSystem, _aperture, _basis_at, \
     _interface_basis, _wall_trace_matrix, assemble_full, assemble_reduced, \
     transport_form
-from .geometry import ApertureProfile, FractureFrame, PermeabilityData, \
+from .geometry import ApertureProfile, PermeabilityData, \
     WellposednessReport, check_wellposedness
 from .mesh import MESH_MODES, REDUCED_MESH_MODES, ElementMaps, \
     InterfaceGrid, Mesh, build_bulk_mesh, build_interface_grid
@@ -118,8 +118,9 @@ class ProblemPreset:
     the bulk source, ``q_gamma`` the interface source and ``g_gamma`` the
     interface Dirichlet datum at the fracture endpoints; ``g_gamma=None``
     uses the trace of ``g`` on the midline, the only choice consistent
-    with the full-dimensional reference.  ``exact_pressure`` and
-    ``gamma_reference`` carry closed-form references where one exists.
+    with the full-dimensional reference.  ``gamma0`` is the x of the
+    fracture midline.  ``exact_pressure`` and ``gamma_reference`` carry
+    closed-form references where one exists.
     """
 
     name: str
@@ -132,23 +133,23 @@ class ProblemPreset:
     q_gamma: Callable | None = None
     g_gamma: Callable | None = None
     xi: float = 2.0 / 3.0
-    frame: FractureFrame = field(
-        default_factory=lambda: FractureFrame.vertical_line(0.5))
+    gamma0: float = 0.5
     domain: tuple = UNIT_SQUARE
     exact_pressure: Callable | None = None
     gamma_reference: Callable | None = None
 
     def permeability(self) -> PermeabilityData:
         return PermeabilityData.from_fracture(self.k1, self.k2, self.k_f,
-                                              self.xi, self.frame)
+                                              self.xi)
 
     def gamma_data(self) -> Callable:
         if self.g_gamma is not None:
             return self.g_gamma
-        g, frame = self.g, self.frame
+        g, gamma0 = self.g, self.gamma0
 
         def trace(t):
-            pts = np.atleast_2d(frame.point(np.asarray(t, dtype=float)))
+            t = np.asarray(t, dtype=float)
+            pts = np.atleast_2d(np.stack([np.full_like(t, gamma0), t], -1))
             vals = np.asarray(g(pts), dtype=float)
             return float(vals[0]) if np.ndim(t) == 0 else vals
 
@@ -378,9 +379,7 @@ def effective_velocity(solution: ReducedSolution, t) -> np.ndarray:
         p1 = np.atleast_1d(solution.wall_trace(1, tt))
         p2 = np.atleast_1d(solution.wall_trace(2, tt))
         total = total - (p1 * dd1 + p2 * dd2)
-    tau = solution.mesh.frame.tangents[0]
-    ktau = solution.perm.k_gamma @ tau
-    u = -np.multiply.outer(total, ktau)
+    u = -np.multiply.outer(total, solution.perm.k_gamma[:, 1])
     return u if np.ndim(t) else u[0]
 
 
@@ -400,7 +399,7 @@ def full_mesh(preset: ProblemPreset, h: float, *, fracture_layers: int = 4,
               h_normal: float | None = None) -> Mesh:
     """Fracture-conforming mesh of the full-dimensional model."""
     return build_bulk_mesh(preset.domain, preset.profile, "full", h,
-                           frame=preset.frame,
+                           gamma0=preset.gamma0,
                            fracture_layers=fracture_layers,
                            h_target_normal=h_normal)
 
@@ -469,7 +468,7 @@ class ReducedProblem:
         beyond it are legitimate experiments.
         """
         mesh = build_bulk_mesh(preset.domain, preset.profile, mesh_mode, h,
-                               frame=preset.frame)
+                               gamma0=preset.gamma0)
         grid = build_interface_grid(mesh)
         k_bulk, k_iface = _degree_pair(degrees)
         bulk_space = DGSpace.bulk(mesh, k_bulk)

@@ -176,7 +176,7 @@ def test_criterion_9_wellposedness_diagnostic():
         d1p = preset.profile.dd1_fn(t)
         d2p = preset.profile.dd2_fn(t)
         d = preset.profile.d1_fn(t) + preset.profile.d2_fn(t)
-        tau = preset.frame.tangents[0]
+        tau = np.array([0.0, 1.0])
         eig = np.linalg.eigvalsh(np.atleast_2d(tau @ preset.k_f @ tau))
         contrast = eig.max() / eig.min()
         oracle = contrast ** 2 * (d.max() / d.min()) * (

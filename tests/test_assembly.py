@@ -20,12 +20,11 @@ import scipy.sparse.linalg as spla
 
 from fracdg import assembly as asm
 from fracdg import models
-from fracdg.geometry import ApertureProfile, FractureFrame, PermeabilityData
+from fracdg.geometry import ApertureProfile, PermeabilityData
 from fracdg.mesh import BOUNDARY, FRACTURE, GAMMA_1, GAMMA_2, INTERIOR, \
     SIDE_1, SIDE_2, build_bulk_mesh, build_interface_grid
 
 DOMAIN = ((0.0, 0.0), (1.0, 1.0))
-FRAME = FractureFrame.vertical_line(0.5)
 
 
 def iso_perm(kperp=1.0, kt=1.0, xi=2.0 / 3.0, k_f=None):
@@ -35,7 +34,7 @@ def iso_perm(kperp=1.0, kt=1.0, xi=2.0 / 3.0, k_f=None):
 
 def const_setup(h=0.25, degree=1, d_half=0.05):
     profile = ApertureProfile.constant(d_half, d_half)
-    mesh = build_bulk_mesh(DOMAIN, profile, "curved-reduced", h, frame=FRAME)
+    mesh = build_bulk_mesh(DOMAIN, profile, "curved-reduced", h)
     grid = build_interface_grid(mesh)
     bs = asm.DGSpace.bulk(mesh, degree)
     ifs = asm.DGSpace.interface(grid, degree)
@@ -44,7 +43,7 @@ def const_setup(h=0.25, degree=1, d_half=0.05):
 
 def wavy_setup(h=0.25, degree=1, d0=0.1, asymmetry="antisymmetric"):
     profile = ApertureProfile.sinusoidal(d0, asymmetry=asymmetry)
-    mesh = build_bulk_mesh(DOMAIN, profile, "curved-reduced", h, frame=FRAME)
+    mesh = build_bulk_mesh(DOMAIN, profile, "curved-reduced", h)
     grid = build_interface_grid(mesh)
     bs = asm.DGSpace.bulk(mesh, degree)
     ifs = asm.DGSpace.interface(grid, degree)
@@ -231,7 +230,7 @@ class TestSpaces:
 
     def test_full_mode_fracture_block_last(self):
         profile = ApertureProfile.constant(0.05, 0.05)
-        mesh = build_bulk_mesh(DOMAIN, profile, "full", 0.25, frame=FRAME)
+        mesh = build_bulk_mesh(DOMAIN, profile, "full", 0.25)
         bs = asm.DGSpace.bulk(mesh, 1)
         offf = bs.offsets[mesh.subdomain == FRACTURE]
         assert offf.min() > bs.offsets[mesh.subdomain == SIDE_2].max()
@@ -386,7 +385,7 @@ class TestBatchedBulkForm:
     @pytest.mark.parametrize("mode", ["full", "curved-reduced"])
     def test_matches_looped_reference(self, mode):
         profile = ApertureProfile.sinusoidal(0.1, frequency=2.0 * np.pi)
-        mesh = build_bulk_mesh(DOMAIN, profile, mode, 0.25, frame=FRAME)
+        mesh = build_bulk_mesh(DOMAIN, profile, mode, 0.25)
         perm = PermeabilityData(np.diag([1.0, 2.0]),
                                 np.array([[1.5, 0.3], [0.3, 0.8]]),
                                 np.diag([0.5, 3.0]), 0.5,
@@ -421,7 +420,7 @@ def looped_interface_forms(acc, mesh, grid, bulk_space, iface_space, perm,
     off = bulk_space.n_dofs
     maps = mesh.maps
     profile = mesh.profile
-    tau = mesh.frame.tangents[0]
+    tau = np.array([0.0, 1.0])
     kt = float(tau @ perm.k_gamma @ tau)
     lengths = grid.lengths
     m = grid.n_elements
@@ -561,7 +560,7 @@ class TestBatchedInterfaceForms:
     def test_matches_looped_reference(self, mode, asymmetry, transport,
                                       edge_terms):
         profile = ApertureProfile.sinusoidal(0.1, asymmetry=asymmetry)
-        mesh = build_bulk_mesh(DOMAIN, profile, mode, 0.125, frame=FRAME)
+        mesh = build_bulk_mesh(DOMAIN, profile, mode, 0.125)
         grid = build_interface_grid(mesh)
         perm = PermeabilityData(np.eye(2), np.eye(2),
                                 np.array([[2.0, 0.4], [0.4, 1.5]]), 0.7,
@@ -597,8 +596,7 @@ class TestBatchedInterfaceForms:
 class TestFullAssembly:
     def setup_method(self):
         self.profile = ApertureProfile.constant(0.05, 0.05)
-        self.mesh = build_bulk_mesh(DOMAIN, self.profile, "full", 0.25,
-                                    frame=FRAME)
+        self.mesh = build_bulk_mesh(DOMAIN, self.profile, "full", 0.25)
         self.space = asm.DGSpace.bulk(self.mesh, 1)
         self.perm = iso_perm()
 
@@ -714,7 +712,7 @@ class TestReducedAssembly:
         _, mesh, grid, bs, ifs = const_setup()
         perm = PermeabilityData.from_fracture(np.eye(2), np.eye(2),
                                               2.0 * np.eye(2),
-                                              2.0 / 3.0, FRAME)
+                                              2.0 / 3.0)
         systems = [variant_system(v, mesh, grid, bs, ifs, perm, None, None,
                                   g_linear, pgamma_half, 10.0, 10.0)
                    for v in models.MODEL_NAMES]
@@ -785,7 +783,7 @@ class TestReducedAssembly:
 
     def test_rejects_full_mesh(self):
         profile = ApertureProfile.constant(0.05, 0.05)
-        fmesh = build_bulk_mesh(DOMAIN, profile, "full", 0.25, frame=FRAME)
+        fmesh = build_bulk_mesh(DOMAIN, profile, "full", 0.25)
         _, cmesh, grid, _, ifs = const_setup()
         bs = asm.DGSpace.bulk(fmesh, 1)
         with pytest.raises(ValueError, match="full"):

@@ -9,52 +9,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fracdg.geometry import (
     ApertureProfile,
-    FractureFrame,
     PermeabilityData,
     check_wellposedness,
-    project_to_gamma,
 )
-
-FRAME = FractureFrame.vertical_line(0.5)
 
 
 def central_diff(f, t, h=1e-6):
     return (f(t + h) - f(t - h)) / (2.0 * h)
-
-
-class TestFrame:
-    def test_vertical_line(self):
-        assert FRAME.dim == 2
-        np.testing.assert_allclose(FRAME.normal, [1.0, 0.0])
-        np.testing.assert_allclose(FRAME.tangents, [[0.0, 1.0]])
-        assert FRAME.offset == 0.5
-
-    def test_point_roundtrip(self):
-        t = np.linspace(0.0, 1.0, 7)
-        x = FRAME.point(t)
-        assert x.shape == (7, 2)
-        np.testing.assert_allclose(x[:, 0], 0.5)
-        np.testing.assert_allclose(FRAME.tangential(x), t)
-        np.testing.assert_allclose(FRAME.eta(x), 0.0, atol=1e-15)
-
-    def test_eta_signed_distance(self):
-        assert FRAME.eta(np.array([0.8, 0.3])) == pytest.approx(0.3)
-        assert FRAME.eta(np.array([0.1, 0.9])) == pytest.approx(-0.4)
-
-    def test_rejects_non_orthonormal_basis(self):
-        with pytest.raises(ValueError):
-            FractureFrame(normal=np.array([1.0, 0.0]),
-                          tangents=np.array([[1.0, 1.0]]),
-                          offset=0.5)
-        with pytest.raises(ValueError):
-            FractureFrame(normal=np.array([1.0, 0.0]),
-                          tangents=np.array([[0.2, 1.0]]),
-                          offset=0.5)
 
 
 class TestApertureProfiles:
@@ -134,23 +98,6 @@ class TestApertureProfiles:
                                    rtol=1e-6, atol=1e-10)
 
 
-class TestProjection:
-    @settings(deadline=None, max_examples=50)
-    @given(x0=st.floats(-2.0, 3.0), x1=st.floats(-2.0, 3.0))
-    def test_projection_idempotent_and_on_plane(self, x0, x1):
-        x = np.array([x0, x1])
-        p = project_to_gamma(x, FRAME)
-        assert abs(FRAME.eta(p)) < 1e-12
-        np.testing.assert_allclose(project_to_gamma(p, FRAME), p, atol=1e-12)
-        # displacement is purely normal
-        np.testing.assert_allclose((x - p) @ FRAME.tangents[0], 0.0, atol=1e-12)
-
-    def test_projection_batch(self):
-        x = np.array([[0.1, 0.2], [0.9, 0.8]])
-        p = project_to_gamma(x, FRAME)
-        np.testing.assert_allclose(p, [[0.5, 0.2], [0.5, 0.8]])
-
-
 class TestPermeabilityData:
     def test_scalar_shorthand_expands_to_isotropic(self):
         perm = PermeabilityData(k1=1.0, k2=2.0, k_gamma=0.5, k_gamma_perp=0.5)
@@ -188,12 +135,12 @@ class TestPermeabilityData:
                                    [30.0, 60.0])
 
     def test_from_fracture_derives_perp_component(self):
-        perm = PermeabilityData.from_fracture(k1=1.0, k2=1.0, k_f=0.5, xi=2.0 / 3.0,
-                                              frame=FRAME)
+        perm = PermeabilityData.from_fracture(k1=1.0, k2=1.0, k_f=0.5,
+                                              xi=2.0 / 3.0)
         assert perm.k_gamma_perp == pytest.approx(0.5)
         np.testing.assert_allclose(perm.k_gamma, 0.5 * np.eye(2))
         kf = np.array([[2.0, 0.5], [0.5, 1.0]])
-        perm = PermeabilityData.from_fracture(k1=1.0, k2=1.0, k_f=kf, frame=FRAME)
+        perm = PermeabilityData.from_fracture(k1=1.0, k2=1.0, k_f=kf)
         assert perm.k_gamma_perp == pytest.approx(2.0)
 
     def test_bulk_accessor(self):

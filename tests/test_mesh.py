@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracdg.geometry import ApertureProfile, FractureFrame
+from fracdg.geometry import ApertureProfile
 from fracdg.mesh import (
     BOUNDARY,
     FRACTURE,
@@ -30,12 +30,58 @@ from fracdg.mesh import (
     _extract_facets,
     build_bulk_mesh,
     build_interface_grid,
-    classify_facets,
-    mesh_quality,
 )
 
-FRAME = FractureFrame.vertical_line(0.5)
 UNIT = ((0.0, 0.0), (1.0, 1.0))
+
+_FACET_NAMES = {INTERIOR: "interior", BOUNDARY: "exterior-boundary",
+                GAMMA_1: "gamma-side-1", GAMMA_2: "gamma-side-2"}
+
+
+def classify_facets(mesh: Mesh) -> dict:
+    """Validate facet adjacency and report the class partition counts."""
+    ne_per_facet = np.sum(mesh.facet_elements >= 0, axis=1)
+    if np.any(ne_per_facet == 0) or np.any(ne_per_facet > 2):
+        raise ValueError("facet adjacent to zero or more than two elements")
+    counts = {name: int(np.sum(mesh.facet_class == cls))
+              for cls, name in _FACET_NAMES.items()}
+    total = sum(counts.values())
+    if total != mesh.n_facets:
+        raise ValueError("facet classes do not partition the facet set")
+    # wall facets carry one element per side tag in reduced modes, and in
+    # full mode separate the slab from the matching matrix side
+    for cls, tag in ((GAMMA_1, SIDE_1), (GAMMA_2, SIDE_2)):
+        for f in np.flatnonzero(mesh.facet_class == cls):
+            e0, e1 = mesh.facet_elements[f]
+            tags = {int(mesh.subdomain[e0])}
+            if e1 >= 0:
+                tags.add(int(mesh.subdomain[e1]))
+            if mesh.mode == "full":
+                if tags != {tag, FRACTURE}:
+                    raise ValueError(f"facet {f}: wall facet with tags {tags}")
+            elif tags != {tag}:
+                raise ValueError(f"facet {f}: wall facet with tags {tags}")
+    return counts
+
+
+def mesh_quality(mesh: Mesh) -> dict:
+    """Mesh size range and the minimum interior angle (degrees)."""
+    if mesh.n_elements == 0:
+        raise ValueError("empty mesh")
+    h = mesh.element_h
+    v = mesh.vertices
+    e = mesh.elements
+    min_angle = math.inf
+    p0, p1, p2 = v[e[:, 0]], v[e[:, 1]], v[e[:, 2]]
+    for a, b, c in ((p0, p1, p2), (p1, p2, p0), (p2, p0, p1)):
+        u = b - a
+        w = c - a
+        cosang = np.sum(u * w, axis=1) / (np.linalg.norm(u, axis=1)
+                                          * np.linalg.norm(w, axis=1))
+        ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+        min_angle = min(min_angle, float(ang.min()))
+    return {"h_max": float(h.max()), "h_min": float(h.min()),
+            "min_angle": min_angle}
 
 
 def manual_mesh(vertices, elements):
@@ -46,7 +92,7 @@ def manual_mesh(vertices, elements):
     return Mesh(vertices=vertices, elements=elements,
                 subdomain=np.full(len(elements), SIDE_1, dtype=np.int8),
                 mode="manual", facets=facets, facet_elements=fe,
-                facet_class=cls, lattices=(), frame=FRAME,
+                facet_class=cls, lattices=(), gamma0=0.5,
                 profile=ApertureProfile.constant(0.05, 0.05), h_target=1.0)
 
 
@@ -74,7 +120,7 @@ class TestQuality:
 
     def test_uniform_rectified_mesh(self):
         prof = ApertureProfile.constant(0.05, 0.05)
-        mesh = build_bulk_mesh(UNIT, prof, "rectified", 0.25, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, "rectified", 0.25)
         q = mesh_quality(mesh)
         assert q["h_max"] == pytest.approx(q["h_min"])
 
@@ -83,7 +129,7 @@ class TestElementMaps:
     @pytest.mark.parametrize("mode", ["full", "rectified", "curved-reduced"])
     def test_maps_send_reference_vertices_to_the_triangle(self, mode):
         prof = ApertureProfile.sinusoidal(0.1)
-        mesh = build_bulk_mesh(UNIT, prof, mode, 0.25, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, mode, 0.25)
         maps = mesh.maps
         ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         elems = np.arange(mesh.n_elements)
@@ -102,10 +148,10 @@ class TestElementMaps:
 
     def test_maps_and_sizes_are_built_once_per_mesh(self):
         prof = ApertureProfile.constant(0.05, 0.05)
-        mesh = build_bulk_mesh(UNIT, prof, "rectified", 0.25, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, "rectified", 0.25)
         assert mesh.maps is mesh.maps
         assert mesh.element_h is mesh.element_h
-        other = build_bulk_mesh(UNIT, prof, "rectified", 0.25, FRAME)
+        other = build_bulk_mesh(UNIT, prof, "rectified", 0.25)
         assert other.maps is not mesh.maps
         np.testing.assert_array_equal(other.maps.det, mesh.maps.det)
 
@@ -116,7 +162,7 @@ class TestRectifiedMesh:
     def test_counts_h_quarter(self):
         # 4 rows, 2 columns per side: 2 * (4*2*2) = 32 triangles,
         # per side 30 facets of which 4 lie on the interface
-        mesh = build_bulk_mesh(UNIT, self.PROF, "rectified", 0.25, FRAME)
+        mesh = build_bulk_mesh(UNIT, self.PROF, "rectified", 0.25)
         assert mesh.n_elements == 32
         counts = classify_facets(mesh)
         assert counts["gamma-side-1"] == 4
@@ -126,50 +172,51 @@ class TestRectifiedMesh:
         assert mesh.n_facets == 60
 
     def test_sides_disconnected_and_walls_on_gamma(self):
-        mesh = build_bulk_mesh(UNIT, self.PROF, "rectified", 0.25, FRAME)
+        mesh = build_bulk_mesh(UNIT, self.PROF, "rectified", 0.25)
         for cls in (GAMMA_1, GAMMA_2):
-            ids = mesh.facets_of_class(cls)
+            ids = np.flatnonzero(mesh.facet_class == cls)
             x = mesh.vertices[mesh.facets[ids]][:, :, 0]
             np.testing.assert_allclose(x, 0.5, atol=1e-15)
             # one-sided facets with the matching subdomain tag
             assert np.all(mesh.facet_elements[ids, 1] == -1)
-        tags1 = mesh.subdomain[mesh.facet_elements[mesh.facets_of_class(GAMMA_1), 0]]
-        tags2 = mesh.subdomain[mesh.facet_elements[mesh.facets_of_class(GAMMA_2), 0]]
+        owner = mesh.subdomain[mesh.facet_elements[:, 0]]
+        tags1 = owner[mesh.facet_class == GAMMA_1]
+        tags2 = owner[mesh.facet_class == GAMMA_2]
         assert np.all(tags1 == SIDE_1)
         assert np.all(tags2 == SIDE_2)
 
     def test_tiles_unit_square(self):
-        mesh = build_bulk_mesh(UNIT, self.PROF, "rectified", 0.25, FRAME)
+        mesh = build_bulk_mesh(UNIT, self.PROF, "rectified", 0.25)
         assert mesh.element_volumes().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_positive_volumes(self):
-        mesh = build_bulk_mesh(UNIT, self.PROF, "rectified", 1.0 / 8.0, FRAME)
+        mesh = build_bulk_mesh(UNIT, self.PROF, "rectified", 1.0 / 8.0)
         assert mesh.element_volumes().min() > 0.0
 
 
 class TestFullMesh:
     def test_constant_aperture_partition(self):
         prof = ApertureProfile.constant(0.1, 0.1)
-        mesh = build_bulk_mesh(UNIT, prof, "full", 0.25, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, "full", 0.25)
         tags = set(np.unique(mesh.subdomain))
         assert tags == {SIDE_1, SIDE_2, FRACTURE}
         assert mesh.element_volumes().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_fracture_layer_count(self):
         prof = ApertureProfile.constant(0.1, 0.1)
-        mesh = build_bulk_mesh(UNIT, prof, "full", 0.25, FRAME,
+        mesh = build_bulk_mesh(UNIT, prof, "full", 0.25,
                                fracture_layers=4)
         # 4 rows of 4 fracture columns, two triangles each
         assert int(np.sum(mesh.subdomain == FRACTURE)) == 32
 
     def test_wall_facets_between_matrix_and_slab(self):
         prof = ApertureProfile.sinusoidal(0.05)
-        mesh = build_bulk_mesh(UNIT, prof, "full", 0.125, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, "full", 0.125)
         counts = classify_facets(mesh)
         assert counts["gamma-side-1"] == 8
         assert counts["gamma-side-2"] == 8
         for cls, tag in ((GAMMA_1, SIDE_1), (GAMMA_2, SIDE_2)):
-            for f in mesh.facets_of_class(cls):
+            for f in np.flatnonzero(mesh.facet_class == cls):
                 e0, e1 = mesh.facet_elements[f]
                 assert e1 >= 0
                 assert {int(mesh.subdomain[e0]), int(mesh.subdomain[e1])} == \
@@ -177,7 +224,7 @@ class TestFullMesh:
 
     def test_slab_volume_matches_trapezoid_aperture(self):
         prof = ApertureProfile.sinusoidal(0.1, asymmetry="symmetric")
-        mesh = build_bulk_mesh(UNIT, prof, "full", 1.0 / 16.0, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, "full", 1.0 / 16.0)
         ys = mesh.lattices[0].ys
         d = prof.d1_fn(ys) + prof.d2_fn(ys)
         gap = np.trapezoid(d, ys) if hasattr(np, "trapezoid") else np.trapz(d, ys)
@@ -188,12 +235,12 @@ class TestFullMesh:
 class TestCurvedReducedMesh:
     def test_wall_vertices_snap_to_profile(self):
         prof = ApertureProfile.sinusoidal(1e-3)
-        mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", 1.0 / 32.0, FRAME)
-        ids = mesh.facets_of_class(GAMMA_1)
+        mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", 1.0 / 32.0)
+        ids = np.flatnonzero(mesh.facet_class == GAMMA_1)
         verts = mesh.vertices[np.unique(mesh.facets[ids])]
         np.testing.assert_allclose(verts[:, 0],
                                    0.5 - prof.d1_fn(verts[:, 1]), atol=1e-12)
-        ids = mesh.facets_of_class(GAMMA_2)
+        ids = np.flatnonzero(mesh.facet_class == GAMMA_2)
         verts = mesh.vertices[np.unique(mesh.facets[ids])]
         np.testing.assert_allclose(verts[:, 0],
                                    0.5 + prof.d2_fn(verts[:, 1]), atol=1e-12)
@@ -203,7 +250,7 @@ class TestCurvedReducedMesh:
         # exactly the trapezoid-rule aperture integral
         prof = ApertureProfile.sinusoidal(0.1, asymmetry="symmetric")
         for h in (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0):
-            mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", h, FRAME)
+            mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", h)
             ys = mesh.lattices[0].ys
             d = prof.d1_fn(ys) + prof.d2_fn(ys)
             gap = np.trapezoid(d, ys) if hasattr(np, "trapezoid") else np.trapz(d, ys)
@@ -213,7 +260,7 @@ class TestCurvedReducedMesh:
     def test_volume_approaches_analytic_gap(self):
         # full periods of the oscillation: analytic gap = 2 d0
         prof = ApertureProfile.sinusoidal(0.1, asymmetry="symmetric")
-        mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", 1.0 / 64.0, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", 1.0 / 64.0)
         vol = mesh.element_volumes().sum()
         # trapezoid error <= |d''|_inf h^2 / 12 * |Gamma|
         bound = 0.05 * (8.0 * math.pi) ** 2 * (1.0 / 64.0) ** 2 / 12.0
@@ -221,7 +268,7 @@ class TestCurvedReducedMesh:
 
     def test_anisotropic_reference_spacing(self):
         prof = ApertureProfile.sinusoidal(0.01)
-        mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", 1.0 / 32.0, FRAME,
+        mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", 1.0 / 32.0,
                                h_target_normal=1.0 / 8.0)
         lat1 = mesh.lattices[0]
         assert lat1.n_rows == 32
@@ -230,10 +277,10 @@ class TestCurvedReducedMesh:
     def test_rejects_wall_exiting_domain(self):
         prof = ApertureProfile.constant(0.6, 0.1)
         with pytest.raises(ValueError, match="exits the domain"):
-            build_bulk_mesh(UNIT, prof, "curved-reduced", 0.25, FRAME)
+            build_bulk_mesh(UNIT, prof, "curved-reduced", 0.25)
         prof = ApertureProfile.constant(0.1, 0.6)
         with pytest.raises(ValueError, match="exits the domain"):
-            build_bulk_mesh(UNIT, prof, "full", 0.25, FRAME)
+            build_bulk_mesh(UNIT, prof, "full", 0.25)
 
 
 class TestBuildErrors:
@@ -241,35 +288,21 @@ class TestBuildErrors:
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            build_bulk_mesh(UNIT, self.PROF, "unstructured", 0.25, FRAME)
+            build_bulk_mesh(UNIT, self.PROF, "unstructured", 0.25)
 
     def test_bad_h(self):
         with pytest.raises(ValueError, match="positive"):
-            build_bulk_mesh(UNIT, self.PROF, "rectified", -0.1, FRAME)
+            build_bulk_mesh(UNIT, self.PROF, "rectified", -0.1)
 
-    def test_frame_outside_domain(self):
-        frame = FractureFrame.vertical_line(1.5)
+    @pytest.mark.parametrize("gamma0", [1.5, 0.0, 1.0, math.nan, math.inf],
+                             ids=["beyond", "xmin", "xmax", "nan", "inf"])
+    def test_gamma0_outside_domain(self, gamma0):
         with pytest.raises(ValueError, match="outside"):
-            build_bulk_mesh(UNIT, self.PROF, "rectified", 0.25, frame)
-
-    @pytest.mark.parametrize("normal, tangent", [
-        ((0.0, 1.0), (1.0, 0.0)), ((-1.0, 0.0), (0.0, 1.0)),
-        ((1.0, 0.0), (0.0, -1.0)), ((0.6, 0.8), (-0.8, 0.6))],
-        ids=["horizontal", "normal-flipped", "tangent-flipped", "oblique"])
-    def test_frame_other_than_vertical(self, normal, tangent):
-        # the lattices are built along x = offset; any other frame would
-        # be meshed as that vertical slab without notice
-        frame = FractureFrame(normal=normal, tangents=[tangent], offset=0.3)
-        for mode in ("full", "curved-reduced", "rectified"):
-            with pytest.raises(ValueError, match="vertical fracture"):
-                build_bulk_mesh(UNIT, self.PROF, mode, 0.25, frame)
-        frame = FractureFrame.vertical_line(0.3)
-        assert build_bulk_mesh(UNIT, self.PROF, "full", 0.25, frame).frame \
-            is frame
+            build_bulk_mesh(UNIT, self.PROF, "rectified", 0.25, gamma0)
 
     def test_zero_fracture_layers(self):
         with pytest.raises(ValueError, match="layers"):
-            build_bulk_mesh(UNIT, self.PROF, "full", 0.25, FRAME,
+            build_bulk_mesh(UNIT, self.PROF, "full", 0.25,
                             fracture_layers=0)
 
     def test_thin_slab_refused_only_where_it_is_meshed(self):
@@ -277,25 +310,27 @@ class TestBuildErrors:
         # and the two-block meshes have no slab to split
         prof = ApertureProfile.constant(1e-15, 1e-15)
         with pytest.raises(ValueError, match="too thin"):
-            build_bulk_mesh(UNIT, prof, "full", 0.25, FRAME)
-        build_bulk_mesh(UNIT, prof, "full", 0.25, FRAME, fracture_layers=1)
+            build_bulk_mesh(UNIT, prof, "full", 0.25)
+        build_bulk_mesh(UNIT, prof, "full", 0.25, fracture_layers=1)
         for mode in ("curved-reduced", "rectified"):
-            build_bulk_mesh(UNIT, prof, mode, 0.25, FRAME)
+            build_bulk_mesh(UNIT, prof, mode, 0.25)
 
     def test_profile_range_mismatch(self):
         prof = ApertureProfile.constant(0.05, 0.05, t_range=(0.0, 2.0))
         with pytest.raises(ValueError, match="range"):
-            build_bulk_mesh(UNIT, prof, "rectified", 0.25, FRAME)
+            build_bulk_mesh(UNIT, prof, "rectified", 0.25)
 
 
 class TestWalls:
+    @pytest.mark.parametrize("domain, gamma0", [
+        (UNIT, 0.4), (((-0.3, 0.0), (0.7, 1.0)), 0.2)],
+        ids=["unit", "shifted"])
     @pytest.mark.parametrize("mode", MESH_MODES)
-    def test_walls_are_the_lattice_wall_lines(self, mode):
+    def test_walls_are_the_lattice_wall_lines(self, mode, domain, gamma0):
+        # on the shifted domain xmin + (w1 - xmin) rounds away from w1
         prof = ApertureProfile.sinusoidal(0.07, phase=0.3,
                                           asymmetry="symmetric")
-        offset = 0.4
-        mesh = build_bulk_mesh(UNIT, prof, mode, 1.0 / 16.0,
-                               FractureFrame.vertical_line(offset),
+        mesh = build_bulk_mesh(domain, prof, mode, 1.0 / 16.0, gamma0,
                                fracture_layers=3)
         # bit for bit: the lattice wall lines come from the same rule
         lat1, lat2 = mesh.lattices[0], mesh.lattices[-1]
@@ -305,26 +340,26 @@ class TestWalls:
         # between the rows, the analytic walls or the midline
         t = np.linspace(0.0, 1.0, 37)
         if mode == "rectified":
-            want = (np.full_like(t, offset), np.full_like(t, offset))
+            want = (np.full_like(t, gamma0), np.full_like(t, gamma0))
         else:
-            want = (offset - prof.d1_fn(t), offset + prof.d2_fn(t))
+            want = (gamma0 - prof.d1_fn(t), gamma0 + prof.d2_fn(t))
         np.testing.assert_array_equal(mesh.walls(t), want)
 
     @settings(max_examples=150, deadline=None)
     @example(mode="full", log10_d0=308.2, asymmetry="symmetric", phase=1.0,
-             offset=0.5, h=0.25, layers=4)  # walls overflow
+             gamma0=0.5, h=0.25, layers=4)  # walls overflow
     @example(mode="rectified", log10_d0=-1.0, asymmetry="symmetric",
-             phase=0.0, offset=1e-310, h=0.25, layers=1)  # empty block
+             phase=0.0, gamma0=1e-310, h=0.25, layers=1)  # empty block
     @given(mode=st.sampled_from(MESH_MODES),
            log10_d0=st.one_of(st.floats(-310.0, 310.0),
                               st.floats(-17.0, 0.0)),
            asymmetry=st.sampled_from(("antisymmetric", "symmetric")),
            phase=st.floats(0.0, 2.0 * math.pi),
-           offset=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           gamma0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            h=st.floats(1.0 / 16.0, 2.0),
            layers=st.integers(1, 4))
     def test_build_gives_a_mesh_or_a_value_error(self, mode, log10_d0,
-                                                  asymmetry, phase, offset,
+                                                  asymmetry, phase, gamma0,
                                                   h, layers):
         # d0 spans subnormal to infinite, and often lies in the band where
         # a mesh can exist; h >= 1/16 keeps every mesh small
@@ -335,8 +370,7 @@ class TestWalls:
             prof = ApertureProfile.sinusoidal(d0, phase=phase,
                                               asymmetry=asymmetry)
             try:
-                mesh = build_bulk_mesh(UNIT, prof, mode, h,
-                                       FractureFrame.vertical_line(offset),
+                mesh = build_bulk_mesh(UNIT, prof, mode, h, gamma0,
                                        fracture_layers=layers)
             except ValueError:
                 return
@@ -346,14 +380,14 @@ class TestWalls:
 class TestRefinementNesting:
     def test_rectified_h_max_exactly_halves(self):
         prof = ApertureProfile.constant(0.05, 0.05)
-        q1 = mesh_quality(build_bulk_mesh(UNIT, prof, "rectified", 0.25, FRAME))
-        q2 = mesh_quality(build_bulk_mesh(UNIT, prof, "rectified", 0.125, FRAME))
+        q1 = mesh_quality(build_bulk_mesh(UNIT, prof, "rectified", 0.25))
+        q2 = mesh_quality(build_bulk_mesh(UNIT, prof, "rectified", 0.125))
         assert q2["h_max"] == pytest.approx(0.5 * q1["h_max"], rel=1e-14)
 
     def test_constant_full_h_max_exactly_halves(self):
         prof = ApertureProfile.constant(0.1, 0.1)
-        q1 = mesh_quality(build_bulk_mesh(UNIT, prof, "full", 0.25, FRAME))
-        q2 = mesh_quality(build_bulk_mesh(UNIT, prof, "full", 0.125, FRAME))
+        q1 = mesh_quality(build_bulk_mesh(UNIT, prof, "full", 0.25))
+        q2 = mesh_quality(build_bulk_mesh(UNIT, prof, "full", 0.125))
         assert q2["h_max"] == pytest.approx(0.5 * q1["h_max"], rel=1e-14)
 
     @pytest.mark.parametrize("asymmetry,d0", [("antisymmetric", 0.01),
@@ -366,7 +400,7 @@ class TestRefinementNesting:
         prof = ApertureProfile.sinusoidal(d0, asymmetry=asymmetry)
         hs = [1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0]
         hmax = [mesh_quality(build_bulk_mesh(UNIT, prof, "curved-reduced",
-                                             h, FRAME))["h_max"] for h in hs]
+                                             h))["h_max"] for h in hs]
         ratios = [hmax[i + 1] / hmax[i] for i in range(len(hmax) - 1)]
         for a, b in zip(ratios, ratios[1:]):
             assert b <= a + 1e-12
@@ -377,7 +411,7 @@ class TestRefinementNesting:
 def wall_edges(mesh, elem, cls):
     """Vertex pairs of the edges of ``elem`` that are wall facets of
     class ``cls``."""
-    wall = {tuple(f) for f in mesh.facets[mesh.facets_of_class(cls)].tolist()}
+    wall = {tuple(f) for f in mesh.facets[mesh.facet_class == cls].tolist()}
     tri = mesh.elements[elem].tolist()
     return [(a, b) for a, b in zip(tri, tri[1:] + tri[:1])
             if (min(a, b), max(a, b)) in wall]
@@ -394,9 +428,8 @@ def check_grid(mesh, grid):
         assert len(belem) == grid.n_elements
         assert np.all(mesh.subdomain[belem] == tag)
         for k, e in enumerate(belem.tolist()):
-            spans = [tuple(sorted(mesh.frame.tangential(
-                mesh.vertices[list(edge)]).tolist()))
-                for edge in wall_edges(mesh, e, cls)]
+            spans = [tuple(sorted(mesh.vertices[list(edge), 1].tolist()))
+                     for edge in wall_edges(mesh, e, cls)]
             assert spans == [(t[k], t[k + 1])]
 
 
@@ -415,7 +448,7 @@ def walls_strategy():
 class TestInterfaceGrid:
     def test_rectified_grid_matches_wall_facets(self):
         prof = ApertureProfile.constant(0.05, 0.05)
-        mesh = build_bulk_mesh(UNIT, prof, "rectified", 0.25, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, "rectified", 0.25)
         grid = build_interface_grid(mesh)
         assert grid.n_elements == 4
         np.testing.assert_allclose(grid.t_breaks, np.linspace(0, 1, 5))
@@ -428,22 +461,21 @@ class TestInterfaceGrid:
 
     def test_projected_grid_measures_gamma(self):
         prof = ApertureProfile.sinusoidal(0.1, asymmetry="symmetric")
-        mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", 1.0 / 16.0, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", 1.0 / 16.0)
         grid = build_interface_grid(mesh)
         assert grid.lengths.sum() == pytest.approx(1.0, abs=1e-12)
         assert grid.measure == pytest.approx(1.0, abs=1e-12)
 
     def test_full_mode_needs_explicit_request(self):
         prof = ApertureProfile.constant(0.1, 0.1)
-        mesh = build_bulk_mesh(UNIT, prof, "full", 0.25, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, "full", 0.25)
         with pytest.raises(ValueError, match="no reduced interface"):
             build_interface_grid(mesh)
 
     def test_pairing_roundtrip_through_wall_chord(self):
         prof = ApertureProfile.sinusoidal(0.1)
-        mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", 1.0 / 8.0, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, "curved-reduced", 1.0 / 8.0)
         grid = build_interface_grid(mesh)
-        from fracdg.geometry import project_to_gamma
         for k in range(grid.n_elements):
             t = 0.5 * (grid.t_breaks[k] + grid.t_breaks[k + 1])
             for elem, cls in ((grid.belem1[k], GAMMA_1),
@@ -455,24 +487,22 @@ class TestInterfaceGrid:
                 lam = (t - va[1]) / (vb[1] - va[1])
                 assert 0.0 <= lam <= 1.0
                 point = va + lam * (vb - va)
-                back = FRAME.tangential(project_to_gamma(point, FRAME))
-                assert back == pytest.approx(t, abs=1e-12)
+                assert point[1] == pytest.approx(t, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(mode=st.sampled_from(("curved-reduced", "rectified")),
            profile=walls_strategy(),
-           offset=st.sampled_from((0.5, 0.3)),
+           gamma0=st.sampled_from((0.5, 0.3)),
            h=st.floats(1.0 / 32.0, 0.5))
-    def test_grid_is_rows_and_wall_triangles(self, mode, profile, offset,
+    def test_grid_is_rows_and_wall_triangles(self, mode, profile, gamma0,
                                              h):
-        mesh = build_bulk_mesh(UNIT, profile, mode, h,
-                               FractureFrame.vertical_line(offset))
+        mesh = build_bulk_mesh(UNIT, profile, mode, h, gamma0)
         check_grid(mesh, build_interface_grid(mesh))
 
     @pytest.mark.parametrize("mode", ["curved-reduced", "rectified"])
     def test_other_triangle_of_the_cell_fails_the_check(self, mode):
         prof = ApertureProfile.sinusoidal(0.05)
-        mesh = build_bulk_mesh(UNIT, prof, mode, 1.0 / 8.0, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, mode, 1.0 / 8.0)
         grid = build_interface_grid(mesh)
         lat1, lat2 = mesh.lattices
         for swapped in (
@@ -485,7 +515,7 @@ class TestInterfaceGrid:
 
     def test_element_lookup(self):
         prof = ApertureProfile.constant(0.05, 0.05)
-        mesh = build_bulk_mesh(UNIT, prof, "rectified", 0.25, FRAME)
+        mesh = build_bulk_mesh(UNIT, prof, "rectified", 0.25)
         grid = build_interface_grid(mesh)
         assert grid.element_of_t(0.10) == 0
         assert grid.element_of_t(0.80) == 3

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from fracdg import assembly as asm
 from fracdg import models, postproc
-from fracdg.geometry import ApertureProfile, FractureFrame
+from fracdg.geometry import ApertureProfile
 from fracdg.mesh import MESH_MODES, build_bulk_mesh
 
 
@@ -428,8 +428,7 @@ def smallest_barycentric(mesh, e, x):
 
 WAVY = ApertureProfile.sinusoidal(0.1, frequency=2.0 * np.pi,
                                   asymmetry="antisymmetric")
-MESHES = {mode: build_bulk_mesh(models.UNIT_SQUARE, WAVY, mode, 0.125,
-                                frame=FractureFrame.vertical_line(0.5))
+MESHES = {mode: build_bulk_mesh(models.UNIT_SQUARE, WAVY, mode, 0.125)
           for mode in MESH_MODES}
 
 
@@ -471,8 +470,7 @@ class TestPointLocation:
         # dyadic coordinates make every barycentric coordinate exact, so
         # a vertex ties at lam == 0 in all triangles of its row touching
         # it; the rectified midline vertices tie across both lattices
-        mesh = build_bulk_mesh(models.UNIT_SQUARE, WAVY, "rectified", 0.125,
-                               frame=FractureFrame.vertical_line(0.5))
+        mesh = build_bulk_mesh(models.UNIT_SQUARE, WAVY, "rectified", 0.125)
         got = models._locate(mesh, mesh.vertices)
         ys = mesh.lattices[0].ys
         for v, e in zip(mesh.vertices, got):

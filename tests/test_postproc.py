@@ -15,10 +15,8 @@ import pytest
 
 from fracdg import assembly as asm
 from fracdg import models, postproc
-from fracdg.geometry import ApertureProfile, FractureFrame
+from fracdg.geometry import ApertureProfile
 from fracdg.mesh import build_bulk_mesh, build_interface_grid
-
-FRAME = FractureFrame.vertical_line(0.5)
 
 
 def full_with_field(profile, f, degree=1, h=0.125):
@@ -126,7 +124,7 @@ class TestErrorMetric:
     def grid(self, h=0.125):
         profile = ApertureProfile.constant(0.05, 0.05)
         mesh = build_bulk_mesh(((0.0, 0.0), (1.0, 1.0)), profile,
-                               "curved-reduced", h, frame=FRAME)
+                               "curved-reduced", h)
         return build_interface_grid(mesh)
 
     def test_identical_fields(self):

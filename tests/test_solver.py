@@ -13,11 +13,10 @@ import scipy.sparse as sp
 
 from fracdg import assembly as asm
 from fracdg import models, postproc, solver
-from fracdg.geometry import ApertureProfile, FractureFrame, PermeabilityData
+from fracdg.geometry import ApertureProfile, PermeabilityData
 from fracdg.mesh import build_bulk_mesh, build_interface_grid
 
 DOMAIN = ((0.0, 0.0), (1.0, 1.0))
-FRAME = FractureFrame.vertical_line(0.5)
 
 
 def raw_system(matrix, rhs):
@@ -28,7 +27,7 @@ def raw_system(matrix, rhs):
 
 def full_system(h=0.25, degree=1):
     profile = ApertureProfile.constant(0.05, 0.05)
-    mesh = build_bulk_mesh(DOMAIN, profile, "full", h, frame=FRAME)
+    mesh = build_bulk_mesh(DOMAIN, profile, "full", h)
     space = asm.DGSpace.bulk(mesh, degree)
     perm = PermeabilityData(np.eye(2), np.eye(2), np.eye(2), 1.0)
     return asm.assemble_full(mesh, space, perm, None,
@@ -37,7 +36,7 @@ def full_system(h=0.25, degree=1):
 
 def reduced_system(h=0.25, variant="I"):
     profile = ApertureProfile.sinusoidal(0.1)
-    mesh = build_bulk_mesh(DOMAIN, profile, "curved-reduced", h, frame=FRAME)
+    mesh = build_bulk_mesh(DOMAIN, profile, "curved-reduced", h)
     grid = build_interface_grid(mesh)
     bs = asm.DGSpace.bulk(mesh, 1)
     ifs = asm.DGSpace.interface(grid, 1)
