@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdg.geometry import (
     ApertureProfile,
@@ -142,6 +144,21 @@ class TestPermeabilityData:
         kf = np.array([[2.0, 0.5], [0.5, 1.0]])
         perm = PermeabilityData.from_fracture(k1=1.0, k2=1.0, k_f=kf)
         assert perm.k_gamma_perp == pytest.approx(2.0)
+
+    @settings(deadline=None, max_examples=50)
+    @given(a=st.floats(0.1, 10.0), c=st.floats(0.1, 10.0),
+           r=st.floats(-0.9, 0.9))
+    def test_from_fracture_components_along_the_frame(self, a, c, r):
+        # with n = (1, 0) and tau = (0, 1), n.K.n and tau.K.tau are the
+        # diagonal entries bit for bit, for any SPD slab tensor
+        b = r * math.sqrt(a * c)
+        kf = np.array([[a, b], [b, c]])
+        perm = PermeabilityData.from_fracture(k1=1.0, k2=1.0, k_f=kf)
+        n = np.array([1.0, 0.0])
+        tau = np.array([0.0, 1.0])
+        assert perm.k_gamma_perp == float(n @ kf @ n)
+        assert perm.k_gamma[1, 1] == float(tau @ kf @ tau)
+        np.testing.assert_array_equal(perm.k_gamma[:, 1], kf @ tau)
 
     def test_bulk_accessor(self):
         perm = PermeabilityData(k1=1.0, k2=3.0, k_gamma=1.0, k_gamma_perp=1.0)

@@ -99,6 +99,16 @@ class TestPresets:
         assert p.q(x)[0] == pytest.approx(-lap, rel=1e-4)
         np.testing.assert_allclose(p.g(x), p.exact_pressure(x))
 
+    def test_gamma_data_traces_g_on_shifted_midline(self):
+        # the interface datum is g at (gamma0, t), for any midline x
+        p = dataclasses.replace(models.preset_by_name("tangential", d0=0.1),
+                                g=lambda x: x[:, 0] + 2.0 * x[:, 1],
+                                gamma0=0.3)
+        gg = p.gamma_data()
+        t = np.array([0.0, 0.25, 1.0])
+        np.testing.assert_array_equal(gg(t), 0.3 + 2.0 * t)
+        assert gg(0.25) == 0.3 + 2.0 * 0.25
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             models.preset_by_name("tilted")
@@ -164,6 +174,21 @@ class TestRunReduced:
         np.testing.assert_allclose(sol.wall_trace(1, t), 0.55, atol=1e-9)
         np.testing.assert_allclose(sol.wall_trace(2, t), 0.45, atol=1e-9)
         pts = np.array([[0.2, 0.3], [0.8, 0.9], [0.44, 0.5]])
+        np.testing.assert_allclose(sol.evaluate_bulk(pts),
+                                   1.0 - pts[:, 0], atol=1e-9)
+
+    def test_constant_aperture_exact_state_off_centre(self):
+        # the same linear state with the midline at x = 0.3: the mesh,
+        # interface datum and wall traces all follow gamma0
+        preset = dataclasses.replace(models.constant_aperture_preset(0.05),
+                                     gamma0=0.3)
+        sol = models.run_reduced(preset, "I", 0.25)
+        t = np.linspace(0.02, 0.98, 9)
+        np.testing.assert_allclose(sol.evaluate_interface(t), 0.7,
+                                   atol=1e-9)
+        np.testing.assert_allclose(sol.wall_trace(1, t), 0.75, atol=1e-9)
+        np.testing.assert_allclose(sol.wall_trace(2, t), 0.65, atol=1e-9)
+        pts = np.array([[0.1, 0.3], [0.8, 0.9], [0.24, 0.5]])
         np.testing.assert_allclose(sol.evaluate_bulk(pts),
                                    1.0 - pts[:, 0], atol=1e-9)
 
@@ -347,6 +372,18 @@ class TestEffectiveVelocity:
         sol = dataclasses.replace(sol, iface_coefficients=lin)
         u = models.effective_velocity(sol, np.array([0.3, 0.6]))
         np.testing.assert_allclose(u, [[0.0, -0.1], [0.0, -0.1]],
+                                   atol=1e-10)
+
+    def test_anisotropic_velocity_follows_k_gamma_tangent(self):
+        # u = -d p' K tau with tau = (0, 1): the second column of K
+        kf = np.array([[2.0, 0.5], [0.5, 1.0]])
+        preset = models.constant_aperture_preset(0.05, k_f=kf)
+        sol = models.run_reduced(preset, "II-R", 0.25)
+        lin = asm.interpolate_interface(sol.grid, sol.iface_space,
+                                        lambda t: np.asarray(t, float))
+        sol = dataclasses.replace(sol, iface_coefficients=lin)
+        u = models.effective_velocity(sol, np.array([0.3, 0.6]))
+        np.testing.assert_allclose(u, [[-0.05, -0.1], [-0.05, -0.1]],
                                    atol=1e-10)
 
     def test_scalar_argument_shape(self):
