@@ -8,9 +8,13 @@ integrate products of two basis gradients exactly.
 Every space has one polynomial degree on all of its elements; the bulk
 and the interface space may differ.  The bulk SIPG form is assembled in
 three batches, the volume terms of all elements, the boundary facets and
-the interior flux facets, each batch one ``einsum`` over
-reference-element tables and one block of COO triplets.  Data functions
-are called once per batch on all of its quadrature points.
+the interior flux facets, each batch a few batched products over
+reference-element tables.  Each element-pair block is stored once: an
+element's own block sums its volume and facet terms, and every interior
+flux facet adds one block per direction coupling its two elements, so
+the bulk form gives exactly one COO triplet per stored matrix entry.
+Data functions are called once per batch on all of its quadrature
+points.
 
 Three coupled bilinear forms make up the system every reduced variant on
 a mesh shares (:func:`assemble_reduced`, with the whole rhs):
@@ -76,6 +80,7 @@ __all__ = [
     "penalty_bulk",
     "interpolate_bulk", "interpolate_interface",
     "assemble_full", "assemble_reduced", "transport_form",
+    "bulk_assembly_bytes",
 ]
 
 MAX_DEGREE = 4
@@ -356,7 +361,12 @@ class SparseSystem:
 
 
 class _Accumulator:
-    """COO triplet accumulator with a dense rhs."""
+    """COO triplet accumulator with a dense rhs.
+
+    The bulk form hands it one triplet per stored entry; the interface,
+    coupling and transport forms (:meth:`add_matrix`) add to entries
+    stored already, and :meth:`matrix` sums those duplicates.
+    """
 
     def __init__(self, n: int):
         self.rows: list[np.ndarray] = []
@@ -392,10 +402,11 @@ class _Accumulator:
                                 minlength=self.n)
 
     def matrix(self) -> sp.csr_matrix:
-        """The summed CSR matrix.  The call hands over the triplets: the
-        accumulator keeps none of them, and each list is freed as soon as
-        it is concatenated, so the COO -> CSR step never runs beside a
-        second copy of every triplet."""
+        """The summed CSR matrix, whose buffers hold its stored entries
+        and no more.  The call hands over the triplets: the accumulator
+        keeps none of them, and each list is freed as soon as it is
+        concatenated, so the COO -> CSR step never runs beside a second
+        copy of every triplet."""
         if not self.rows:
             return sp.csr_matrix((self.n, self.n))
         rows, self.rows = self.rows, []
@@ -404,7 +415,12 @@ class _Accumulator:
         cols = np.concatenate(cols)
         vals, self.vals = self.vals, []
         vals = np.concatenate(vals)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
+        triplets = len(vals)
+        matrix = sp.coo_matrix((vals, (rows, cols)),
+                               shape=(self.n, self.n)).tocsr()
+        del rows, cols, vals
+        # summing duplicates shortens the buffers by a view only
+        return matrix.copy() if matrix.nnz < triplets else matrix
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +452,17 @@ def _element_permeability(mesh: Mesh, perm: PermeabilityData) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bulk SIPG form
 
+@lru_cache(maxsize=None)
+def _gradient_table(k: int) -> np.ndarray:
+    """Reference table ``S[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j``
+    of the degree-k monomials, shape (2, 2, dim, dim)."""
+    pts, w = triangle_rule(k + 2)
+    grad = tri_basis_grad(k, pts)
+    table = np.einsum("q,qia,qjb->abij", w, grad, grad)
+    table.flags.writeable = False
+    return table
+
+
 def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
                perm: PermeabilityData, q, g, mu0: float,
                flux_classes: tuple[int, ...]) -> None:
@@ -444,23 +471,28 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
     ``flux_classes`` lists the facet classes treated as interior flux
     facets (wall facets belong here for full-dimensional meshes only).
     Exterior-boundary facets always receive Nitsche terms with data ``g``.
+
+    Every element-pair block reaches ``acc`` once: each element's own
+    block sums its volume term, its boundary facets and its side of its
+    flux facets, and each flux facet adds the two blocks coupling its
+    elements, one per direction.  The maps are affine and K is constant
+    on each element, so the volume term is ``det J^-1 K J^-T : S`` with
+    the reference table S of :func:`_gradient_table`.
     """
     maps = mesh.maps
     h_elem = mesh.element_h
     perm_elem = _element_permeability(mesh, perm)
-    k = space.degree
+    k, dim = space.degree, space.dim
     elems = np.arange(mesh.n_elements)
-
-    pts, w = triangle_rule(k + 2)
-    wq = w * maps.det[:, None]
-    grad = tri_basis_grad(k, pts) @ maps.jac_inv[:, None]
-    kgrad = grad @ np.swapaxes(perm_elem[:, None], -1, -2)
-    blocks = np.einsum("eqid,eqjd->eij", grad * wq[..., None, None],
-                       kgrad, optimize=True)
     dofs = space.dofs(elems)
-    acc.add(dofs, dofs, blocks)
+
+    metric = maps.jac_inv @ perm_elem @ np.swapaxes(maps.jac_inv, -1, -2)
+    metric *= maps.det[:, None, None]
+    own = (metric.reshape(-1, 4)
+           @ _gradient_table(k).reshape(4, -1)).reshape(-1, dim, dim)
     if q is not None:
-        qw = _data_at(q, maps.points(elems, pts)) * wq
+        pts, w = triangle_rule(k + 2)
+        qw = _data_at(q, maps.points(elems, pts)) * (w * maps.det[:, None])
         acc.add_rhs(dofs, np.einsum("qi,eq->ei", tri_basis(k, pts), qw))
 
     va, vb, length, normal = _facet_geometry(mesh)
@@ -472,12 +504,11 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
         return x, w * length[facets, None]
 
     def side(elems, facets, x):
-        """Basis values, normal fluxes K grad phi . n and dofs of the
-        elements on one side of the facets."""
+        """Basis values and normal fluxes K grad phi . n of the elements
+        on one side of the facets."""
         phi, gphi = _basis_at(maps, space, elems, x, grad=True)
         kn = np.einsum("fds,fs->fd", perm_elem[elems], normal[facets])
-        kdn = np.einsum("fqnd,fd->fqn", gphi, kn)
-        return phi, kdn, space.dofs(elems)
+        return phi, np.einsum("fqnd,fd->fqn", gphi, kn)
 
     def tmul(a, b):
         """a^T b per facet: (F, q, m), (F, q, n) -> (F, m, n)."""
@@ -486,31 +517,36 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
     facets = np.flatnonzero(mesh.facet_class == BOUNDARY)
     x, wq = facet_rule(facets)
     mu = penalty_bulk(k, h_elem[e0[facets], None], mu0)
-    phi, kdn, dofs = side(e0[facets], facets, x)
+    phi, kdn = side(e0[facets], facets, x)
     pw = phi * wq[..., None]
     flux = tmul(pw, kdn)
-    acc.add(dofs, dofs, mu[:, None, None] * tmul(pw, phi)
-            - flux - np.swapaxes(flux, -1, -2))
+    np.add.at(own, e0[facets], mu[:, None, None] * tmul(pw, phi)
+              - flux - np.swapaxes(flux, -1, -2))
     gw = _data_at(g, x) * wq
-    acc.add_rhs(dofs, np.einsum("fqi,fq->fi",
-                                mu[:, None, None] * phi - kdn, gw))
+    acc.add_rhs(dofs[e0[facets]],
+                np.einsum("fqi,fq->fi", mu[:, None, None] * phi - kdn, gw))
 
     facets = np.flatnonzero(np.isin(mesh.facet_class, flux_classes)
                             & (e1 >= 0))
     x, wq = facet_rule(facets)
     mu = penalty_bulk(k, np.column_stack([h_elem[e0[facets]],
                                           h_elem[e1[facets]]]), mu0)
-    sides = [side(e0[facets], facets, x), side(e1[facets], facets, x)]
+    pair = (e0[facets], e1[facets])
+    sides = [side(e, facets, x) for e in pair]
     signs = (1.0, -1.0)
-    for i, (phi_i, kdn_i, dofs_i) in enumerate(sides):
+    for i, (phi_i, kdn_i) in enumerate(sides):
         pw_i = phi_i * wq[..., None]
         kw_i = kdn_i * wq[..., None]
-        for j, (phi_j, kdn_j, dofs_j) in enumerate(sides):
+        for j, (phi_j, kdn_j) in enumerate(sides):
             block = (mu * signs[i] * signs[j])[:, None, None] \
                 * tmul(pw_i, phi_j) \
                 - 0.5 * signs[i] * tmul(pw_i, kdn_j) \
                 - 0.5 * signs[j] * tmul(kw_i, phi_j)
-            acc.add(dofs_i, dofs_j, block)
+            if i == j:
+                np.add.at(own, pair[i], block)
+            else:
+                acc.add(dofs[pair[i]], dofs[pair[j]], block)
+    acc.add(dofs, dofs, own)
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +757,19 @@ def transport_form(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
 
 # ---------------------------------------------------------------------------
 # public assembly entry points
+
+# a stored entry is one COO triplet (two 32-bit indices and a float)
+# while the CSR (a 32-bit index and a float) is built beside it
+_BYTES_PER_ENTRY = 16 + 12
+
+
+def bulk_assembly_bytes(n_elements, degree: int):
+    """Memory the bulk form of ``n_elements`` triangles of ``degree``
+    needs at least while it is assembled: every element stores its own
+    block and up to three neighbour blocks, each COO triplet beside the
+    CSR.  Counts may be Python ints of any size or ``inf``."""
+    return 4 * n_elements * tri_dim(degree) ** 2 * _BYTES_PER_ENTRY
+
 
 def assemble_full(mesh: Mesh, space: DGSpace, perm: PermeabilityData,
                   q, g, mu0: float) -> SparseSystem:

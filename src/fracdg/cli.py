@@ -12,6 +12,9 @@ Line based: blank lines and everything after a ``#`` are ignored,
 current section.  Keys may not repeat, unknown sections and keys are
 rejected, and every parse or validation error cites the offending line.
 Lists are comma separated; mesh spacings accept fractions like ``1/32``.
+A spacing whose bulk assembly would not fit in the machine's physical
+memory is refused from the lattice counts alone, before any mesh is
+built.
 
 Sections and keys (defaults in parentheses)::
 
@@ -66,6 +69,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import pathlib
 import resource
 import sys
@@ -75,8 +79,8 @@ import numpy as np
 from scipy import sparse
 
 from . import models, postproc, solver
-from .assembly import EDGE_TERMS, MAX_DEGREE
-from .mesh import REDUCED_MESH_MODES, check_aperture_bounds
+from .assembly import EDGE_TERMS, MAX_DEGREE, bulk_assembly_bytes
+from .mesh import REDUCED_MESH_MODES, check_aperture_bounds, element_count
 
 logger = logging.getLogger("fracdg.cli")
 
@@ -361,6 +365,31 @@ def _scan(path: str) -> dict:
     return entries
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_footprint(preset, mode: str, h: float, degree: int,
+                     fracture_layers: int = 4,
+                     h_normal: float | None = None) -> None:
+    """Raise MemoryError when the bulk form of the ``mode`` mesh at
+    ``h`` cannot be assembled in the physical memory; the size comes
+    from the lattice counts alone, so nothing is meshed or allocated."""
+    try:
+        elements = float(element_count(preset.domain, mode, h,
+                                       preset.gamma0, fracture_layers,
+                                       h_normal))
+    except OverflowError:  # more lattice lines than a float can count
+        elements = math.inf
+    need, have = bulk_assembly_bytes(elements, degree), _physical_memory()
+    if need > have:
+        raise MemoryError(f"Unable to allocate the {need / 2**30:.3g} GiB "
+                          f"that assembling {elements:.3g} elements of "
+                          f"degree {degree} needs; the machine has "
+                          f"{have / 2**30:.3g} GiB")
+
+
 def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
     def where(section, key):
         return lines.get((section, key))
@@ -443,6 +472,16 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
              f"preset {config.preset!r} has no closed-form interface "
              f"reference; use reference = full")
 
+    # the lattice counts size every mesh before any is built: the
+    # reduced meshes at h here (both modes count alike), the reference
+    # mesh below
+    try:
+        _check_footprint(trial, "curved-reduced", config.h, config.degrees)
+    except MemoryError as exc:
+        fail("experiment", "h",
+             f"the reduced meshes at h cannot be assembled "
+             f"({type(exc).__name__}: {exc}); coarsen h")
+
     if config.reference == "full":
         # the preflight builds the mesh the reference run builds; a mesh
         # or point set too large to allocate (MemoryError) is a config
@@ -453,6 +492,10 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
         size_key = "ref_h_normal" if config.ref_h_normal is not None else key
         for d0, preset in zip(config.d0_list, presets):
             try:
+                _check_footprint(preset, "full", config.ref_h or config.h,
+                                 config.ref_degrees or config.degrees,
+                                 config.fracture_layers,
+                                 config.ref_h_normal)
                 mesh = models.full_mesh(
                     preset, config.ref_h or config.h,
                     fracture_layers=config.fracture_layers,

@@ -50,6 +50,7 @@ __all__ = [
     "SIDE_1", "SIDE_2", "FRACTURE", "MESH_MODES", "REDUCED_MESH_MODES",
     "ElementMaps", "Mesh", "InterfaceGrid", "StructuredLattice",
     "build_bulk_mesh", "build_interface_grid", "check_aperture_bounds",
+    "element_count",
 ]
 
 # facet classes
@@ -214,6 +215,28 @@ def check_aperture_bounds(domain, profile: ApertureProfile,
         raise ValueError("the fracture slab is too thin for double precision")
 
 
+def _lattice_counts(domain, gamma0: float, h_target: float,
+                    h_target_normal: float | None):
+    """Rows, side-1 columns and side-2 columns of the lattices of
+    :func:`build_bulk_mesh`."""
+    (xmin, ymin), (xmax, ymax) = domain
+    h_n = h_target if h_target_normal is None else h_target_normal
+    return (_pow2_count(ymax - ymin, h_target),
+            _pow2_count(gamma0 - xmin, h_n), _pow2_count(xmax - gamma0, h_n))
+
+
+def element_count(domain, mode: str, h_target: float, gamma0: float = 0.5,
+                  fracture_layers: int = 4,
+                  h_target_normal: float | None = None) -> int:
+    """Number of triangles :func:`build_bulk_mesh` makes from the same
+    arguments, from the power-of-two lattice counts alone: nothing is
+    allocated, so it can size a mesh far too large to build."""
+    n_rows, n1, n2 = _lattice_counts(domain, gamma0, h_target,
+                                     h_target_normal)
+    slab = fracture_layers if mode == "full" else 0
+    return 2 * n_rows * (n1 + n2 + slab)
+
+
 def _build_block(ys: np.ndarray, xs: np.ndarray, col_tags: np.ndarray,
                  v_offset: int, e_offset: int,
                  gamma1_line: int | None, gamma2_line: int | None):
@@ -314,10 +337,8 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
     check_aperture_bounds(domain, profile,
                           fracture_layers if mode == "full" else 1)
 
-    h_n = h_target if h_target_normal is None else h_target_normal
-    n_rows = _pow2_count(ymax - ymin, h_target)
-    n1 = _pow2_count(gamma0 - xmin, h_n)
-    n2 = _pow2_count(xmax - gamma0, h_n)
+    n_rows, n1, n2 = _lattice_counts(domain, gamma0, h_target,
+                                     h_target_normal)
     ys = np.linspace(ymin, ymax, n_rows + 1)
 
     w1, w2 = _wall_lines(profile, gamma0, mode, ys)

@@ -106,33 +106,23 @@ def _block_jacobi(matrix: sp.csr_matrix, block_offsets):
 
     Returns the preconditioner as a CSR matrix and the number of blocks
     whose symmetric part is not positive definite.  The blocks start at
-    ``block_offsets`` (1x1 blocks when it is None) and are gathered from
-    the matrix entries whose row and column fall in the same block, one
-    batch per block size.  A singular block raises ``ValueError``.
+    ``block_offsets`` (1x1 blocks when it is None) and are read from the
+    matrix in place, one batch per block size; reading an entry sums its
+    duplicates, so a non-canonical matrix gives the same blocks.  A
+    singular block raises ``ValueError``.
     """
     n = matrix.shape[0]
     starts = _block_starts(n, block_offsets)
     sizes = np.diff(starts, append=n)
-    block_of = np.repeat(np.arange(len(starts)), sizes)
-    coo = matrix.tocoo()
-    blk = block_of[coo.row]
-    inside = blk == block_of[coo.col]
-    blk, vals = blk[inside], coo.data[inside]
-    local_row = coo.row[inside] - starts[blk]
-    local_col = coo.col[inside] - starts[blk]
 
     rows, cols, inverses = [], [], []
     indefinite = 0
-    rank = np.empty(len(starts), dtype=np.int64)  # index among same-size
     for s in np.unique(sizes):
-        members = np.flatnonzero(sizes == s)
-        rank[members] = np.arange(len(members))
-        sel = sizes[blk] == s
-        flat = (rank[blk[sel]] * s + local_row[sel]) * s + local_col[sel]
-        # bincount also sums duplicate entries of a non-canonical matrix
-        blocks = np.bincount(flat, weights=vals[sel],
-                             minlength=len(members) * s * s
-                             ).reshape(-1, s, s)
+        dofs = starts[sizes == s][:, None] + np.arange(s)
+        shape = (len(dofs), s, s)
+        row = np.broadcast_to(dofs[:, :, None], shape).ravel()
+        col = np.broadcast_to(dofs[:, None, :], shape).ravel()
+        blocks = np.asarray(matrix[row, col]).reshape(shape)
         try:
             inv = np.linalg.inv(blocks)
             if not np.all(np.isfinite(inv)):
@@ -143,9 +133,8 @@ def _block_jacobi(matrix: sp.csr_matrix, block_offsets):
         sym = 0.5 * (blocks + blocks.transpose(0, 2, 1))
         indefinite += int(np.count_nonzero(
             np.linalg.eigvalsh(sym)[:, 0] <= 0.0))
-        dofs = starts[members][:, None] + np.arange(s)
-        rows.append(np.broadcast_to(dofs[:, :, None], inv.shape).ravel())
-        cols.append(np.broadcast_to(dofs[:, None, :], inv.shape).ravel())
+        rows.append(row)
+        cols.append(col)
         inverses.append(inv.ravel())
     precond = sp.csr_matrix(
         (np.concatenate(inverses),

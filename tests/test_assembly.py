@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -672,6 +673,81 @@ class TestFullAssembly:
             got = np.einsum("epi,ei->ep", phi, x[space.dofs(elems)])
             assert np.abs(got - g(pts.reshape(-1, 2)).reshape(got.shape)
                           ).max() < 1e-10, degree
+
+
+# ---------------------------------------------------------------------------
+# stored entries and assembly memory
+
+
+def buffer_entries(array):
+    """Entries of the buffer ``array`` is stored in (a view's base)."""
+    return (array if array.base is None else array.base).size
+
+
+def csr_bytes(matrix):
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+class TestOneTripletPerEntry:
+    """The bulk form hands over each element-pair block once, and every
+    assembled CSR keeps its stored entries in buffers of their size."""
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_bulk_form_gives_one_triplet_per_entry(self, degree):
+        profile = ApertureProfile.sinusoidal(0.1)
+        mesh = build_bulk_mesh(DOMAIN, profile, "full", 0.25)
+        space = asm.DGSpace.bulk(mesh, degree)
+        classes = (INTERIOR, GAMMA_1, GAMMA_2)
+        acc = asm._Accumulator(space.n_dofs)
+        asm._bulk_sipg(acc, mesh, space, iso_perm(k_f=np.eye(2)), None,
+                       g_linear, 10.0, classes)
+        triplets = sum(len(vals) for vals in acc.vals)
+        matrix = acc.matrix()
+        assert triplets == matrix.nnz
+        # its own block for every element, two for every interior facet
+        interior = np.count_nonzero(mesh.facet_elements[:, 1] >= 0)
+        assert matrix.nnz == (mesh.n_elements + 2 * interior) \
+            * space.dim ** 2
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_full_system_buffers_hold_nnz(self, degree):
+        preset = models.preset_by_name("perp-asym")
+        matrix = models.prepare_full(preset, 1 / 8, degree)[-1].matrix
+        assert matrix.has_canonical_format
+        for array in (matrix.data, matrix.indices):
+            assert buffer_entries(array) == matrix.nnz
+
+    @pytest.mark.parametrize("mode, variant", [("curved-reduced", "I"),
+                                               ("rectified", "I-R")])
+    def test_reduced_system_buffers_hold_nnz(self, mode, variant):
+        # the interface forms add to stored entries, and so does the
+        # transport form of the variant
+        problem = models.ReducedProblem.build(
+            models.preset_by_name("perp-asym"), mode, 1 / 8, 2)
+        for matrix in (problem.system.matrix,
+                       problem.system_of(variant).matrix):
+            assert matrix.has_canonical_format
+            for array in (matrix.data, matrix.indices):
+                assert buffer_entries(array) == matrix.nnz
+
+    def test_assembly_peak_memory(self):
+        # the degree-3 converge problem at h = 1/16; the triplets and the
+        # CSR built from them take 28 bytes per entry against the CSR's 12
+        preset = models.preset_by_name("manufactured")
+        mesh = models.full_mesh(preset, 1 / 16)
+        space = asm.DGSpace.bulk(mesh, 3)
+        perm = preset.permeability()
+        mesh.maps, mesh.element_h  # cached on the mesh, not assembly's
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            system = asm.assemble_full(mesh, space, perm, preset.q, preset.g,
+                                       10.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * csr_bytes(system.matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -867,6 +867,62 @@ class TestWallResolution:
         assert not out.exists()
 
 
+class TestSizePreflight:
+    BODY = """
+        [experiment]
+        preset = perp-sym
+        d0 = 1e-1
+        h = {h}
+        reference = {reference}
+
+        [output]
+        directory = {out}
+    """
+
+    @pytest.mark.parametrize("reference", ["full", "exact"])
+    def test_tiny_h_refused_before_any_mesh(self, tmp_path, monkeypatch,
+                                            capsys, reference):
+        # 2**41 triangles: the lattice counts alone refuse it
+        calls = []
+
+        def no_mesh(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(models, "build_bulk_mesh", no_mesh)
+        monkeypatch.setattr(mesh, "build_bulk_mesh", no_mesh)
+        out = tmp_path / "res"
+        path = write_config(tmp_path, self.BODY.format(
+            h="1/1048576", reference=reference, out=out))
+        with pytest.raises(cli.ConfigError, match=r":5: the reduced meshes "
+                           r"at h cannot be assembled \(MemoryError: .*"
+                           r"2\.2e\+12 elements.*coarsen h"):
+            cli.parse_config(path)
+        assert cli.main([path]) == 2
+        assert "coarsen h" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == []
+
+    def test_threshold_is_the_physical_memory(self, tmp_path, monkeypatch):
+        # h = 1/16: 16 rows of 8 + 8 columns, two triangles per cell, and
+        # the full reference adds its four slab columns
+        need = assembly.bulk_assembly_bytes(2 * 16 * (8 + 8 + 4), 1)
+        body = self.BODY.format(h="1/16", reference="full",
+                                out=tmp_path / "res")
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+        parse(tmp_path, body)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+        with pytest.raises(cli.ConfigError, match=r":5: the reference mesh "
+                           r"at d0 = 0.1 cannot be built \(MemoryError: "
+                           r".*coarsen h"):
+            parse(tmp_path, body)
+
+    def test_spacing_beyond_a_float_count_is_refused(self, tmp_path):
+        with pytest.raises(cli.ConfigError, match=r":5: .*inf elements"):
+            parse(tmp_path, self.BODY.format(h="1e-320", reference="exact",
+                                             out=tmp_path / "res"))
+
+
 class TestMain:
     def test_nonfinite_config_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, """

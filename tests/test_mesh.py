@@ -30,6 +30,7 @@ from fracdg.mesh import (
     _extract_facets,
     build_bulk_mesh,
     build_interface_grid,
+    element_count,
 )
 
 UNIT = ((0.0, 0.0), (1.0, 1.0))
@@ -375,6 +376,26 @@ class TestWalls:
             except ValueError:
                 return
             assert np.all(mesh.element_volumes() > 0.0)
+
+
+class TestElementCount:
+    @pytest.mark.parametrize("domain, gamma0", [
+        (UNIT, 0.5), (((-0.3, 0.0), (0.7, 2.0)), 0.2)],
+        ids=["unit", "shifted"])
+    @pytest.mark.parametrize("mode", MESH_MODES)
+    def test_counts_the_built_mesh(self, mode, domain, gamma0):
+        (_, ymin), (_, ymax) = domain
+        prof = ApertureProfile.constant(0.05, 0.05, t_range=(ymin, ymax))
+        for h, layers, h_normal in ((0.3, 4, None), (1 / 8, 1, 0.05),
+                                    (0.07, 3, 0.4)):
+            built = build_bulk_mesh(domain, prof, mode, h, gamma0, layers,
+                                    h_normal)
+            assert element_count(domain, mode, h, gamma0, layers,
+                                 h_normal) == built.n_elements
+
+    def test_counts_a_mesh_too_large_to_build(self):
+        assert element_count(UNIT, "full", 2.0 ** -20) \
+            == 2 * 2 ** 20 * (2 ** 19 + 2 ** 19 + 4)
 
 
 class TestRefinementNesting:

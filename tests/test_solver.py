@@ -6,6 +6,7 @@ paths against each other.
 """
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,53 @@ class TestBlockPreconditioner:
         x, rep = solver.solve(sys_, method="CG")
         assert rep.converged
         np.testing.assert_allclose(a @ x, [1.0, 2.0, 3.0], atol=1e-10)
+
+    @pytest.mark.parametrize("offsets", [[0, 3, 5], None],
+                             ids=["blocks", "point"])
+    def test_non_canonical_matrix(self, offsets):
+        # every entry stored twice, split in two parts, in shuffled order
+        rng = np.random.default_rng(5)
+        n = 7
+        a = rng.standard_normal((n, n)) + 10.0 * np.eye(n)
+        split = rng.random((n, n))
+        data, indices = [], []
+        for i in range(n):
+            order = rng.permutation(2 * n)
+            data.append(np.concatenate([a[i] * split[i],
+                                        a[i] * (1.0 - split[i])])[order])
+            indices.append(np.tile(np.arange(n), 2)[order])
+        matrix = sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                                np.arange(0, 2 * n * n + 1, 2 * n)),
+                               shape=(n, n))
+        assert not matrix.has_canonical_format
+        np.testing.assert_allclose(matrix.toarray(), a, rtol=1e-15)
+        precond, indefinite = solver._block_jacobi(matrix, offsets)
+        starts = np.arange(n) if offsets is None else np.array(offsets)
+        want = np.zeros((n, n))
+        for start, end in zip(starts, np.append(starts[1:], n)):
+            want[start:end, start:end] = np.linalg.inv(a[start:end,
+                                                         start:end])
+        np.testing.assert_allclose(precond.toarray(), want, rtol=0.0,
+                                   atol=1e-14 * np.abs(want).max())
+        assert indefinite == 0
+
+    def test_block_jacobi_peak_memory(self):
+        # the degree-3 converge problem at h = 1/16: the blocks are read
+        # from the matrix in place, not from a COO copy of all of it
+        system = models.prepare_full(models.preset_by_name("manufactured"),
+                                     1 / 16, 3)[-1]
+        matrix = system.matrix
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            solver._block_jacobi(matrix, system.block_offsets)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        nbytes = matrix.data.nbytes + matrix.indices.nbytes \
+            + matrix.indptr.nbytes
+        assert peak <= 2.5 * nbytes
 
     @pytest.mark.parametrize("method", ["CG", "BiCGStab"])
     @pytest.mark.parametrize("offsets", [None, [0, 2]])
