@@ -1,0 +1,125 @@
+"""Peak memory of each stage of a full-model solve.
+
+Usage (from the repository root)::
+
+    PYTHONPATH=src python3 scripts/stage_memory.py [--case NAME ...]
+
+The stages are the mesh, the assembly (``assemble_full``), the block
+Jacobi preconditioner (``solver._block_jacobi``), a CG solve and a
+direct LU solve of the same system. Each case runs twice, each time in
+a fresh child process with BLAS pinned to one thread: once plain,
+reading the process's peak resident memory (``ru_maxrss``) after every
+stage, and once under ``tracemalloc``, reading the peak of the arrays
+each stage allocates on top of what it started with. SuperLU's own
+storage is outside ``tracemalloc``, so the LU shows in the RSS only.
+
+Prints one JSON object per case: for every stage its seconds (plain
+run), the peak RSS after it and its traced peak, in MB, and the bytes
+of the assembled CSR matrix.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
+
+# (preset, d0, h, degree, stages): the converge study of the benchmark
+# and the d0 = 1e-3 reference of its sweep, which is solved by LU only
+CASES = {
+    "converge-h16": ("manufactured", None, 1 / 16, 3,
+                     ("mesh", "assembly", "block_jacobi", "cg", "lu")),
+    "converge-h32": ("manufactured", None, 1 / 32, 3,
+                     ("mesh", "assembly", "block_jacobi", "cg", "lu")),
+    "sweep-reference": ("perp-asym", 1e-3, 1 / 32, 2,
+                        ("mesh", "assembly", "lu")),
+}
+
+
+def _rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
+def run_case(name: str, traced: bool) -> dict:
+    """Run the stages of one case in this process."""
+    from fracdg import assembly, models, solver
+
+    preset_name, d0, h, degree, stages = CASES[name]
+    preset = (models.preset_by_name(preset_name) if d0 is None
+              else models.preset_by_name(preset_name, d0=d0))
+    state: dict = {}
+
+    def mesh():
+        state["mesh"] = models.full_mesh(preset, h)
+        state["mesh"].maps, state["mesh"].element_h
+
+    def assemble():
+        space = assembly.DGSpace.bulk(state["mesh"], degree)
+        state["system"] = assembly.assemble_full(
+            state["mesh"], space, preset.permeability(), preset.q, preset.g,
+            10.0)
+
+    def block_jacobi():
+        system = state["system"]
+        solver._block_jacobi(system.matrix, system.block_offsets)
+
+    def solve(method):
+        return lambda: solver.solve(state["system"], method=method)
+
+    actions = {"mesh": mesh, "assembly": assemble,
+               "block_jacobi": block_jacobi, "cg": solve("CG"),
+               "lu": solve("direct-LU")}
+    out = {}
+    if traced:
+        tracemalloc.start()
+    for stage in stages:
+        if traced:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+        start = time.perf_counter()
+        actions[stage]()
+        seconds = time.perf_counter() - start
+        if traced:
+            peak = tracemalloc.get_traced_memory()[1] - base
+            out[stage] = {"traced_peak_mb": peak / 1e6}
+        else:
+            out[stage] = {"seconds": seconds, "peak_rss_mb": _rss_mb()}
+    matrix = state["system"].matrix
+    out["csr_mb"] = (matrix.data.nbytes + matrix.indices.nbytes
+                     + matrix.indptr.nbytes) / 1e6
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--case", nargs="+", choices=sorted(CASES),
+                        default=list(CASES))
+    parser.add_argument("--child", choices=("plain", "traced"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(run_case(args.case[0], args.child == "traced")))
+        return 0
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    for name in args.case:
+        runs = {}
+        for mode in ("plain", "traced"):
+            done = subprocess.run(
+                [sys.executable, __file__, "--case", name, "--child", mode],
+                env=env, capture_output=True, text=True, check=True)
+            runs[mode] = json.loads(done.stdout.strip().splitlines()[-1])
+        stages = {stage: {**runs["plain"][stage], **runs["traced"][stage]}
+                  for stage in CASES[name][4]}
+        print(json.dumps({"case": name, "csr_mb": runs["plain"]["csr_mb"],
+                          "stages": stages}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -764,10 +764,10 @@ _BYTES_PER_ENTRY = 16 + 12
 
 
 def bulk_assembly_bytes(n_elements, degree: int):
-    """Memory the bulk form of ``n_elements`` triangles of ``degree``
-    needs at least while it is assembled: every element stores its own
-    block and up to three neighbour blocks, each COO triplet beside the
-    CSR.  Counts may be Python ints of any size or ``inf``."""
+    """Estimated memory that assembling the bulk form of ``n_elements``
+    triangles of ``degree`` takes: every element stores its own block
+    and up to three neighbour blocks, each entry a COO triplet beside
+    its CSR entry.  Counts may be Python ints of any size or ``inf``."""
     return 4 * n_elements * tri_dim(degree) ** 2 * _BYTES_PER_ENTRY
 
 
