@@ -4,9 +4,11 @@ Usage (from the repository root)::
 
     PYTHONPATH=src python3 scripts/stage_memory.py [--case NAME ...]
 
-The stages are the mesh, the assembly (``assemble_full``), the block
-Jacobi preconditioner (``solver._block_jacobi``), a CG solve and a
-direct LU solve of the same system. Each case runs twice, each time in
+The stages are the mesh, the assembly (``assemble_full``), the
+two-level preconditioner (``solver._two_level``: block Jacobi and the
+coarse factorization), the symmetry check (``symmetry_defect``), a CG
+solve and a direct LU solve of the same system; the CG solve checks the
+symmetry again before it iterates. Each case runs twice, each time in
 a fresh child process with BLAS pinned to one thread: once plain,
 reading the process's peak resident memory (``ru_maxrss``) after every
 stage, and once under ``tracemalloc``, reading the peak of the arrays
@@ -33,9 +35,11 @@ import tracemalloc
 # and the d0 = 1e-3 reference of its sweep, which is solved by LU only
 CASES = {
     "converge-h16": ("manufactured", None, 1 / 16, 3,
-                     ("mesh", "assembly", "block_jacobi", "cg", "lu")),
+                     ("mesh", "assembly", "two_level", "symmetry", "cg",
+                      "lu")),
     "converge-h32": ("manufactured", None, 1 / 32, 3,
-                     ("mesh", "assembly", "block_jacobi", "cg", "lu")),
+                     ("mesh", "assembly", "two_level", "symmetry", "cg",
+                      "lu")),
     "sweep-reference": ("perp-asym", 1e-3, 1 / 32, 2,
                         ("mesh", "assembly", "lu")),
 }
@@ -64,16 +68,16 @@ def run_case(name: str, traced: bool) -> dict:
             state["mesh"], space, preset.permeability(), preset.q, preset.g,
             10.0)
 
-    def block_jacobi():
+    def two_level():
         system = state["system"]
-        solver._block_jacobi(system.matrix, system.block_offsets)
+        solver._two_level(system.matrix, system.block_offsets)
 
     def solve(method):
         return lambda: solver.solve(state["system"], method=method)
 
-    actions = {"mesh": mesh, "assembly": assemble,
-               "block_jacobi": block_jacobi, "cg": solve("CG"),
-               "lu": solve("direct-LU")}
+    actions = {"mesh": mesh, "assembly": assemble, "two_level": two_level,
+               "symmetry": lambda: state["system"].symmetry_defect(),
+               "cg": solve("CG"), "lu": solve("direct-LU")}
     out = {}
     if traced:
         tracemalloc.start()

@@ -9,12 +9,14 @@ Every space has one polynomial degree on all of its elements; the bulk
 and the interface space may differ.  The bulk SIPG form is assembled in
 three batches, the volume terms of all elements, the boundary facets and
 the interior flux facets, each batch a few batched products over
-reference-element tables.  Each element-pair block is stored once: an
-element's own block sums its volume and facet terms, and every interior
-flux facet adds one block per direction coupling its two elements, so
-the bulk form gives exactly one COO triplet per stored matrix entry.
-Data functions are called once per batch on all of its quadrature
-points.
+reference-element tables; the facet batches run in chunks of fixed
+size.  Each element-pair block is stored once: an element's own block
+sums its volume and facet terms, and every interior flux facet gives
+one block per direction coupling its two elements.  The element graph
+fixes the canonical CSR before any value is computed, and every block
+is written straight to its place there, so the full system is never
+held as COO triplets.  Data functions are called once per batch on all
+of its quadrature points.
 
 Three coupled bilinear forms make up the system every reduced variant on
 a mesh shares (:func:`assemble_reduced`, with the whole rhs):
@@ -323,6 +325,39 @@ def interpolate_interface(grid: InterfaceGrid, space: DGSpace, f) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sparse system container
 
+# entries a batch of element blocks, facets or stored entries holds at most
+_CHUNK_ENTRIES = 1 << 14
+
+
+def _canonical(matrix: sp.spmatrix) -> sp.csr_matrix:
+    """``matrix`` as a CSR with sorted column indices and no duplicates;
+    a non-canonical one is summed on a copy."""
+    matrix = matrix.tocsr()
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    return matrix
+
+
+def _search(matrix: sp.csr_matrix, rows, cols) -> np.ndarray:
+    """Position of the first stored entry of row ``rows`` whose column
+    is at least ``cols``, or the end of the row; a binary search over
+    each row of ``matrix``, a canonical CSR with stored entries."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    base = matrix.indptr[rows].astype(np.int64)
+    length = matrix.indptr[rows + 1] - base
+    while True:
+        half = length >> 1
+        if not half.any():
+            break
+        mid = base + half
+        base = np.where(matrix.indices[mid] < cols, mid, base)
+        length -= half
+    # one candidate left in every nonempty range
+    last = np.minimum(base, matrix.nnz - 1)
+    return base + ((length > 0) & (matrix.indices[last] < cols))
+
+
 @dataclass
 class SparseSystem:
     """Assembled linear system, blocked as [bulk dofs | interface dofs].
@@ -343,11 +378,52 @@ class SparseSystem:
         return self.matrix.shape[0]
 
     def symmetry_defect(self) -> float:
-        """max |A - A^T| / max |A|."""
-        d = self.matrix - self.matrix.T
-        denom = np.abs(self.matrix.data).max() if self.matrix.nnz else 1.0
-        num = np.abs(d.data).max() if d.nnz else 0.0
-        return float(num / denom)
+        """max |A - A^T| / max |A|.
+
+        Every stored entry is compared with its transpose in batches of
+        stored entries, so no copy of the matrix, its transpose or its
+        magnitudes is made; a non-canonical matrix is summed on a copy
+        first.  Within a run of consecutive columns of one row, the
+        transposes sit at one offset in consecutive rows wherever those
+        rows share their columns, as the rows of an element block do;
+        one search per run finds it, and an entry whose guess misses is
+        searched on its own.  An entry whose transpose is not stored
+        meets a 0.
+        """
+        a = _canonical(self.matrix)
+        if not a.nnz:
+            return 0.0
+        indptr, indices, data = a.indptr, a.indices, a.data
+
+        def stored(pos, end, col):
+            """Whether ``pos`` lies before ``end`` and holds ``col``."""
+            return (pos < end) & (indices[np.minimum(pos, a.nnz - 1)] == col)
+
+        num = scale = 0.0
+        bounds = np.unique(np.append(np.searchsorted(
+            indptr, np.arange(0, a.nnz, _CHUNK_ENTRIES), side="right") - 1,
+            a.shape[0]))
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            p0, p1 = indptr[r0], indptr[r1]
+            rows = np.repeat(np.arange(r0, r1, dtype=indices.dtype),
+                             np.diff(indptr[r0:r1 + 1]))
+            cols = indices[p0:p1]
+            head = np.ones(len(cols), dtype=bool)
+            head[1:] = (cols[1:] != cols[:-1] + 1) | (rows[1:] != rows[:-1])
+            heads = np.flatnonzero(head)
+            start, end = indptr[cols], indptr[cols + 1]
+            shift = _search(a, cols[heads], rows[heads]) - start[heads]
+            pos = start + np.repeat(shift, np.diff(np.append(heads,
+                                                             len(cols))))
+            hit = stored(pos, end, rows)
+            miss = np.flatnonzero(~hit)
+            pos[miss] = _search(a, cols[miss], rows[miss])
+            hit[miss] = stored(pos[miss], end[miss], rows[miss])
+            own = data[p0:p1]
+            num = np.maximum(num, np.abs(
+                own - np.where(hit, data[np.where(hit, pos, 0)], 0.0)).max())
+            scale = np.maximum(scale, np.abs(own).max())
+        return float(num / scale)
 
     def plus(self, matrix: sp.spmatrix) -> "SparseSystem":
         """This system with ``matrix`` added to its matrix.  Every entry
@@ -361,11 +437,12 @@ class SparseSystem:
 
 
 class _Accumulator:
-    """COO triplet accumulator with a dense rhs.
+    """COO triplet accumulator with a dense rhs, for sums of matrices.
 
-    The bulk form hands it one triplet per stored entry; the interface,
-    coupling and transport forms (:meth:`add_matrix`) add to entries
-    stored already, and :meth:`matrix` sums those duplicates.
+    The reduced system adds the interface and coupling forms to the
+    bulk form's CSR, and :meth:`SparseSystem.plus` the transport form;
+    both add to entries stored already, and :meth:`matrix` sums those
+    duplicates.  :meth:`add` takes dense blocks.
     """
 
     def __init__(self, n: int):
@@ -390,16 +467,12 @@ class _Accumulator:
         self.vals.append(blocks.ravel())
 
     def add_matrix(self, matrix: sp.spmatrix) -> None:
-        """Add a sparse (n, n) matrix."""
+        """Add a sparse (n, n) matrix; its column indices and values are
+        shared, not copied, where their types allow."""
         coo = matrix.tocoo()
-        self.rows.append(coo.row.astype(self.index_dtype))
-        self.cols.append(coo.col.astype(self.index_dtype))
+        self.rows.append(coo.row.astype(self.index_dtype, copy=False))
+        self.cols.append(coo.col.astype(self.index_dtype, copy=False))
         self.vals.append(coo.data)
-
-    def add_rhs(self, dofs, values) -> None:
-        """Add ``values`` at ``dofs`` (same shape; repeats accumulate)."""
-        self.rhs += np.bincount(np.ravel(dofs), np.ravel(values),
-                                minlength=self.n)
 
     def matrix(self) -> sp.csr_matrix:
         """The summed CSR matrix, whose buffers hold its stored entries
@@ -421,6 +494,58 @@ class _Accumulator:
         del rows, cols, vals
         # summing duplicates shortens the buffers by a view only
         return matrix.copy() if matrix.nnz < triplets else matrix
+
+
+class _BlockCSR:
+    """Canonical (n, n) CSR of dense element-pair blocks, written in place.
+
+    The blocks are the own block of every element (block id e), and for
+    the flux facets ``(e0[f], e1[f])``, f < F, the block coupling e0[f]
+    to e1[f] (id n_elements + f) and the one coupling e1[f] to e0[f] (id
+    n_elements + F + f).  The element graph fixes the structure before
+    any value is known: the block row of an element holds its blocks in
+    column order, each of its ``dim`` rows runs through all of them, and
+    rows past the bulk dofs are empty.  Every block must be written once
+    with :meth:`put` before :meth:`matrix` is read.
+    """
+
+    def __init__(self, n: int, space: DGSpace, e0: np.ndarray,
+                 e1: np.ndarray):
+        dim = self.dim = space.dim
+        rank = space.offsets // dim
+        n_el = len(rank)
+        rows = np.concatenate([rank, rank[e0], rank[e1]])
+        cols = np.concatenate([rank, rank[e1], rank[e0]])
+        order = np.argsort(rows * n_el + cols)
+        count = np.bincount(rows, minlength=n_el)
+        before = np.concatenate([[0], np.cumsum(count)])
+        slot = np.empty(len(rows), dtype=np.int64)
+        slot[order] = np.arange(len(rows)) - before[rows[order]]
+        # entry (a, b) of block i sits at first[i] + stride[i] * a + b
+        self.first = dim * (dim * before[rows] + slot)
+        self.stride = dim * count[rows]
+        self.col0 = dim * cols
+        nnz = dim * dim * len(rows)
+        index = np.int32 if max(n, nnz) < 2**31 else np.int64
+        self.indptr = np.full(n + 1, nnz, dtype=index)
+        self.indptr[:dim * n_el] = (dim * dim * before[:-1, None]
+                                    + dim * count[:, None] * np.arange(dim)
+                                    ).ravel()
+        self.indices = np.empty(nnz, dtype=index)
+        self.data = np.empty(nnz)
+        self.n = n
+
+    def put(self, ids: np.ndarray, blocks: np.ndarray) -> None:
+        """Write the blocks ``ids`` (shape (len(ids), dim, dim))."""
+        local = np.arange(self.dim)
+        pos = (self.first[ids, None, None] + local[:, None]
+               * self.stride[ids, None, None] + local)
+        self.data[pos] = blocks
+        self.indices[pos] = self.col0[ids, None, None] + local
+
+    def matrix(self) -> sp.csr_matrix:
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -463,21 +588,24 @@ def _gradient_table(k: int) -> np.ndarray:
     return table
 
 
-def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
-               perm: PermeabilityData, q, g, mu0: float,
-               flux_classes: tuple[int, ...]) -> None:
+def _bulk_sipg(mesh: Mesh, space: DGSpace, perm: PermeabilityData, q, g,
+               mu0: float, flux_classes: tuple[int, ...],
+               n: int) -> tuple[sp.csr_matrix, np.ndarray]:
     """Volume + facet terms of the symmetric interior penalty form.
 
-    ``flux_classes`` lists the facet classes treated as interior flux
-    facets (wall facets belong here for full-dimensional meshes only).
-    Exterior-boundary facets always receive Nitsche terms with data ``g``.
+    Returns the (n, n) matrix, a canonical CSR whose rows past the bulk
+    dofs are empty, and the rhs of length n.  ``flux_classes`` lists
+    the facet classes treated as interior flux facets (wall facets
+    belong here for full-dimensional meshes only).  Exterior-boundary
+    facets always receive Nitsche terms with data ``g``.
 
-    Every element-pair block reaches ``acc`` once: each element's own
-    block sums its volume term, its boundary facets and its side of its
-    flux facets, and each flux facet adds the two blocks coupling its
-    elements, one per direction.  The maps are affine and K is constant
-    on each element, so the volume term is ``det J^-1 K J^-T : S`` with
-    the reference table S of :func:`_gradient_table`.
+    Every element-pair block is written once, in place (:class:`_BlockCSR`):
+    each element's own block sums its volume term, its boundary facets
+    and its side of its flux facets, and each flux facet gives the two
+    blocks coupling its elements, one per direction.  The facets run in
+    batches of fixed size.  The maps are affine and K is constant on
+    each element, so the volume term is ``det J^-1 K J^-T : S`` with the
+    reference table S of :func:`_gradient_table`.
     """
     maps = mesh.maps
     h_elem = mesh.element_h
@@ -485,6 +613,10 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
     k, dim = space.degree, space.dim
     elems = np.arange(mesh.n_elements)
     dofs = space.dofs(elems)
+    rhs = np.zeros(n)
+
+    def add_rhs(at, values):
+        rhs[:] += np.bincount(np.ravel(at), np.ravel(values), minlength=n)
 
     metric = maps.jac_inv @ perm_elem @ np.swapaxes(maps.jac_inv, -1, -2)
     metric *= maps.det[:, None, None]
@@ -493,11 +625,16 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
     if q is not None:
         pts, w = triangle_rule(k + 2)
         qw = _data_at(q, maps.points(elems, pts)) * (w * maps.det[:, None])
-        acc.add_rhs(dofs, np.einsum("qi,eq->ei", tri_basis(k, pts), qw))
+        add_rhs(dofs, np.einsum("qi,eq->ei", tri_basis(k, pts), qw))
 
     va, vb, length, normal = _facet_geometry(mesh)
     e0, e1 = mesh.facet_elements[:, 0], mesh.facet_elements[:, 1]
     tq, w = segment_rule(k + 2)
+    batch = max(1, _CHUNK_ENTRIES // dim ** 2)
+
+    def batches(count):
+        return (np.arange(i, min(i + batch, count))
+                for i in range(0, count, batch))
 
     def facet_rule(facets):
         x = va[facets, None] + tq[:, None] * (vb - va)[facets, None]
@@ -514,39 +651,48 @@ def _bulk_sipg(acc: _Accumulator, mesh: Mesh, space: DGSpace,
         """a^T b per facet: (F, q, m), (F, q, n) -> (F, m, n)."""
         return np.swapaxes(a, -1, -2) @ b
 
-    facets = np.flatnonzero(mesh.facet_class == BOUNDARY)
-    x, wq = facet_rule(facets)
-    mu = penalty_bulk(k, h_elem[e0[facets], None], mu0)
-    phi, kdn = side(e0[facets], facets, x)
-    pw = phi * wq[..., None]
-    flux = tmul(pw, kdn)
-    np.add.at(own, e0[facets], mu[:, None, None] * tmul(pw, phi)
-              - flux - np.swapaxes(flux, -1, -2))
-    gw = _data_at(g, x) * wq
-    acc.add_rhs(dofs[e0[facets]],
+    boundary = np.flatnonzero(mesh.facet_class == BOUNDARY)
+    for at in batches(len(boundary)):
+        facets = boundary[at]
+        x, wq = facet_rule(facets)
+        mu = penalty_bulk(k, h_elem[e0[facets], None], mu0)
+        phi, kdn = side(e0[facets], facets, x)
+        pw = phi * wq[..., None]
+        flux = tmul(pw, kdn)
+        np.add.at(own, e0[facets], mu[:, None, None] * tmul(pw, phi)
+                  - flux - np.swapaxes(flux, -1, -2))
+        gw = _data_at(g, x) * wq
+        add_rhs(dofs[e0[facets]],
                 np.einsum("fqi,fq->fi", mu[:, None, None] * phi - kdn, gw))
 
-    facets = np.flatnonzero(np.isin(mesh.facet_class, flux_classes)
-                            & (e1 >= 0))
-    x, wq = facet_rule(facets)
-    mu = penalty_bulk(k, np.column_stack([h_elem[e0[facets]],
-                                          h_elem[e1[facets]]]), mu0)
-    pair = (e0[facets], e1[facets])
-    sides = [side(e, facets, x) for e in pair]
+    flux_facets = np.flatnonzero(np.isin(mesh.facet_class, flux_classes)
+                                 & (e1 >= 0))
+    csr = _BlockCSR(n, space, e0[flux_facets], e1[flux_facets])
     signs = (1.0, -1.0)
-    for i, (phi_i, kdn_i) in enumerate(sides):
-        pw_i = phi_i * wq[..., None]
-        kw_i = kdn_i * wq[..., None]
-        for j, (phi_j, kdn_j) in enumerate(sides):
-            block = (mu * signs[i] * signs[j])[:, None, None] \
-                * tmul(pw_i, phi_j) \
-                - 0.5 * signs[i] * tmul(pw_i, kdn_j) \
-                - 0.5 * signs[j] * tmul(kw_i, phi_j)
-            if i == j:
-                np.add.at(own, pair[i], block)
-            else:
-                acc.add(dofs[pair[i]], dofs[pair[j]], block)
-    acc.add(dofs, dofs, own)
+    for at in batches(len(flux_facets)):
+        facets = flux_facets[at]
+        x, wq = facet_rule(facets)
+        mu = penalty_bulk(k, np.column_stack([h_elem[e0[facets]],
+                                              h_elem[e1[facets]]]), mu0)
+        pair = (e0[facets], e1[facets])
+        sides = [side(e, facets, x) for e in pair]
+        # block ids of the (e0, e1) and (e1, e0) blocks of these facets
+        ids = mesh.n_elements + at
+        for i, (phi_i, kdn_i) in enumerate(sides):
+            pw_i = phi_i * wq[..., None]
+            kw_i = kdn_i * wq[..., None]
+            for j, (phi_j, kdn_j) in enumerate(sides):
+                block = (mu * signs[i] * signs[j])[:, None, None] \
+                    * tmul(pw_i, phi_j) \
+                    - 0.5 * signs[i] * tmul(pw_i, kdn_j) \
+                    - 0.5 * signs[j] * tmul(kw_i, phi_j)
+                if i == j:
+                    np.add.at(own, pair[i], block)
+                else:
+                    csr.put(ids + i * len(flux_facets), block)
+    for at in batches(mesh.n_elements):
+        csr.put(at, own[at])
+    return csr.matrix(), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +904,8 @@ def transport_form(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
 # ---------------------------------------------------------------------------
 # public assembly entry points
 
-# a stored entry is one COO triplet (two 32-bit indices and a float)
-# while the CSR (a 32-bit index and a float) is built beside it
+# a stored entry summed through COO triplets: the triplet (two 32-bit
+# indices and a float) and the CSR entry (a 32-bit index and a float)
 _BYTES_PER_ENTRY = 16 + 12
 
 
@@ -767,7 +913,11 @@ def bulk_assembly_bytes(n_elements, degree: int):
     """Estimated memory that assembling the bulk form of ``n_elements``
     triangles of ``degree`` takes: every element stores its own block
     and up to three neighbour blocks, each entry a COO triplet beside
-    its CSR entry.  Counts may be Python ints of any size or ``inf``."""
+    its CSR entry.  The full system writes its CSR in place and needs
+    less; the reduced one still sums the bulk CSR with the interface
+    forms through triplets (as :meth:`SparseSystem.plus` does), so the
+    estimate stays an upper bound.  Counts may be Python ints of any
+    size or ``inf``."""
     return 4 * n_elements * tri_dim(degree) ** 2 * _BYTES_PER_ENTRY
 
 
@@ -780,10 +930,9 @@ def assemble_full(mesh: Mesh, space: DGSpace, perm: PermeabilityData,
     imposed weakly."""
     if mesh.mode != "full":
         raise ValueError("assemble_full needs a full-mode mesh")
-    acc = _Accumulator(space.n_dofs)
-    _bulk_sipg(acc, mesh, space, perm, q, g, mu0,
-               flux_classes=(INTERIOR, GAMMA_1, GAMMA_2))
-    return SparseSystem(matrix=acc.matrix(), rhs=acc.rhs,
+    matrix, rhs = _bulk_sipg(mesh, space, perm, q, g, mu0,
+                             (INTERIOR, GAMMA_1, GAMMA_2), space.n_dofs)
+    return SparseSystem(matrix=matrix, rhs=rhs,
                         n_bulk=space.n_dofs, n_iface=0,
                         block_offsets=np.sort(space.offsets))
 
@@ -810,8 +959,10 @@ def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
 
     off = bulk_space.n_dofs
     acc = _Accumulator(off + iface_space.n_dofs)
-    _bulk_sipg(acc, mesh, bulk_space, perm, q_bulk, g_bulk, mu0_bulk,
-               flux_classes=(INTERIOR,))
+    bulk, acc.rhs = _bulk_sipg(mesh, bulk_space, perm, q_bulk, g_bulk,
+                               mu0_bulk, (INTERIOR,), acc.n)
+    acc.add_matrix(bulk)
+    del bulk
     _interface_forms(acc, mesh, grid, bulk_space, iface_space, perm,
                      q_gamma, g_gamma, mu0_gamma, edge_terms)
     return SparseSystem(matrix=acc.matrix(), rhs=acc.rhs,

@@ -337,8 +337,14 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
     check_aperture_bounds(domain, profile,
                           fracture_layers if mode == "full" else 1)
 
-    n_rows, n1, n2 = _lattice_counts(domain, gamma0, h_target,
-                                     h_target_normal)
+    try:
+        n_rows, n1, n2 = _lattice_counts(domain, gamma0, h_target,
+                                         h_target_normal)
+    except OverflowError:  # more lattice lines than a float can count
+        spacing = h_target if h_target_normal is None \
+            else (h_target, h_target_normal)
+        raise ValueError(f"spacing {spacing!r} is too fine: its count of "
+                         "lattice lines overflows a float") from None
     ys = np.linspace(ymin, ymax, n_rows + 1)
 
     w1, w2 = _wall_lines(profile, gamma0, mode, ys)

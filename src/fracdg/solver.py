@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SparseSystem
+from .assembly import _CHUNK_ENTRIES, SparseSystem, _canonical, _search
 
 METHODS = ("direct-LU", "CG", "BiCGStab")
 
@@ -106,40 +106,63 @@ def _block_jacobi(matrix: sp.csr_matrix, block_offsets):
 
     Returns the preconditioner as a CSR matrix and the number of blocks
     whose symmetric part is not positive definite.  The blocks start at
-    ``block_offsets`` (1x1 blocks when it is None) and are read from the
-    matrix in place, one batch per block size; reading an entry sums its
-    duplicates, so a non-canonical matrix gives the same blocks.  A
-    singular block raises ``ValueError``.
+    ``block_offsets`` (1x1 blocks when it is None) and are read at their
+    positions in the CSR, a batch of blocks of one size at a time: one
+    search per row finds the block's first column, and the block's
+    stored columns follow it (a non-canonical matrix is summed on a copy
+    first).  The inverses are written straight into the CSR they form.
+    A singular block raises ``ValueError``.
     """
+    matrix = _canonical(matrix)
+    if not matrix.nnz:
+        raise ValueError("singular diagonal blocks of a zero matrix, block "
+                         "preconditioner unavailable")
     n = matrix.shape[0]
     starts = _block_starts(n, block_offsets)
     sizes = np.diff(starts, append=n)
+    # entries before every block, and the CSR of the block diagonal
+    before = np.concatenate([[0], np.cumsum(sizes ** 2)])
+    index = np.int32 if max(n, before[-1]) < 2**31 else np.int64
+    block_of = np.repeat(np.arange(len(starts)), sizes)
+    indptr = np.append(before[block_of] + (np.arange(n) - starts[block_of])
+                       * sizes[block_of], before[-1]).astype(index)
+    del block_of
+    indices = np.empty(before[-1], dtype=index)
+    data = np.empty(before[-1])
 
-    rows, cols, inverses = [], [], []
     indefinite = 0
     for s in np.unique(sizes):
-        dofs = starts[sizes == s][:, None] + np.arange(s)
-        shape = (len(dofs), s, s)
-        row = np.broadcast_to(dofs[:, :, None], shape).ravel()
-        col = np.broadcast_to(dofs[:, None, :], shape).ravel()
-        blocks = np.asarray(matrix[row, col]).reshape(shape)
-        try:
-            inv = np.linalg.inv(blocks)
-            if not np.all(np.isfinite(inv)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"singular {s}x{s} diagonal block, block "
-                             "preconditioner unavailable") from exc
-        sym = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-        indefinite += int(np.count_nonzero(
-            np.linalg.eigvalsh(sym)[:, 0] <= 0.0))
-        rows.append(row)
-        cols.append(col)
-        inverses.append(inv.ravel())
-    precond = sp.csr_matrix(
-        (np.concatenate(inverses),
-         (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    return precond, indefinite
+        same = np.flatnonzero(sizes == s)
+        batch = max(1, _CHUNK_ENTRIES // s ** 2)
+        for ids in (same[i:i + batch] for i in range(0, len(same), batch)):
+            dofs = starts[ids, None] + np.arange(s)
+            # the stored columns of a block row follow its first one
+            pos = _search(matrix, dofs, starts[ids, None])[..., None] \
+                + np.arange(s)
+            inside = pos < matrix.indptr[dofs + 1][..., None]
+            pos[~inside] = 0
+            col = matrix.indices[pos] - starts[ids, None, None]
+            if inside.all() and np.all(col == np.arange(s)):
+                blocks = matrix.data[pos]
+            else:  # some entry of a block is not stored
+                at = np.nonzero(inside & (col < s))
+                blocks = np.zeros((len(ids), s, s))
+                blocks[at[:2] + (col[at],)] = matrix.data[pos[at]]
+            try:
+                inv = np.linalg.inv(blocks)
+                if not np.all(np.isfinite(inv)):
+                    raise np.linalg.LinAlgError
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"singular {s}x{s} diagonal block, block "
+                                 "preconditioner unavailable") from exc
+            sym = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+            indefinite += int(np.count_nonzero(
+                np.linalg.eigvalsh(sym)[:, 0] <= 0.0))
+            pos = before[ids, None] + np.arange(s * s)
+            data[pos] = inv.reshape(len(ids), -1)
+            indices[pos] = np.broadcast_to(dofs[:, None, :],
+                                           inv.shape).reshape(len(ids), -1)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n)), indefinite
 
 
 def _two_level(matrix: sp.csr_matrix, block_offsets):

@@ -17,6 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracdg import assembly as asm
@@ -397,15 +398,15 @@ class TestBatchedBulkForm:
             else (INTERIOR,)
         for degree in range(1, asm.MAX_DEGREE + 1):
             space = asm.DGSpace.bulk(mesh, degree)
-            acc = asm._Accumulator(space.n_dofs)
-            asm._bulk_sipg(acc, mesh, space, perm, q, g, 10.0, classes)
+            got, got_rhs = asm._bulk_sipg(mesh, space, perm, q, g, 10.0,
+                                          classes, space.n_dofs)
             mat, rhs = looped_bulk_sipg(mesh, space, perm, q, g, 10.0,
                                         classes)
-            got = acc.matrix().toarray()
+            got = got.toarray()
             # summation order differs, so agreement is to rounding only
             assert np.abs(got - mat).max() <= 1e-13 * np.abs(mat).max(), \
                 degree
-            assert np.abs(acc.rhs - rhs).max() \
+            assert np.abs(got_rhs - rhs).max() \
                 <= 1e-13 * np.abs(rhs).max(), degree
 
 
@@ -689,7 +690,7 @@ def csr_bytes(matrix):
 
 
 class TestOneTripletPerEntry:
-    """The bulk form hands over each element-pair block once, and every
+    """The bulk form writes each element-pair block once, and every
     assembled CSR keeps its stored entries in buffers of their size."""
 
     @pytest.mark.parametrize("degree", [1, 3])
@@ -698,12 +699,13 @@ class TestOneTripletPerEntry:
         mesh = build_bulk_mesh(DOMAIN, profile, "full", 0.25)
         space = asm.DGSpace.bulk(mesh, degree)
         classes = (INTERIOR, GAMMA_1, GAMMA_2)
-        acc = asm._Accumulator(space.n_dofs)
-        asm._bulk_sipg(acc, mesh, space, iso_perm(k_f=np.eye(2)), None,
-                       g_linear, 10.0, classes)
-        triplets = sum(len(vals) for vals in acc.vals)
-        matrix = acc.matrix()
-        assert triplets == matrix.nnz
+        matrix, _ = asm._bulk_sipg(mesh, space, iso_perm(k_f=np.eye(2)),
+                                   None, g_linear, 10.0, classes,
+                                   space.n_dofs)
+        # written in place: canonical, with buffers of nnz entries
+        assert matrix.has_canonical_format
+        for array in (matrix.data, matrix.indices):
+            assert buffer_entries(array) == matrix.nnz
         # its own block for every element, two for every interior facet
         interior = np.count_nonzero(mesh.facet_elements[:, 1] >= 0)
         assert matrix.nnz == (mesh.n_elements + 2 * interior) \
@@ -748,6 +750,162 @@ class TestOneTripletPerEntry:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * csr_bytes(system.matrix)
+
+
+def traced_peak(fn):
+    """Peak of the arrays ``fn()`` allocates on top of what it started
+    with, in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """The full assembly writes its CSR in place and the symmetry check
+    reads it in place, each with transients of bounded size: on the
+    degree-3 converge problem at h = 1/16, the traced peaks were 2.6x
+    and 3.2x the CSR's bytes when both went through whole-matrix
+    copies."""
+
+    def setup_method(self):
+        self.preset = models.preset_by_name("manufactured")
+        self.mesh = models.full_mesh(self.preset, 1 / 16)
+        self.mesh.maps, self.mesh.element_h  # cached on the mesh
+
+    def assemble(self):
+        return asm.assemble_full(self.mesh, asm.DGSpace.bulk(self.mesh, 3),
+                                 self.preset.permeability(), self.preset.q,
+                                 self.preset.g, 10.0)
+
+    def test_full_assembly_peak(self):
+        peak, system = traced_peak(self.assemble)
+        assert peak <= 2.0 * csr_bytes(system.matrix)
+
+    def test_symmetry_check_peak(self):
+        system = self.assemble()
+        peak, defect = traced_peak(system.symmetry_defect)
+        assert defect < 1e-12
+        assert peak <= 1.0 * csr_bytes(system.matrix)
+
+    @pytest.mark.parametrize("mode", ["full", "curved-reduced"])
+    def test_small_batches_match_looped_reference(self, mode, monkeypatch):
+        # one facet, element or row per batch
+        monkeypatch.setattr(asm, "_CHUNK_ENTRIES", 1)
+        profile = ApertureProfile.sinusoidal(0.1)
+        mesh = build_bulk_mesh(DOMAIN, profile, mode, 0.25)
+        space = asm.DGSpace.bulk(mesh, 2)
+        perm = iso_perm(k_f=np.eye(2))
+        q = lambda x: np.sin(3.0 * x[:, 0]) + x[:, 1]
+        classes = (INTERIOR, GAMMA_1, GAMMA_2) if mode == "full" \
+            else (INTERIOR,)
+        got, got_rhs = asm._bulk_sipg(mesh, space, perm, q, g_linear, 10.0,
+                                      classes, space.n_dofs + 5)
+        mat, rhs = looped_bulk_sipg(mesh, space, perm, q, g_linear, 10.0,
+                                    classes)
+        n = space.n_dofs
+        assert got.shape == (n + 5, n + 5) and got.has_canonical_format
+        assert got[n:].nnz == 0 and not got_rhs[n:].any()
+        got = got[:n, :n].toarray()
+        assert np.abs(got - mat).max() <= 1e-13 * np.abs(mat).max()
+        assert np.abs(got_rhs[:n] - rhs).max() <= 1e-13 * np.abs(rhs).max()
+        system = asm.SparseSystem(matrix=sp.csr_matrix(got), rhs=rhs,
+                                  n_bulk=n, n_iface=0)
+        assert system.symmetry_defect() == dense_defect(system.matrix)
+
+
+def dense_defect(matrix):
+    a = matrix.toarray()
+    return np.abs(a - a.T).max() / np.abs(a).max()
+
+
+class TestSymmetryDefect:
+    """``symmetry_defect`` reads every entry's transpose in place; it
+    must give the dense ``max|A - A^T| / max|A|`` exactly."""
+
+    def full(self):
+        profile = ApertureProfile.sinusoidal(0.1)
+        mesh = build_bulk_mesh(DOMAIN, profile, "full", 0.25)
+        return asm.assemble_full(mesh, asm.DGSpace.bulk(mesh, 2),
+                                 iso_perm(k_f=np.eye(2)), None, g_linear,
+                                 10.0)
+
+    def test_full_system(self):
+        system = self.full()
+        assert system.symmetry_defect() == dense_defect(system.matrix)
+
+    def test_reduced_transport_system(self):
+        # 3-dof triangles and 2-dof segments; the transport form makes
+        # the matrix nonsymmetric
+        _, mesh, grid, bs, ifs = wavy_setup()
+        system = variant_system("I", mesh, grid, bs, ifs, iso_perm(), None,
+                                None, g_linear, pgamma_half, 10.0, 10.0)
+        assert set(np.diff(np.append(system.block_offsets,
+                                     system.n_dofs))) == {2, 3}
+        defect = system.symmetry_defect()
+        assert defect > 1e-8
+        assert defect == dense_defect(system.matrix)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_raw_system(self, seed):
+        # random patterns: most transposes stored, some not, some runs of
+        # consecutive columns whose rows do not share their columns
+        rng = np.random.default_rng(seed)
+        n = 30
+        a = np.where(rng.random((n, n)) < 0.3, rng.standard_normal((n, n)),
+                     0.0)
+        a += np.where(rng.random((n, n)) < 0.8, a.T, 0.0)
+        system = asm.SparseSystem(matrix=sp.csr_matrix(a), rhs=np.zeros(n),
+                                  n_bulk=n, n_iface=0)
+        assert system.block_offsets is None
+        assert system.symmetry_defect() == dense_defect(system.matrix)
+
+    def test_non_canonical_matrix(self):
+        # every entry stored as two halves in reversed column order; the
+        # halves are dyadic, so their sum is exact in any order
+        a = self.full().matrix.toarray()
+        a = np.round(a * 64.0) / 64.0
+        a[0, 1] += 0.5
+        rows, cols = np.nonzero(a)
+        order = np.lexsort((-cols, rows))
+        rows, cols = np.repeat(rows[order], 2), np.repeat(cols[order], 2)
+        vals = np.repeat(a[np.nonzero(a)][order] / 2.0, 2)
+        matrix = sp.csr_matrix((vals, cols, np.searchsorted(
+            rows, np.arange(len(a) + 1))), shape=a.shape)
+        assert not matrix.has_canonical_format
+        system = asm.SparseSystem(matrix=matrix, rhs=np.zeros(len(a)),
+                                  n_bulk=len(a), n_iface=0)
+        defect = system.symmetry_defect()
+        assert defect == np.abs(a - a.T).max() / np.abs(a).max()
+        assert defect >= 0.5 / np.abs(a).max()
+        # the matrix handed in is left as it was
+        assert not matrix.has_canonical_format
+
+    def test_one_entry_perturbed(self):
+        system = self.full()
+        matrix = system.matrix
+        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        pos = np.flatnonzero(matrix.indices != rows)[len(rows) // 3]
+        matrix.data[pos] += 1e-3
+        defect = system.symmetry_defect()
+        assert defect == dense_defect(matrix)
+        assert 0.9e-3 < defect * abs(matrix).max() < 1.1e-3
+
+    def test_entry_without_stored_transpose(self):
+        system = self.full()
+        n = system.n_dofs
+        assert system.matrix[0, n - 1] == 0.0
+        assert system.matrix[n - 1, 0] == 0.0
+        system = system.plus(sp.csr_matrix(([0.25], ([n - 1], [0])),
+                                           shape=(n, n)))
+        assert system.matrix.nnz == self.full().matrix.nnz + 1
+        defect = system.symmetry_defect()
+        assert defect == dense_defect(system.matrix)
+        assert defect == 0.25 / abs(system.matrix).max()
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,16 @@ class TestBuildErrors:
         with pytest.raises(ValueError, match="positive"):
             build_bulk_mesh(UNIT, self.PROF, "rectified", -0.1)
 
+    @pytest.mark.parametrize("mode", ["full", "rectified"])
+    def test_spacing_beyond_a_float_count(self, mode):
+        # 1 / 1e-320 overflows to inf: a ValueError naming the spacing,
+        # not an OverflowError from the lattice count
+        with pytest.raises(ValueError, match=r"spacing 1e-320 is too fine"):
+            build_bulk_mesh(UNIT, self.PROF, mode, 1e-320)
+        with pytest.raises(ValueError, match=r"\(0\.25, 1e-320\)"):
+            build_bulk_mesh(UNIT, self.PROF, mode, 0.25,
+                            h_target_normal=1e-320)
+
     @pytest.mark.parametrize("gamma0", [1.5, 0.0, 1.0, math.nan, math.inf],
                              ids=["beyond", "xmin", "xmax", "nan", "inf"])
     def test_gamma0_outside_domain(self, gamma0):

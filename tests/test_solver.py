@@ -306,6 +306,66 @@ class TestBlockPreconditioner:
         assert sol.report.iterations < 1000
 
 
+class TestInPlaceBlocks:
+    """``_block_jacobi`` reads each diagonal block at its CSR positions
+    and writes the inverses straight into the preconditioner's CSR."""
+
+    def test_sparse_blocks_between_stored_neighbours(self):
+        # blocks [0, 3), [3, 5), [5, 8), [8, 9): some entries of a block
+        # are not stored, and rows hold columns before and after it
+        rng = np.random.default_rng(3)
+        n, offsets = 9, [0, 3, 5, 8]
+        bounds = list(zip(offsets, offsets[1:] + [n]))
+        a = np.where(rng.random((n, n)) < 0.5, rng.standard_normal((n, n)),
+                     0.0)
+        want = np.zeros((n, n))
+        for start, end in bounds:
+            block = a[start:end, start:end]
+            block += 4.0 * np.eye(end - start)
+            if end - start > 1:
+                block[-1, 0] = 0.0
+            want[start:end, start:end] = np.linalg.inv(block)
+        matrix = sp.csr_matrix(a)
+        assert sum(matrix[start:end, start:end].nnz
+                   for start, end in bounds) < 3 * 3 + 2 * 2 + 3 * 3 + 1
+        precond, _ = solver._block_jacobi(matrix, offsets)
+        assert precond.has_canonical_format
+        np.testing.assert_allclose(precond.toarray(), want, rtol=0.0,
+                                   atol=1e-14 * np.abs(want).max())
+        # the preconditioner stores every entry of every block
+        assert precond.nnz == 3 * 3 + 2 * 2 + 3 * 3 + 1
+
+    def test_indefinite_blocks_across_batches(self, monkeypatch):
+        # batches of one 2x2 block each: the count sums over them
+        monkeypatch.setattr(solver, "_CHUNK_ENTRIES", 4)
+        a = np.kron(np.eye(4), np.array([[1.0, 2.0], [2.0, 1.0]])) \
+            + np.diag([0.0] * 4 + [3.0] * 4)
+        precond, indefinite = solver._block_jacobi(sp.csr_matrix(a),
+                                                   [0, 2, 4, 6])
+        assert indefinite == 2
+        np.testing.assert_allclose(precond.toarray(), np.linalg.inv(a),
+                                   rtol=0.0, atol=1e-14)
+
+    def test_two_level_peak_memory(self):
+        # the degree-3 converge problem at h = 1/16: 1.8x the CSR's bytes
+        # when the blocks were read with matrix[rows, cols] and the
+        # preconditioner built from COO triplets
+        system = models.prepare_full(models.preset_by_name("manufactured"),
+                                     1 / 16, 3)[-1]
+        matrix = system.matrix
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            solver._two_level(matrix, system.block_offsets)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        nbytes = matrix.data.nbytes + matrix.indices.nbytes \
+            + matrix.indptr.nbytes
+        assert peak <= 1.0 * nbytes
+
+
 def injection(system):
     """Dense R: row i picks the first dof of element block i."""
     return np.eye(system.n_dofs)[system.block_offsets]
