@@ -17,7 +17,9 @@ storage is outside ``tracemalloc``, so the LU shows in the RSS only.
 
 Prints one JSON object per case: for every stage its seconds (plain
 run), the peak RSS after it and its traced peak, in MB, and the bytes
-of the assembled CSR matrix.
+of the assembled CSR matrix. The ``cg`` stage also gives its iteration
+count and the dimension of the two-level method's coarse space (the
+columns of the system's prolongation, or one per element block).
 """
 
 from __future__ import annotations
@@ -86,13 +88,20 @@ def run_case(name: str, traced: bool) -> dict:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
         start = time.perf_counter()
-        actions[stage]()
+        result = actions[stage]()
         seconds = time.perf_counter() - start
         if traced:
             peak = tracemalloc.get_traced_memory()[1] - base
             out[stage] = {"traced_peak_mb": peak / 1e6}
         else:
             out[stage] = {"seconds": seconds, "peak_rss_mb": _rss_mb()}
+            if stage == "cg":
+                system = state["system"]
+                out[stage].update(
+                    iterations=result[1].iterations,
+                    coarse_dofs=len(system.block_offsets)
+                    if system.prolongation is None
+                    else system.prolongation.shape[1])
     matrix = state["system"].matrix
     out["csr_mb"] = (matrix.data.nbytes + matrix.indices.nbytes
                      + matrix.indptr.nbytes) / 1e6

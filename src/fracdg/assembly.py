@@ -346,12 +346,10 @@ def _search(matrix: sp.csr_matrix, rows, cols) -> np.ndarray:
     rows, cols = np.broadcast_arrays(rows, cols)
     base = matrix.indptr[rows].astype(np.int64)
     length = matrix.indptr[rows + 1] - base
-    while True:
+    # each step halves every range, the longest one included
+    for _ in range(int(length.max(initial=0)).bit_length()):
         half = length >> 1
-        if not half.any():
-            break
-        mid = base + half
-        base = np.where(matrix.indices[mid] < cols, mid, base)
+        base += half * (matrix.indices[base + half] < cols)
         length -= half
     # one candidate left in every nonempty range
     last = np.minimum(base, matrix.nnz - 1)
@@ -365,6 +363,9 @@ class SparseSystem:
     ``block_offsets`` holds the first dof of every element block in
     ascending order (bulk triangles, then interface segments); each
     element's dofs are contiguous.  None means no element structure.
+    ``prolongation`` is the (n_dofs x coarse dofs) matrix whose columns
+    span the iterative solvers' coarse space; None means the first dof
+    of every block.
     """
 
     matrix: sp.csr_matrix
@@ -372,6 +373,7 @@ class SparseSystem:
     n_bulk: int
     n_iface: int
     block_offsets: np.ndarray | None = None
+    prolongation: sp.csr_matrix | None = None
 
     @property
     def n_dofs(self) -> int:
@@ -380,50 +382,88 @@ class SparseSystem:
     def symmetry_defect(self) -> float:
         """max |A - A^T| / max |A|.
 
-        Every stored entry is compared with its transpose in batches of
-        stored entries, so no copy of the matrix, its transpose or its
-        magnitudes is made; a non-canonical matrix is summed on a copy
-        first.  Within a run of consecutive columns of one row, the
-        transposes sit at one offset in consecutive rows wherever those
-        rows share their columns, as the rows of an element block do;
-        one search per run finds it, and an entry whose guess misses is
-        searched on its own.  An entry whose transpose is not stored
-        meets a 0.
+        Every stored entry above the diagonal is compared with its
+        transpose, in batches of rows, so no copy of the matrix, its
+        transpose or its magnitudes is made; a non-canonical matrix is
+        summed on a copy first.  Runs of consecutive columns are cut at
+        every row and every block start.  The transposes of a run sit
+        at one offset in consecutive rows wherever those rows share
+        their columns, as the rows of an element block do; one search
+        per run finds it, and an entry whose guess misses is searched on
+        its own.  An entry whose transpose is not stored meets a 0.
+        Each transpose found is a distinct entry below the diagonal, so
+        the entries below the diagonal are compared with theirs only
+        when the transposes found number fewer than them.
         """
         a = _canonical(self.matrix)
         if not a.nnz:
             return 0.0
         indptr, indices, data = a.indptr, a.indices, a.data
 
-        def stored(pos, end, col):
-            """Whether ``pos`` lies before ``end`` and holds ``col``."""
-            return (pos < end) & (indices[np.minimum(pos, a.nnz - 1)] == col)
+        def misses(pos, end, col):
+            """Where ``pos`` does not lie before ``end`` or hold ``col``."""
+            return np.flatnonzero((pos >= end)
+                                  | (indices.take(pos, mode="clip") != col))
 
-        num = scale = 0.0
-        bounds = np.unique(np.append(np.searchsorted(
-            indptr, np.arange(0, a.nnz, _CHUNK_ENTRIES), side="right") - 1,
-            a.shape[0]))
-        for r0, r1 in zip(bounds[:-1], bounds[1:]):
-            p0, p1 = indptr[r0], indptr[r1]
-            rows = np.repeat(np.arange(r0, r1, dtype=indices.dtype),
-                             np.diff(indptr[r0:r1 + 1]))
-            cols = indices[p0:p1]
-            head = np.ones(len(cols), dtype=bool)
-            head[1:] = (cols[1:] != cols[:-1] + 1) | (rows[1:] != rows[:-1])
-            heads = np.flatnonzero(head)
-            start, end = indptr[cols], indptr[cols + 1]
-            shift = _search(a, cols[heads], rows[heads]) - start[heads]
-            pos = start + np.repeat(shift, np.diff(np.append(heads,
-                                                             len(cols))))
-            hit = stored(pos, end, rows)
-            miss = np.flatnonzero(~hit)
-            pos[miss] = _search(a, cols[miss], rows[miss])
-            hit[miss] = stored(pos[miss], end[miss], rows[miss])
-            own = data[p0:p1]
-            num = np.maximum(num, np.abs(
-                own - np.where(hit, data[np.where(hit, pos, 0)], 0.0)).max())
-            scale = np.maximum(scale, np.abs(own).max())
-        return float(num / scale)
+        def compare(lo, hi):
+            """Largest |a_ij - a_ji| over the stored entries of every row
+            i at the positions from ``lo[i]`` to ``hi[i]``, and the number
+            of their transposes stored."""
+            num, met = 0.0, 0
+            before = np.append(0, np.cumsum(hi - lo))
+            bounds = np.unique(np.append(np.searchsorted(
+                before, np.arange(0, before[-1], _CHUNK_ENTRIES),
+                side="right") - 1, len(lo)))
+            for r0, r1 in zip(bounds[:-1], bounds[1:]):
+                length = hi[r0:r1] - lo[r0:r1]
+                first = before[r0:r1] - before[r0]
+                rows = np.repeat(np.arange(r0, r1, dtype=indices.dtype),
+                                 length)
+                pos = np.repeat(lo[r0:r1] - first, length)
+                pos += np.arange(len(pos))
+                cols = indices[pos]
+                # runs of consecutive columns, cut at every row and block
+                head = np.empty(len(cols), dtype=bool)
+                np.not_equal(cols[1:], cols[:-1] + 1, out=head[1:])
+                head[1:] |= block_start[cols[1:]]
+                head[first[length > 0]] = True
+                heads = np.flatnonzero(head)
+                start, end = indptr[cols], indptr[1:][cols]
+                shift = _search(a, cols[heads], rows[heads]) - start[heads]
+                at = start + np.repeat(shift, np.diff(np.append(heads,
+                                                                len(cols))))
+                miss = misses(at, end, rows)
+                if len(miss):
+                    at[miss] = _search(a, cols[miss], rows[miss])
+                    # transposes not stored: the entry meets a 0
+                    lost = miss[misses(at[miss], end[miss], rows[miss])]
+                    at[lost] = pos[lost]
+                    num = max(num, np.abs(data[pos[lost]]).max(initial=0.0))
+                    met -= len(lost)
+                gap = data[pos]
+                gap -= data[at]
+                num = max(num, np.abs(gap, out=gap).max(initial=0.0))
+                met += len(pos)
+            return num, met
+
+        rows = np.arange(a.shape[0])
+        starts = rows if self.block_offsets is None \
+            else np.asarray(self.block_offsets)
+        block_start = np.zeros(len(rows), dtype=bool)
+        block_start[starts] = True
+        # the rows of a block share their columns: the first row's search
+        # tells where each of them stores its diagonal
+        block = np.cumsum(block_start) - 1
+        first = indptr[:-1] + np.maximum(rows - starts[block] + (
+            _search(a, starts, starts) - indptr[starts])[block], 0)
+        miss = misses(first, indptr[1:], rows)
+        first[miss] = _search(a, miss, miss)
+        past = first + 1
+        past[miss[misses(first[miss], indptr[1:][miss], miss)]] -= 1
+        num, met = compare(past, indptr[1:])
+        if met < np.sum(first - indptr[:-1]):
+            num = max(num, compare(indptr[:-1], first)[0])
+        return float(num / max(data.max(), -data.min()))
 
     def plus(self, matrix: sp.spmatrix) -> "SparseSystem":
         """This system with ``matrix`` added to its matrix.  Every entry
@@ -442,7 +482,7 @@ class _Accumulator:
     The reduced system adds the interface and coupling forms to the
     bulk form's CSR, and :meth:`SparseSystem.plus` the transport form;
     both add to entries stored already, and :meth:`matrix` sums those
-    duplicates.  :meth:`add` takes dense blocks.
+    duplicates.
     """
 
     def __init__(self, n: int):
@@ -453,18 +493,6 @@ class _Accumulator:
         self.n = n
         # 32-bit indices halve the triplet memory; scipy keeps them as is
         self.index_dtype = np.int32 if n < 2**31 else np.int64
-
-    def add(self, rows, cols, blocks) -> None:
-        """Add dense blocks: ``rows`` (..., m), ``cols`` (..., n) and
-        ``blocks`` (..., m, n) broadcast against each other."""
-        blocks = np.asarray(blocks, dtype=float)
-        rows = np.asarray(rows, dtype=self.index_dtype)
-        cols = np.asarray(cols, dtype=self.index_dtype)
-        self.rows.append(np.broadcast_to(rows[..., :, None],
-                                         blocks.shape).ravel())
-        self.cols.append(np.broadcast_to(cols[..., None, :],
-                                         blocks.shape).ravel())
-        self.vals.append(blocks.ravel())
 
     def add_matrix(self, matrix: sp.spmatrix) -> None:
         """Add a sparse (n, n) matrix; its column indices and values are
@@ -934,7 +962,34 @@ def assemble_full(mesh: Mesh, space: DGSpace, perm: PermeabilityData,
                              (INTERIOR, GAMMA_1, GAMMA_2), space.n_dofs)
     return SparseSystem(matrix=matrix, rhs=rhs,
                         n_bulk=space.n_dofs, n_iface=0,
-                        block_offsets=np.sort(space.offsets))
+                        block_offsets=np.sort(space.offsets),
+                        prolongation=_hat_prolongation(mesh, space))
+
+
+def _hat_prolongation(mesh: Mesh, space: DGSpace) -> sp.csr_matrix:
+    """The continuous P1 hats on the vertices the elements use, as DG
+    fields of ``space``: one column per vertex, in vertex order.
+
+    On each element the hats of corners 0, 1 and 2 are 1 - xi - eta, xi
+    and eta, that is dof 0 - dof 1 - dof 2, dof 1 and dof 2 of the
+    element's monomial block (:func:`tri_exponents` puts 1, xi, eta
+    first).  So the row of dof 0 holds a 1 at corner 0, the rows of dofs
+    1 and 2 a -1 at corner 0 and a 1 at corner 1 or 2: five entries per
+    element, written straight into the CSR.
+    """
+    used = np.zeros(len(mesh.vertices), dtype=bool)
+    used[mesh.elements] = True
+    c0, c1, c2 = (np.cumsum(used) - 1)[
+        mesh.elements[np.argsort(space.offsets)]].T
+    s1, s2 = np.sign(c1 - c0), np.sign(c2 - c0)
+    cols = np.column_stack([c0, np.minimum(c0, c1), np.maximum(c0, c1),
+                            np.minimum(c0, c2), np.maximum(c0, c2)])
+    vals = np.column_stack([np.ones(len(c0)), -s1, s1, -s2, s2])
+    # rows 0, 1, 2, ... of a block start 0, 1, 3, 5, ... entries in
+    indptr = np.append((5 * np.arange(len(c0))[:, None] + np.array(
+        [0, 1, 3] + [5] * (space.dim - 3))).ravel(), 5 * len(c0))
+    return sp.csr_matrix((vals.ravel(), cols.ravel(), indptr),
+                         shape=(space.n_dofs, used.sum()))
 
 
 def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,

@@ -12,17 +12,21 @@ pivoting unless a diagonal entry is too small; the direct path's fill
 Both iterative methods are preconditioned by a two-level additive
 Schwarz method: the inverses of the matrix's element diagonal blocks
 (block Jacobi), which undo the conditioning of the local monomial
-bases, plus an exact solve on the element-constant space,
-``M^-1 r = B r + R^T A0^-1 R r``.  R injects the first dof of every
-block, the constant of the monomial basis, and ``A0 = R A R^T`` is
-factored once.  On an interior penalty system the gradients of
-constants vanish, so A0 holds only jump penalties and
-stays positive definite where the fine matrix is not, and the coarse
-level keeps the iteration count from growing as h shrinks.  A system
-without element blocks gets 1x1 blocks, i.e. point Jacobi, and its
-coarse space is the whole space.  Whatever the path, the reported
-relative residual is recomputed from the returned iterate, never taken
-from the iteration itself.
+bases, plus an exact solve on a coarse space,
+``M^-1 r = B r + P A0^-1 P^T r`` with ``A0 = P^T A P`` factored once.
+The columns of P span the coarse space: a full system carries the
+continuous P1 hats on its mesh's vertices, and any other system gets
+the injection of the first dof of every block, the constant of the
+monomial basis.  The coarse level keeps the iteration count from
+growing as h shrinks.  On the hats the interior jumps vanish, so A0 is
+the conforming P1 form with the boundary terms, which stays positive
+definite where the fine matrix is not.  Both methods start from the
+coarse solution ``x0 = P A0^-1 P^T b``, one more coarse solve, and stop
+on the residual ``rtol * ||b||`` as from a zero start.  A system without
+element blocks gets 1x1 blocks, i.e. point Jacobi, and its coarse space
+is the whole space.  Whatever the path, the reported relative residual
+is recomputed from the returned iterate, never taken from the iteration
+itself.
 """
 
 from __future__ import annotations
@@ -165,30 +169,42 @@ def _block_jacobi(matrix: sp.csr_matrix, block_offsets):
     return sp.csr_matrix((data, indices, indptr), shape=(n, n)), indefinite
 
 
-def _two_level(matrix: sp.csr_matrix, block_offsets):
-    """Block Jacobi plus an exact solve on the element-constant space.
+def _two_level(matrix: sp.csr_matrix, block_offsets, prolongation=None):
+    """Block Jacobi plus an exact solve on a coarse space.
 
-    Returns the preconditioner ``r -> B r + R^T A0^-1 R r`` as a linear
-    operator and the indefinite-block count of ``_block_jacobi``.  R
-    picks the first dof of every block, and ``A0 = R A R^T`` is factored
-    once.  A singular block or coarse matrix raises ``ValueError``.
+    Returns the preconditioner ``r -> B r + P A0^-1 P^T r`` and its
+    coarse part ``r -> P A0^-1 P^T r`` as linear operators, and the
+    indefinite-block count of ``_block_jacobi``.  The columns of
+    ``prolongation`` (P) span the coarse space; None means the injection
+    of the first dof of every block.  ``A0 = P^T A P`` is factored once.
+    A singular block or coarse matrix raises ``ValueError``.
     """
     smoother, indefinite = _block_jacobi(matrix, block_offsets)
-    starts = _block_starts(matrix.shape[0], block_offsets)
-    coarse = matrix[starts][:, starts]
+    n = matrix.shape[0]
+    if prolongation is None:
+        starts = _block_starts(n, block_offsets)
+        prolongation = sp.csr_matrix(
+            (np.ones(len(starts)), (starts, np.arange(len(starts)))),
+            shape=(n, len(starts)))
+    restriction = prolongation.T.tocsr()
+    coarse = restriction @ (matrix @ prolongation)
     try:
         lu = _factor(coarse)
     except RuntimeError as exc:
-        raise ValueError(f"singular {len(starts)}x{len(starts)} coarse "
-                         "matrix, coarse solve unavailable") from exc
+        raise ValueError(f"singular {coarse.shape[0]}x{coarse.shape[1]} "
+                         "coarse matrix, coarse solve unavailable") from exc
+
+    def correct(r):
+        return prolongation @ lu.solve(restriction @ r)
 
     def apply(r):
         z = smoother @ r
-        z[starts] += lu.solve(r[starts])
+        z += correct(r)
         return z
 
-    return spla.LinearOperator(matrix.shape, matvec=apply,
-                               dtype=float), indefinite
+    return (spla.LinearOperator(matrix.shape, matvec=apply, dtype=float),
+            spla.LinearOperator(matrix.shape, matvec=correct, dtype=float),
+            indefinite)
 
 
 def _tol_kwargs(tol: float) -> dict:
@@ -252,13 +268,15 @@ def solve(system: SparseSystem, method: str | None = None,
     def tick(_xk):
         count[0] += 1
 
-    precond, indefinite = _two_level(matrix, system.block_offsets)
+    precond, coarse, indefinite = _two_level(matrix, system.block_offsets,
+                                             system.prolongation)
     if method == "CG" and indefinite:
         logger.warning("CG on an indefinite matrix: %d element blocks are "
                        "not positive definite", indefinite)
     runner = spla.cg if method == "CG" else spla.bicgstab
-    x, info = runner(matrix, rhs, M=precond, maxiter=max_iter,
-                     callback=tick, **_tol_kwargs(tol))
+    # start from the coarse solution: one more coarse solve
+    x, info = runner(matrix, rhs, x0=coarse @ rhs, M=precond,
+                     maxiter=max_iter, callback=tick, **_tol_kwargs(tol))
     if info < 0:
         raise np.linalg.LinAlgError(f"{method} failed with breakdown "
                                     f"(info={info})")

@@ -414,11 +414,27 @@ class TestBatchedBulkForm:
 # batched interface forms against a per-element, per-edge reference
 
 
+class BlockAccumulator(asm._Accumulator):
+    """The triplet accumulator, taking dense blocks one call at a time."""
+
+    def add(self, rows, cols, blocks):
+        """Add dense blocks: ``rows`` (..., m), ``cols`` (..., n) and
+        ``blocks`` (..., m, n) broadcast against each other."""
+        blocks = np.asarray(blocks, dtype=float)
+        rows = np.asarray(rows, dtype=self.index_dtype)
+        cols = np.asarray(cols, dtype=self.index_dtype)
+        self.rows.append(np.broadcast_to(rows[..., :, None],
+                                         blocks.shape).ravel())
+        self.cols.append(np.broadcast_to(cols[..., None, :],
+                                         blocks.shape).ravel())
+        self.vals.append(blocks.ravel())
+
+
 def looped_interface_forms(acc, mesh, grid, bulk_space, iface_space, perm,
                            q_gamma, g_gamma, mu0, edge_terms, transport):
     """Tangential-flow, coupling and (with ``transport``) wall-slope
     transport forms, one interface element and one edge at a time, added
-    to the triplet accumulator ``acc`` of the coupled system."""
+    to the :class:`BlockAccumulator` ``acc`` of the coupled system."""
     off = bulk_space.n_dofs
     maps = mesh.maps
     profile = mesh.profile
@@ -577,7 +593,7 @@ class TestBatchedInterfaceForms:
             args = (mesh, grid, bs, ifs, perm, q_gamma, g_gamma, 7.0,
                     edge_terms)
             n = bs.n_dofs + ifs.n_dofs
-            got, want = asm._Accumulator(n), asm._Accumulator(n)
+            got, want = asm._Accumulator(n), BlockAccumulator(n)
             # the shared forms alone, or with the transport form added
             asm._interface_forms(got, *args)
             looped_interface_forms(want, *args, transport)

@@ -26,13 +26,22 @@ def raw_system(matrix, rhs):
                             n_bulk=matrix.shape[0], n_iface=0)
 
 
-def full_system(h=0.25, degree=1):
+def affine(x):
+    return 1.0 - x[:, 0]
+
+
+def harmonic(x):
+    """A datum whose solution is not piecewise linear, so the coarse
+    start leaves CG work to do."""
+    return np.exp(x[:, 0]) * np.cos(x[:, 1])
+
+
+def full_system(h=0.25, degree=1, g=affine):
     profile = ApertureProfile.constant(0.05, 0.05)
     mesh = build_bulk_mesh(DOMAIN, profile, "full", h)
     space = asm.DGSpace.bulk(mesh, degree)
     perm = PermeabilityData(np.eye(2), np.eye(2), np.eye(2), 1.0)
-    return asm.assemble_full(mesh, space, perm, None,
-                             lambda x: 1.0 - x[:, 0], 10.0)
+    return asm.assemble_full(mesh, space, perm, None, g, 10.0)
 
 
 def reduced_system(h=0.25, variant="I"):
@@ -99,7 +108,9 @@ class TestSmallSystems:
 
 class TestAssembledSystems:
     def test_full_defaults_to_cg_and_meets_tol(self):
-        sys_ = full_system()
+        # the solution of the affine datum lies in the coarse space, so
+        # CG would start from it
+        sys_ = full_system(g=harmonic)
         x, rep = solver.solve(sys_, tol=1e-10)
         assert rep.method == "CG"
         assert rep.converged
@@ -156,7 +167,7 @@ class TestAssembledSystems:
         assert np.linalg.norm(xd - xb) / np.linalg.norm(xd) < 1e-8
 
     def test_nonconvergence_returns_best_iterate(self):
-        sys_ = full_system(h=0.125)
+        sys_ = full_system(h=0.125, g=harmonic)
         x, rep = solver.solve(sys_, method="CG", max_iter=2)
         assert not rep.converged
         assert rep.relative_residual > 1e-10
@@ -297,7 +308,9 @@ class TestBlockPreconditioner:
 
     def test_cg_iterations_on_degree_three(self):
         # point Jacobi needs 3964 iterations on this system, block Jacobi
-        # without the coarse level 547, the two-level method 268
+        # without the coarse level 547, the two-level method 268 on the
+        # element constants and 112 on the P1 hats started from the coarse
+        # solution
         sol = models.run_full(models.preset_by_name("manufactured"),
                               1 / 16, 3, tol=1e-10)
         assert sol.report.method == "CG"
@@ -365,28 +378,96 @@ class TestInPlaceBlocks:
             + matrix.indptr.nbytes
         assert peak <= 1.0 * nbytes
 
+    def test_two_level_on_hats_peak_memory(self):
+        # the same guard with the system's own coarse space, the P1 hats
+        system = models.prepare_full(models.preset_by_name("manufactured"),
+                                     1 / 16, 3)[-1]
+        matrix = system.matrix
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            solver._two_level(matrix, system.block_offsets,
+                              system.prolongation)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        nbytes = matrix.data.nbytes + matrix.indices.nbytes \
+            + matrix.indptr.nbytes
+        assert peak <= 1.0 * nbytes
 
-def injection(system):
-    """Dense R: row i picks the first dof of element block i."""
-    return np.eye(system.n_dofs)[system.block_offsets]
+
+def prolongation(system):
+    """Dense P: the system's own, or the injection of the first dof of
+    every element block where it has none."""
+    if system.prolongation is not None:
+        return system.prolongation.toarray()
+    return np.eye(system.n_dofs)[:, system.block_offsets]
 
 
 class TestCoarseLevel:
-    """The exact solve on the element-constant space added to block
-    Jacobi: ``M^-1 = B + R^T A0^-1 R`` with ``A0 = R A R^T``."""
+    """The exact solve on the coarse space added to block Jacobi:
+    ``M^-1 = B + P A0^-1 P^T`` with ``A0 = P^T A P``; P holds the P1 hats
+    of a full system and injects the first dof of every block otherwise.
+    """
 
     @pytest.mark.parametrize("kind", SYSTEM_KINDS)
     def test_operator_adds_exact_coarse_solve(self, kind):
         sys_ = system_of(kind)
         matrix = sys_.matrix.tocsr()
-        precond, _ = solver._two_level(matrix, sys_.block_offsets)
+        precond, coarse, _ = solver._two_level(matrix, sys_.block_offsets,
+                                               sys_.prolongation)
         smoother, _ = solver._block_jacobi(matrix, sys_.block_offsets)
-        r_mat = injection(sys_)
-        a0 = r_mat @ matrix.toarray() @ r_mat.T
+        assert (sys_.prolongation is None) == (kind == "reduced II")
+        p_mat = prolongation(sys_)
+        a0 = p_mat.T @ matrix.toarray() @ p_mat
         rhs = np.random.default_rng(7).standard_normal(sys_.n_dofs)
-        want = smoother @ rhs + r_mat.T @ np.linalg.solve(a0, r_mat @ rhs)
+        correction = p_mat @ np.linalg.solve(a0, p_mat.T @ rhs)
+        want = smoother @ rhs + correction
         np.testing.assert_allclose(precond @ rhs, want, rtol=0.0,
                                    atol=1e-10 * np.abs(want).max())
+        np.testing.assert_allclose(coarse @ rhs, correction, rtol=0.0,
+                                   atol=1e-10 * np.abs(correction).max())
+
+    @pytest.mark.parametrize("kind", ["reduced II", "raw"])
+    def test_injection_keeps_first_dof_submatrix(self, kind):
+        # without a prolongation A0 = P^T A P is A[starts][:, starts] bit
+        # for bit, and so is the coarse solve
+        if kind == "raw":
+            a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 2.0]])
+            sys_ = raw_system(a, np.ones(3))
+        else:
+            sys_ = system_of(kind)
+        assert sys_.prolongation is None
+        matrix = sys_.matrix.tocsr()
+        starts = solver._block_starts(sys_.n_dofs, sys_.block_offsets)
+        _, coarse, _ = solver._two_level(matrix, sys_.block_offsets)
+        rhs = np.random.default_rng(8).standard_normal(sys_.n_dofs)
+        want = np.zeros(sys_.n_dofs)
+        want[starts] = solver._factor(matrix[starts][:, starts]).solve(
+            rhs[starts])
+        np.testing.assert_array_equal(coarse @ rhs, want)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_hats_are_continuous(self, degree):
+        # random vertex values through P give a DG field that takes them
+        # at every element's corners, and is linear on every element
+        mesh, space, _, system = models.prepare_full(
+            models.preset_by_name("perp-asym"), 1 / 8, degree)
+        used = np.unique(mesh.elements)
+        p_mat = system.prolongation
+        assert p_mat.shape == (space.n_dofs, len(used))
+        assert p_mat.nnz == 5 * mesh.n_elements
+        values = np.random.default_rng(degree).standard_normal(len(used))
+        elems = np.arange(mesh.n_elements)
+        coeffs = (p_mat @ values)[space.dofs(elems)]
+        assert not coeffs[:, 3:].any()
+        corners = asm._basis_at(mesh.maps, space, elems,
+                                mesh.vertices[mesh.elements])
+        np.testing.assert_allclose(
+            np.einsum("ecd,ed->ec", corners, coeffs),
+            values[np.searchsorted(used, mesh.elements)], rtol=0.0,
+            atol=1e-12)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_first_basis_function_is_constant(self, degree):
@@ -416,12 +497,23 @@ class TestCoarseLevel:
                 for method in (None, "direct-LU")]
         assert abs(errs[0] - errs[1]) <= 1e-4 * errs[1]
 
+    def test_cg_error_gap_on_hats(self):
+        # the element constants left a relative gap of 4.4e-6 here, the
+        # P1 hats with the coarse start 1.2e-7
+        preset = models.preset_by_name("manufactured")
+        errs = [postproc.l2_error_bulk(models.run_full(preset, 1 / 16, 3,
+                                                       method=method),
+                                       preset.exact_pressure)
+                for method in (None, "direct-LU")]
+        assert abs(errs[0] - errs[1]) <= 1e-6 * errs[1]
+
     def test_thin_aperture_coarse_matrix_is_spd(self):
-        # the fine matrix has 128 indefinite element blocks here
+        # the fine matrix has 128 indefinite element blocks here; the
+        # smallest eigenvalue of the hats' A0 is 0.048
         preset = models.preset_by_name("perp-asym", d0=1e-3)
         system = models.prepare_full(preset, 1 / 16, 2)[-1]
-        r_mat = injection(system)
-        a0 = r_mat @ system.matrix.toarray() @ r_mat.T
+        p_mat = system.prolongation
+        a0 = (p_mat.T @ system.matrix @ p_mat).toarray()
         np.testing.assert_allclose(a0, a0.T, rtol=0.0,
                                    atol=1e-12 * np.abs(a0).max())
         assert np.linalg.eigvalsh(a0)[0] > 0.0
