@@ -1,23 +1,28 @@
-"""Peak memory of each stage of a full-model solve.
+"""Peak memory of each stage of a full-model or a reduced solve.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python3 scripts/stage_memory.py [--case NAME ...]
 
-The stages are the mesh, the assembly (``assemble_full``), the
-two-level preconditioner (``solver._two_level``: block Jacobi and the
-coarse factorization), the symmetry check (``symmetry_defect``), a CG
-solve and a direct LU solve of the same system; the CG solve checks the
-symmetry again before it iterates. Each case runs twice, each time in
-a fresh child process with BLAS pinned to one thread: once plain,
-reading the process's peak resident memory (``ru_maxrss``) after every
-stage, and once under ``tracemalloc``, reading the peak of the arrays
-each stage allocates on top of what it started with. SuperLU's own
-storage is outside ``tracemalloc``, so the LU shows in the RSS only.
+The stages of a full-model case are the mesh, the assembly
+(``assemble_full``), the two-level preconditioner (``solver._two_level``:
+block Jacobi and the coarse factorization), the symmetry check
+(``symmetry_defect``), a CG solve and a direct LU solve of the same
+system; the CG solve checks the symmetry again before it iterates. A
+reduced case has the mesh, the assembly of the shared system
+(``ReducedProblem.build``, which meshes again), the system of variant
+``I`` (``system_of``: the transport form added with
+``SparseSystem.plus``) and a direct LU solve of it. Each case runs
+twice, each time in a fresh child process with BLAS pinned to one
+thread: once plain, reading the process's peak resident memory
+(``ru_maxrss``) after every stage, and once under ``tracemalloc``,
+reading the peak of the arrays each stage allocates on top of what it
+started with. SuperLU's own storage is outside ``tracemalloc``, so the
+LU shows in the RSS only.
 
 Prints one JSON object per case: for every stage its seconds (plain
 run), the peak RSS after it and its traced peak, in MB, and the bytes
-of the assembled CSR matrix. The ``cg`` stage also gives its iteration
+of the CSR matrix solved last. The ``cg`` stage also gives its iteration
 count and the dimension of the two-level method's coarse space (the
 columns of the system's prolongation, or one per element block).
 """
@@ -33,17 +38,21 @@ import sys
 import time
 import tracemalloc
 
-# (preset, d0, h, degree, stages): the converge study of the benchmark
-# and the d0 = 1e-3 reference of its sweep, which is solved by LU only
+FULL = ("mesh", "assembly", "two_level", "symmetry", "cg", "lu")
+REDUCED = ("mesh", "assembly", "plus", "lu")
+
+# (preset, d0, mesh mode, h, degree, stages): the converge study of the
+# benchmark, the d0 = 1e-3 reference of its sweep, which is solved by LU
+# only, and the sweep's reduced meshes at degree 1 and 3
 CASES = {
-    "converge-h16": ("manufactured", None, 1 / 16, 3,
-                     ("mesh", "assembly", "two_level", "symmetry", "cg",
-                      "lu")),
-    "converge-h32": ("manufactured", None, 1 / 32, 3,
-                     ("mesh", "assembly", "two_level", "symmetry", "cg",
-                      "lu")),
-    "sweep-reference": ("perp-asym", 1e-3, 1 / 32, 2,
+    "converge-h16": ("manufactured", None, "full", 1 / 16, 3, FULL),
+    "converge-h32": ("manufactured", None, "full", 1 / 32, 3, FULL),
+    "sweep-reference": ("perp-asym", 1e-3, "full", 1 / 32, 2,
                         ("mesh", "assembly", "lu")),
+    "sweep-reduced-k1": ("perp-asym", 1e-1, "curved-reduced", 1 / 32, 1,
+                         REDUCED),
+    "sweep-reduced-k3": ("perp-asym", 1e-1, "curved-reduced", 1 / 32, 3,
+                         REDUCED),
 }
 
 
@@ -55,20 +64,29 @@ def run_case(name: str, traced: bool) -> dict:
     """Run the stages of one case in this process."""
     from fracdg import assembly, models, solver
 
-    preset_name, d0, h, degree, stages = CASES[name]
+    preset_name, d0, mode, h, degree, stages = CASES[name]
     preset = (models.preset_by_name(preset_name) if d0 is None
               else models.preset_by_name(preset_name, d0=d0))
     state: dict = {}
 
     def mesh():
-        state["mesh"] = models.full_mesh(preset, h)
+        state["mesh"] = models.build_bulk_mesh(
+            preset.domain, preset.profile, mode, h, gamma0=preset.gamma0)
         state["mesh"].maps, state["mesh"].element_h
 
     def assemble():
+        if mode != "full":
+            state["problem"] = models.ReducedProblem.build(preset, mode, h,
+                                                           degree)
+            state["system"] = state["problem"].system
+            return
         space = assembly.DGSpace.bulk(state["mesh"], degree)
         state["system"] = assembly.assemble_full(
             state["mesh"], space, preset.permeability(), preset.q, preset.g,
             10.0)
+
+    def plus():
+        state["system"] = state["problem"].system_of("I")
 
     def two_level():
         system = state["system"]
@@ -77,7 +95,8 @@ def run_case(name: str, traced: bool) -> dict:
     def solve(method):
         return lambda: solver.solve(state["system"], method=method)
 
-    actions = {"mesh": mesh, "assembly": assemble, "two_level": two_level,
+    actions = {"mesh": mesh, "assembly": assemble, "plus": plus,
+               "two_level": two_level,
                "symmetry": lambda: state["system"].symmetry_defect(),
                "cg": solve("CG"), "lu": solve("direct-LU")}
     out = {}
@@ -128,7 +147,7 @@ def main(argv=None) -> int:
                 env=env, capture_output=True, text=True, check=True)
             runs[mode] = json.loads(done.stdout.strip().splitlines()[-1])
         stages = {stage: {**runs["plain"][stage], **runs["traced"][stage]}
-                  for stage in CASES[name][4]}
+                  for stage in CASES[name][5]}
         print(json.dumps({"case": name, "csr_mb": runs["plain"]["csr_mb"],
                           "stages": stages}))
     return 0

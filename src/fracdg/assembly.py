@@ -14,9 +14,10 @@ size.  Each element-pair block is stored once: an element's own block
 sums its volume and facet terms, and every interior flux facet gives
 one block per direction coupling its two elements.  The element graph
 fixes the canonical CSR before any value is computed, and every block
-is written straight to its place there, so the full system is never
-held as COO triplets.  Data functions are called once per batch on all
-of its quadrature points.
+is written straight to its place there.  No system is held as COO
+triplets: the reduced ones add their other forms to that CSR on the
+union of both patterns.  Data functions are called once per batch on
+all of its quadrature points.
 
 Three coupled bilinear forms make up the system every reduced variant on
 a mesh shares (:func:`assemble_reduced`, with the whole rhs):
@@ -466,62 +467,42 @@ class SparseSystem:
         return float(num / max(data.max(), -data.min()))
 
     def plus(self, matrix: sp.spmatrix) -> "SparseSystem":
-        """This system with ``matrix`` added to its matrix.  Every entry
-        stored here stays stored, also where the sum is 0 (a sparse sum
-        would drop it), so the sparsity pattern, and with it the LU
-        ordering, is the one assembling both at once gives."""
-        acc = _Accumulator(self.n_dofs)
-        acc.add_matrix(self.matrix)
-        acc.add_matrix(matrix)
-        return replace(self, matrix=acc.matrix())
+        """This system with ``matrix`` added to its matrix, on the union
+        of both patterns (:func:`_csr_sum`): every entry either stores
+        stays stored, also where the sum is 0 (a sparse sum would drop
+        it), so the sparsity pattern, and with it the LU ordering, is
+        the one assembling both at once gives."""
+        return replace(self, matrix=_csr_sum(self.matrix, matrix))
 
 
-class _Accumulator:
-    """COO triplet accumulator with a dense rhs, for sums of matrices.
+def _csr_sum(a: sp.spmatrix, b: sp.spmatrix) -> sp.csr_matrix:
+    """``a + b`` as a canonical CSR on the union of both stored patterns,
+    sums of 0 kept, bit for bit the sum of their COO triplets.  The
+    union sums both patterns with all-ones data, whose counts (1 or 2)
+    never cancel.  Only the smaller matrix's entries are searched in it;
+    those that count 1 are its own, and the larger matrix's entries fill
+    every other position in order."""
+    a, b = _canonical(a), _canonical(b)
+    if a.nnz < b.nnz:
+        a, b = b, a
 
-    The reduced system adds the interface and coupling forms to the
-    bulk form's CSR, and :meth:`SparseSystem.plus` the transport form;
-    both add to entries stored already, and :meth:`matrix` sums those
-    duplicates.
-    """
+    def ones(m):
+        return sp.csr_matrix((np.ones(m.nnz, dtype=np.int8), m.indices,
+                              m.indptr), shape=m.shape)
 
-    def __init__(self, n: int):
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-        self.rhs = np.zeros(n)
-        self.n = n
-        # 32-bit indices halve the triplet memory; scipy keeps them as is
-        self.index_dtype = np.int32 if n < 2**31 else np.int64
-
-    def add_matrix(self, matrix: sp.spmatrix) -> None:
-        """Add a sparse (n, n) matrix; its column indices and values are
-        shared, not copied, where their types allow."""
-        coo = matrix.tocoo()
-        self.rows.append(coo.row.astype(self.index_dtype, copy=False))
-        self.cols.append(coo.col.astype(self.index_dtype, copy=False))
-        self.vals.append(coo.data)
-
-    def matrix(self) -> sp.csr_matrix:
-        """The summed CSR matrix, whose buffers hold its stored entries
-        and no more.  The call hands over the triplets: the accumulator
-        keeps none of them, and each list is freed as soon as it is
-        concatenated, so the COO -> CSR step never runs beside a second
-        copy of every triplet."""
-        if not self.rows:
-            return sp.csr_matrix((self.n, self.n))
-        rows, self.rows = self.rows, []
-        rows = np.concatenate(rows)
-        cols, self.cols = self.cols, []
-        cols = np.concatenate(cols)
-        vals, self.vals = self.vals, []
-        vals = np.concatenate(vals)
-        triplets = len(vals)
-        matrix = sp.coo_matrix((vals, (rows, cols)),
-                               shape=(self.n, self.n)).tocsr()
-        del rows, cols, vals
-        # summing duplicates shortens the buffers by a view only
-        return matrix.copy() if matrix.nnz < triplets else matrix
+    union = ones(a) + ones(b)
+    at = _search(union, np.repeat(np.arange(b.shape[0]), np.diff(b.indptr)),
+                 b.indices)
+    mine = np.ones(union.nnz, dtype=bool)
+    mine[at[union.data[at] == 1]] = False
+    # scipy's sum leaves room for the entries of both in its buffers
+    indices, indptr = union.indices.copy(), union.indptr
+    del union
+    # -0.0 is the additive identity: x + -0.0 is x, bit for bit
+    data = np.full(len(indices), -0.0)
+    data[mine] = a.data
+    data[at] += b.data
+    return sp.csr_matrix((data, indices, indptr), shape=a.shape)
 
 
 class _BlockCSR:
@@ -828,11 +809,13 @@ def _form(b, w, c):
     return b.T @ (sp.diags(w) @ c)
 
 
-def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
-                     bulk_space: DGSpace, iface_space: DGSpace,
-                     perm: PermeabilityData, q_gamma, g_gamma, mu0: float,
-                     edge_terms: str) -> None:
-    """Tangential-flow and coupling forms on the interface grid.
+def _interface_forms(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
+                     iface_space: DGSpace, perm: PermeabilityData, q_gamma,
+                     g_gamma, mu0: float,
+                     edge_terms: str) -> tuple[sp.spmatrix, np.ndarray]:
+    """Tangential-flow and coupling forms on the interface grid: their
+    matrix and rhs on the dofs of the reduced system ([bulk |
+    interface]).
 
     Every term is B^T diag(w) C, with B and C sparse (points x dofs)
     evaluation matrices of the interface basis, its t-derivative and the
@@ -841,7 +824,9 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     edges, summed per edge (a missing side counts as zero) into a jump
     [v] = v_left - v_right and a mean {v} = (v_left + v_right) / sides.
     """
-    n, off, m = acc.n, bulk_space.n_dofs, grid.n_elements
+    off, m = bulk_space.n_dofs, grid.n_elements
+    n = off + iface_space.n_dofs
+    rhs = np.zeros(n)
     kt = _tangential_k(perm)
     kf = iface_space.degree
 
@@ -855,7 +840,7 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     d, dd, _, _ = _aperture(mesh, t)
     mat = _form(dpsi, kt * dd * w, psi) + _form(dpsi, kt * d * w, dpsi)
     if q_gamma is not None:
-        acc.rhs += psi.T @ (_data_on_t(q_gamma, t) * w)
+        rhs += psi.T @ (_data_on_t(q_gamma, t) * w)
 
     # coupling: (kperp / d) [p][phi] with [p] = p2 - p1, and the closure
     # beta (p_gamma - {p})(phi_gamma - {phi})
@@ -887,8 +872,8 @@ def _interface_forms(acc: _Accumulator, mesh: Mesh, grid: InterfaceGrid,
     nu_g = np.zeros(m + 1)
     nu_g[[0, m]] = np.array([-1.0, 1.0]) \
         * _data_on_t(g_gamma, grid.t_breaks[[0, m]])
-    acc.rhs += jpsi.T @ (mu * nu_g) - sdpsi.T @ (kt * d * mean * nu_g)
-    acc.add_matrix(mat)
+    rhs += jpsi.T @ (mu * nu_g) - sdpsi.T @ (kt * d * mean * nu_g)
+    return mat, rhs
 
 
 def transport_form(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
@@ -932,20 +917,21 @@ def transport_form(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
 # ---------------------------------------------------------------------------
 # public assembly entry points
 
-# a stored entry summed through COO triplets: the triplet (two 32-bit
-# indices and a float) and the CSR entry (a 32-bit index and a float)
-_BYTES_PER_ENTRY = 16 + 12
+# the largest traced peak per bulk entry of either assembly path, degrees
+# 1-4, h <= 1/32: the reduced one holds the bulk CSR (12 bytes an entry)
+# beside its sum, and at degree 1 the fixed-size facet batches add more
+_BYTES_PER_ENTRY = 56
 
 
 def bulk_assembly_bytes(n_elements, degree: int):
     """Estimated memory that assembling the bulk form of ``n_elements``
     triangles of ``degree`` takes: every element stores its own block
-    and up to three neighbour blocks, each entry a COO triplet beside
-    its CSR entry.  The full system writes its CSR in place and needs
-    less; the reduced one still sums the bulk CSR with the interface
-    forms through triplets (as :meth:`SparseSystem.plus` does), so the
-    estimate stays an upper bound.  Counts may be Python ints of any
-    size or ``inf``."""
+    and up to three neighbour blocks, at ``_BYTES_PER_ENTRY`` bytes an
+    entry.  That bounds the traced peak of the full assembly (the bulk
+    CSR written in place) and of the reduced one (the bulk CSR summed
+    with the interface forms on the union pattern, :func:`_csr_sum`);
+    the full one needs less.  Counts may be Python ints of any size or
+    ``inf``."""
     return 4 * n_elements * tri_dim(degree) ** 2 * _BYTES_PER_ENTRY
 
 
@@ -1013,14 +999,13 @@ def assemble_reduced(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
                          "mesh")
 
     off = bulk_space.n_dofs
-    acc = _Accumulator(off + iface_space.n_dofs)
-    bulk, acc.rhs = _bulk_sipg(mesh, bulk_space, perm, q_bulk, g_bulk,
-                               mu0_bulk, (INTERIOR,), acc.n)
-    acc.add_matrix(bulk)
-    del bulk
-    _interface_forms(acc, mesh, grid, bulk_space, iface_space, perm,
-                     q_gamma, g_gamma, mu0_gamma, edge_terms)
-    return SparseSystem(matrix=acc.matrix(), rhs=acc.rhs,
+    bulk, rhs = _bulk_sipg(mesh, bulk_space, perm, q_bulk, g_bulk,
+                           mu0_bulk, (INTERIOR,), off + iface_space.n_dofs)
+    forms, forms_rhs = _interface_forms(mesh, grid, bulk_space, iface_space,
+                                        perm, q_gamma, g_gamma, mu0_gamma,
+                                        edge_terms)
+    rhs += forms_rhs
+    return SparseSystem(matrix=_csr_sum(bulk, forms), rhs=rhs,
                         n_bulk=off, n_iface=iface_space.n_dofs,
                         block_offsets=np.concatenate(
                             [np.sort(bulk_space.offsets),

@@ -92,12 +92,15 @@ def check_wall_fit(mesh: Mesh, h: float) -> None:
 class GammaAverage:
     """Aperture-averaged pressure of a full-dimensional solution,
     evaluable at tangential coordinates; the walls and the aperture are
-    those of the solution's mesh."""
+    those of the solution's mesh.  The averages at the last coordinates
+    asked for are kept: every reduced mesh at one spacing has the same
+    interface grid, so the variants of a sweep ask for the same ones."""
 
     full: models.FullSolution
 
     def __post_init__(self):
         self._lat, self._cols = _fracture_block(self.full.mesh)
+        self._last = (np.empty(0), np.empty(0))
 
     def _average(self, t: np.ndarray) -> np.ndarray:
         """Averages over the transversal lines at coordinates ``t``.
@@ -134,7 +137,10 @@ class GammaAverage:
         return pieces.sum(axis=1) / _aperture(mesh, t)[0]
 
     def __call__(self, t) -> np.ndarray:
-        out = self._average(np.atleast_1d(np.asarray(t, dtype=float)))
+        at = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.array_equal(at, self._last[0]):
+            self._last = (at.copy(), self._average(at))
+        out = self._last[1].copy()
         return out if np.ndim(t) else float(out[0])
 
 

@@ -109,13 +109,14 @@ def _block_jacobi(matrix: sp.csr_matrix, block_offsets):
     """Block-diagonal inverse of the diagonal blocks of ``matrix``.
 
     Returns the preconditioner as a CSR matrix and the number of blocks
-    whose symmetric part is not positive definite.  The blocks start at
-    ``block_offsets`` (1x1 blocks when it is None) and are read at their
-    positions in the CSR, a batch of blocks of one size at a time: one
-    search per row finds the block's first column, and the block's
-    stored columns follow it (a non-canonical matrix is summed on a copy
-    first).  The inverses are written straight into the CSR they form.
-    A singular block raises ``ValueError``.
+    whose symmetric part is not positive definite; their eigenvalues are
+    computed only in the batches a Cholesky factorization rejects.  The
+    blocks start at ``block_offsets`` (1x1 blocks when it is None) and
+    are read at their positions in the CSR, a batch of blocks of one
+    size at a time: one search per row finds the block's first column,
+    and the block's stored columns follow it (a non-canonical matrix is
+    summed on a copy first).  The inverses are written straight into the
+    CSR they form.  A singular block raises ``ValueError``.
     """
     matrix = _canonical(matrix)
     if not matrix.nnz:
@@ -160,8 +161,11 @@ def _block_jacobi(matrix: sp.csr_matrix, block_offsets):
                 raise ValueError(f"singular {s}x{s} diagonal block, block "
                                  "preconditioner unavailable") from exc
             sym = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-            indefinite += int(np.count_nonzero(
-                np.linalg.eigvalsh(sym)[:, 0] <= 0.0))
+            try:  # a batch that Cholesky factors holds no indefinite block
+                np.linalg.cholesky(sym)
+            except np.linalg.LinAlgError:
+                indefinite += int(np.count_nonzero(
+                    np.linalg.eigvalsh(sym)[:, 0] <= 0.0))
             pos = before[ids, None] + np.arange(s * s)
             data[pos] = inv.reshape(len(ids), -1)
             indices[pos] = np.broadcast_to(dofs[:, None, :],

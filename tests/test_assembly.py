@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdg import assembly as asm
 from fracdg import models
@@ -414,20 +416,31 @@ class TestBatchedBulkForm:
 # batched interface forms against a per-element, per-edge reference
 
 
-class BlockAccumulator(asm._Accumulator):
-    """The triplet accumulator, taking dense blocks one call at a time."""
+class BlockAccumulator:
+    """COO triplets with a dense rhs, taking dense blocks one call at a
+    time; :meth:`matrix` sums the duplicates."""
+
+    def __init__(self, n):
+        self.rows, self.cols, self.vals = [], [], []
+        self.rhs = np.zeros(n)
+        self.n = n
 
     def add(self, rows, cols, blocks):
         """Add dense blocks: ``rows`` (..., m), ``cols`` (..., n) and
         ``blocks`` (..., m, n) broadcast against each other."""
         blocks = np.asarray(blocks, dtype=float)
-        rows = np.asarray(rows, dtype=self.index_dtype)
-        cols = np.asarray(cols, dtype=self.index_dtype)
+        rows, cols = np.asarray(rows), np.asarray(cols)
         self.rows.append(np.broadcast_to(rows[..., :, None],
                                          blocks.shape).ravel())
         self.cols.append(np.broadcast_to(cols[..., None, :],
                                          blocks.shape).ravel())
         self.vals.append(blocks.ravel())
+
+    def matrix(self):
+        return sp.coo_matrix(
+            (np.concatenate(self.vals), (np.concatenate(self.rows),
+                                         np.concatenate(self.cols))),
+            shape=(self.n, self.n)).tocsr()
 
 
 def looped_interface_forms(acc, mesh, grid, bulk_space, iface_space, perm,
@@ -593,17 +606,18 @@ class TestBatchedInterfaceForms:
             args = (mesh, grid, bs, ifs, perm, q_gamma, g_gamma, 7.0,
                     edge_terms)
             n = bs.n_dofs + ifs.n_dofs
-            got, want = asm._Accumulator(n), BlockAccumulator(n)
+            want = BlockAccumulator(n)
             # the shared forms alone, or with the transport form added
-            asm._interface_forms(got, *args)
+            a, rhs = asm._interface_forms(*args)
             looped_interface_forms(want, *args, transport)
-            a, b = got.matrix(), want.matrix()
+            b = want.matrix()
+            assert a.shape == (n, n) and rhs.shape == (n,)
             if transport:
                 a = a + asm.transport_form(mesh, grid, bs, ifs, perm,
                                            edge_terms)
             # summation order differs, so agreement is to rounding only
             assert abs(a - b).max() <= 1e-13 * abs(b).max(), degrees
-            assert np.abs(got.rhs - want.rhs).max() \
+            assert np.abs(rhs - want.rhs).max() \
                 <= 1e-13 * np.abs(want.rhs).max(), degrees
 
 
@@ -808,6 +822,22 @@ class TestBoundedMemory:
         assert defect < 1e-12
         assert peak <= 1.0 * csr_bytes(system.matrix)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_estimate_bounds_both_assembly_paths(self, degree):
+        # the CLI's size preflight refuses a mesh by this estimate
+        mesh = models.full_mesh(self.preset, 1 / 32)
+        mesh.maps, mesh.element_h  # cached on the mesh
+        space = asm.DGSpace.bulk(mesh, degree)
+        peak, _ = traced_peak(lambda: asm.assemble_full(
+            mesh, space, self.preset.permeability(), self.preset.q,
+            self.preset.g, 10.0))
+        assert peak <= asm.bulk_assembly_bytes(mesh.n_elements, degree)
+        peak, problem = traced_peak(lambda: models.ReducedProblem.build(
+            models.preset_by_name("perp-asym"), "curved-reduced", 1 / 32,
+            degree))
+        assert peak <= asm.bulk_assembly_bytes(problem.mesh.n_elements,
+                                               degree)
+
     @pytest.mark.parametrize("mode", ["full", "curved-reduced"])
     def test_small_batches_match_looped_reference(self, mode, monkeypatch):
         # one facet, element or row per batch
@@ -832,6 +862,94 @@ class TestBoundedMemory:
         system = asm.SparseSystem(matrix=sp.csr_matrix(got), rhs=rhs,
                                   n_bulk=n, n_iface=0)
         assert system.symmetry_defect() == dense_defect(system.matrix)
+
+
+def coo_sum(a, b):
+    """``a + b`` through their concatenated COO triplets, which keeps
+    every entry either stores, zeros included."""
+    a, b = a.tocoo(), b.tocoo()
+    return sp.coo_matrix((np.concatenate([a.data, b.data]),
+                          (np.concatenate([a.row, b.row]),
+                           np.concatenate([a.col, b.col]))),
+                         shape=a.shape).tocsr()
+
+
+def assert_same_bits(got, want):
+    assert got.has_canonical_format
+    for name in ("indptr", "indices"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    # the sign of every zero included
+    np.testing.assert_array_equal(got.data.view(np.uint64),
+                                  want.data.view(np.uint64))
+
+
+@st.composite
+def summands(draw):
+    """Two CSR matrices of one shape with stored zeros, exact
+    cancellations (b = -a on some shared entries), entries of b outside
+    a's pattern, empty rows and, now and then, an empty b."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def cells(elements):
+        return np.array(draw(st.lists(elements, min_size=n * m,
+                                      max_size=n * m))).reshape(n, m)
+
+    value = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 1e300]) \
+        | st.floats(-1e3, 1e3)
+    in_a, in_b = cells(st.booleans()), cells(st.booleans())
+    empty = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    in_a[empty] = in_b[empty] = False
+    if draw(st.booleans()):
+        in_b[:] = False
+    va = cells(value)
+    vb = np.where(cells(st.booleans()), -va, cells(value))
+
+    def csr(stored, values):
+        matrix = sp.csr_matrix((values[stored], np.nonzero(stored)),
+                               shape=(n, m))
+        assert matrix.nnz == stored.sum()  # stored zeros kept
+        return matrix
+
+    return csr(in_a, va), csr(in_b, vb)
+
+
+class TestCsrSum:
+    """One sum serves the shared reduced system and ``plus``: both keep
+    every entry either side stores, as the COO sum does, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=summands())
+    def test_matches_coo_sum(self, pair):
+        a, b = pair
+        assert_same_bits(asm._csr_sum(a, b), coo_sum(a, b))
+        assert_same_bits(asm._csr_sum(b, a), coo_sum(a, b))
+
+    @pytest.mark.parametrize("mode", ["curved-reduced", "rectified"])
+    def test_shared_system_sums_its_forms(self, mode):
+        _, mesh, grid, bs, ifs = wavy_setup(h=0.125, degree=3)
+        perm = iso_perm()
+        system = asm.assemble_reduced(mesh, grid, bs, ifs, perm, None, None,
+                                      g_linear, pgamma_half, 10.0, 10.0)
+        bulk, _ = asm._bulk_sipg(mesh, bs, perm, None, g_linear, 10.0,
+                                 (INTERIOR,), system.n_dofs)
+        forms, _ = asm._interface_forms(mesh, grid, bs, ifs, perm, None,
+                                        pgamma_half, 10.0, "consistent")
+        assert_same_bits(system.matrix, coo_sum(bulk, forms))
+        transport = asm.transport_form(mesh, grid, bs, ifs, perm)
+        assert_same_bits(system.plus(transport).matrix,
+                         coo_sum(system.matrix, transport))
+
+    def test_plus_peak_memory(self):
+        # the transport form is added on the union pattern; the COO
+        # round trip peaked at 2.36x the result's CSR
+        problem = models.ReducedProblem.build(
+            models.preset_by_name("perp-asym"), "curved-reduced", 1 / 16, 3)
+        transport = asm.transport_form(problem.mesh, problem.grid,
+                                       problem.bulk_space,
+                                       problem.iface_space, problem.perm)
+        peak, system = traced_peak(lambda: problem.system.plus(transport))
+        assert peak <= 1.5 * csr_bytes(system.matrix)
 
 
 def dense_defect(matrix):

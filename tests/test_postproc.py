@@ -241,6 +241,35 @@ class TestSweep:
         assert alive == [0, 0]
         assert all(np.isfinite(r.l2_error) for r in table.rows)
 
+    def test_reference_averaged_once_per_d0(self, monkeypatch):
+        # the reduced meshes of all four variants share the interface
+        # grid, so each d0's reference is averaged on one point set
+        calls = []
+        average = postproc.GammaAverage._average
+
+        def counting_average(self, t):
+            calls.append(len(t))
+            return average(self, t)
+
+        monkeypatch.setattr(postproc.GammaAverage, "_average",
+                            counting_average)
+        table = postproc.aperture_sweep("perp-asym", models.MODEL_NAMES,
+                                        [0.1, 0.05], 0.0625, ref_h=0.0625)
+        assert len(table.rows) == 8
+        assert all(np.isfinite(r.l2_error) for r in table.rows)
+        assert len(calls) == 2
+
+    def test_average_kept_for_the_last_points(self):
+        profile = ApertureProfile.sinusoidal(0.1, frequency=2.0 * np.pi)
+        avg = postproc.average_across_fracture(
+            full_with_field(profile, lambda x: x[:, 0] * x[:, 1] ** 2))
+        t, s = np.linspace(0.1, 0.9, 7), np.linspace(0.2, 0.8, 5)
+        first = avg(t)
+        first[:] = 0.0  # a copy: the kept values stay as they were
+        for points in (t, s, t):
+            np.testing.assert_array_equal(avg(points), avg._average(points))
+        assert avg(0.5) == avg._average(np.array([0.5]))[0]
+
     def test_preset_xi_reaches_reduced_runs(self):
         # the preset is the one source of xi: run_reduced and the sweep's
         # preset callable both assemble with it
