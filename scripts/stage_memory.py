@@ -22,9 +22,13 @@ LU shows in the RSS only.
 
 Prints one JSON object per case: for every stage its seconds (plain
 run), the peak RSS after it and its traced peak, in MB, and the bytes
-of the CSR matrix solved last. The ``cg`` stage also gives its iteration
-count and the dimension of the two-level method's coarse space (the
-columns of the system's prolongation, or one per element block).
+of the CSR matrix solved last. The ``assembly`` stage also gives the
+size preflight's estimate for its mesh (``assembly.bulk_assembly_bytes``
+of its triangles, in MB) and that estimate over the traced peak, which
+stays at 1 or more while the estimate bounds the assembly. The ``cg``
+stage also gives its iteration count and the dimension of the
+two-level method's coarse space (the columns of the system's
+prolongation, or one per element block).
 """
 
 from __future__ import annotations
@@ -112,6 +116,13 @@ def run_case(name: str, traced: bool) -> dict:
         if traced:
             peak = tracemalloc.get_traced_memory()[1] - base
             out[stage] = {"traced_peak_mb": peak / 1e6}
+            if stage == "assembly":
+                mesh = state["problem"].mesh if mode != "full" \
+                    else state["mesh"]
+                estimate = assembly.bulk_assembly_bytes(mesh.n_elements,
+                                                        degree)
+                out[stage].update(estimate_mb=estimate / 1e6,
+                                  estimate_over_peak=estimate / peak)
         else:
             out[stage] = {"seconds": seconds, "peak_rss_mb": _rss_mb()}
             if stage == "cg":

@@ -64,7 +64,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import PermeabilityData
+from .geometry import PermeabilityData, refusal
 from .mesh import (
     BOUNDARY,
     FRACTURE,
@@ -88,6 +88,15 @@ __all__ = [
 
 MAX_DEGREE = 4
 EDGE_TERMS = ("consistent", "printed")
+
+
+def check_degree(k, name: str = "degree") -> None:
+    """Refuse a degree that is not one integer in 1..MAX_DEGREE; the
+    ValueError names ``name``."""
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_DEGREE:
+        how = "lie in" if isinstance(k, (int, np.integer)) \
+            else "be one integer in"
+        raise refusal(name, f"{name} must {how} 1..{MAX_DEGREE}, got {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +209,7 @@ class DGSpace:
     offsets: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.degree, (int, np.integer)) \
-                or not 1 <= self.degree <= MAX_DEGREE:
-            raise ValueError(f"the degree must be one integer in "
-                             f"[1, {MAX_DEGREE}]")
+        check_degree(self.degree)
 
     @property
     def dim(self) -> int:
@@ -328,6 +334,8 @@ def interpolate_interface(grid: InterfaceGrid, space: DGSpace, f) -> np.ndarray:
 
 # entries a batch of element blocks, facets or stored entries holds at most
 _CHUNK_ENTRIES = 1 << 14
+# floats the temporaries of a part of a batch of flux facets take at most
+_FACET_FLOATS = 1 << 16
 
 
 def _canonical(matrix: sp.spmatrix) -> sp.csr_matrix:
@@ -612,7 +620,10 @@ def _bulk_sipg(mesh: Mesh, space: DGSpace, perm: PermeabilityData, q, g,
     each element's own block sums its volume term, its boundary facets
     and its side of its flux facets, and each flux facet gives the two
     blocks coupling its elements, one per direction.  The facets run in
-    batches of fixed size.  The maps are affine and K is constant on
+    batches of ``_CHUNK_ENTRIES`` block entries, and a batch of flux
+    facets in parts whose temporaries hold ``_FACET_FLOATS`` floats; a
+    batch's own blocks are summed once its parts are done, so the sums
+    do not depend on the parts.  The maps are affine and K is constant on
     each element, so the volume term is ``det J^-1 K J^-T : S`` with the
     reference table S of :func:`_gradient_table`.
     """
@@ -640,10 +651,14 @@ def _bulk_sipg(mesh: Mesh, space: DGSpace, perm: PermeabilityData, q, g,
     e0, e1 = mesh.facet_elements[:, 0], mesh.facet_elements[:, 1]
     tq, w = segment_rule(k + 2)
     batch = max(1, _CHUNK_ENTRIES // dim ** 2)
+    # floats per flux facet: its points and weights, the basis values,
+    # gradients, normal fluxes and weighted values of both sides, and
+    # the blocks of the pair
+    part = max(1, _FACET_FLOATS // (len(tq) * (7 + 14 * dim) + 4 * dim ** 2))
 
-    def batches(count):
-        return (np.arange(i, min(i + batch, count))
-                for i in range(0, count, batch))
+    def batches(count, size=batch):
+        return (np.arange(i, min(i + size, count))
+                for i in range(0, count, size))
 
     def facet_rule(facets):
         x = va[facets, None] + tq[:, None] * (vb - va)[facets, None]
@@ -679,26 +694,29 @@ def _bulk_sipg(mesh: Mesh, space: DGSpace, perm: PermeabilityData, q, g,
     csr = _BlockCSR(n, space, e0[flux_facets], e1[flux_facets])
     signs = (1.0, -1.0)
     for at in batches(len(flux_facets)):
-        facets = flux_facets[at]
-        x, wq = facet_rule(facets)
-        mu = penalty_bulk(k, np.column_stack([h_elem[e0[facets]],
-                                              h_elem[e1[facets]]]), mu0)
-        pair = (e0[facets], e1[facets])
-        sides = [side(e, facets, x) for e in pair]
-        # block ids of the (e0, e1) and (e1, e0) blocks of these facets
-        ids = mesh.n_elements + at
-        for i, (phi_i, kdn_i) in enumerate(sides):
-            pw_i = phi_i * wq[..., None]
-            kw_i = kdn_i * wq[..., None]
-            for j, (phi_j, kdn_j) in enumerate(sides):
-                block = (mu * signs[i] * signs[j])[:, None, None] \
-                    * tmul(pw_i, phi_j) \
-                    - 0.5 * signs[i] * tmul(pw_i, kdn_j) \
-                    - 0.5 * signs[j] * tmul(kw_i, phi_j)
-                if i == j:
-                    np.add.at(own, pair[i], block)
-                else:
-                    csr.put(ids + i * len(flux_facets), block)
+        diag = np.empty((2, len(at), dim, dim))  # own blocks of both sides
+        for sub in batches(len(at), part):
+            facets = flux_facets[at[sub]]
+            x, wq = facet_rule(facets)
+            mu = penalty_bulk(k, np.column_stack([h_elem[e0[facets]],
+                                                  h_elem[e1[facets]]]), mu0)
+            sides = [side(e, facets, x) for e in (e0[facets], e1[facets])]
+            # block ids of the (e0, e1) and (e1, e0) blocks of these facets
+            ids = mesh.n_elements + at[sub]
+            for i, (phi_i, kdn_i) in enumerate(sides):
+                pw_i = phi_i * wq[..., None]
+                kw_i = kdn_i * wq[..., None]
+                for j, (phi_j, kdn_j) in enumerate(sides):
+                    block = (mu * signs[i] * signs[j])[:, None, None] \
+                        * tmul(pw_i, phi_j) \
+                        - 0.5 * signs[i] * tmul(pw_i, kdn_j) \
+                        - 0.5 * signs[j] * tmul(kw_i, phi_j)
+                    if i == j:
+                        diag[i, sub] = block
+                    else:
+                        csr.put(ids + i * len(flux_facets), block)
+        for i, e in enumerate((e0, e1)):
+            np.add.at(own, e[flux_facets[at]], diag[i])
     for at in batches(mesh.n_elements):
         csr.put(at, own[at])
     return csr.matrix(), rhs
@@ -918,9 +936,9 @@ def transport_form(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
 # public assembly entry points
 
 # the largest traced peak per bulk entry of either assembly path, degrees
-# 1-4, h <= 1/32: the reduced one holds the bulk CSR (12 bytes an entry)
-# beside its sum, and at degree 1 the fixed-size facet batches add more
-_BYTES_PER_ENTRY = 56
+# 1-4, h = 1/32 and 1/64 (38.9, the reduced one at degree 1 and h = 1/32,
+# which holds the bulk CSR beside its sum), rounded up
+_BYTES_PER_ENTRY = 40
 
 
 def bulk_assembly_bytes(n_elements, degree: int):

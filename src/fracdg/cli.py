@@ -12,9 +12,11 @@ Line based: blank lines and everything after a ``#`` are ignored,
 current section.  Keys may not repeat, unknown sections and keys are
 rejected, and every parse or validation error cites the offending line.
 Lists are comma separated; mesh spacings accept fractions like ``1/32``.
-A spacing whose bulk assembly would not fit in the machine's physical
-memory is refused from the lattice counts alone, before any mesh is
-built.
+The rules on the values themselves live in the library
+(:func:`fracdg.postproc.sweep_presets`, :func:`fracdg.models.preflight`,
+:func:`fracdg.postproc.reference_mesh`), the size preflight and the wall
+fit of the reference meshes included; the parameter each refusal names
+is mapped to its config line.
 
 Sections and keys (defaults in parentheses)::
 
@@ -69,7 +71,6 @@ from __future__ import annotations
 import argparse
 import logging
 import math
-import os
 import pathlib
 import resource
 import sys
@@ -79,8 +80,8 @@ import numpy as np
 from scipy import sparse
 
 from . import models, postproc, solver
-from .assembly import EDGE_TERMS, MAX_DEGREE, bulk_assembly_bytes
-from .mesh import REDUCED_MESH_MODES, check_aperture_bounds, element_count
+from .assembly import EDGE_TERMS
+from .mesh import REDUCED_MESH_MODES
 
 logger = logging.getLogger("fracdg.cli")
 
@@ -98,10 +99,6 @@ def _err(path, line, message) -> ConfigError:
 
 # ---------------------------------------------------------------------------
 # value converters
-
-def _conv_str(text: str) -> str:
-    return text
-
 
 def _conv_float(text: str) -> float:
     try:
@@ -266,7 +263,7 @@ _SCHEMA = {
     ("solver", "ref_method"): _choice("auto", *solver.METHODS),
     ("solver", "tol"): _conv_float,
     ("solver", "max_iter"): _conv_int,
-    ("output", "directory"): _conv_str,
+    ("output", "directory"): str,
     ("output", "dump_fields"): _conv_bool,
     ("output", "dump_matrices"): _conv_bool,
     ("problem", "g"): lambda s: _named_bulk_function(s, "boundary"),
@@ -365,78 +362,18 @@ def _scan(path: str) -> dict:
     return entries
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory of this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _check_footprint(preset, mode: str, h: float, degree: int,
-                     fracture_layers: int = 4,
-                     h_normal: float | None = None) -> None:
-    """Raise MemoryError when the bulk form of the ``mode`` mesh at
-    ``h`` cannot be assembled in the physical memory; the size comes
-    from the lattice counts alone, so nothing is meshed or allocated."""
-    try:
-        elements = float(element_count(preset.domain, mode, h,
-                                       preset.gamma0, fracture_layers,
-                                       h_normal))
-    except OverflowError:  # more lattice lines than a float can count
-        elements = math.inf
-    need, have = bulk_assembly_bytes(elements, degree), _physical_memory()
-    if need > have:
-        raise MemoryError(f"Unable to allocate the {need / 2**30:.3g} GiB "
-                          f"that assembling {elements:.3g} elements of "
-                          f"degree {degree} needs; the machine has "
-                          f"{have / 2**30:.3g} GiB")
-
-
 def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
-    def where(section, key):
-        return lines.get((section, key))
-
-    def fail(section, key, message):
-        raise _err(path, where(section, key), message)
-
+    """The rules of the config format here; the library refuses the rest
+    and names the parameter, which is mapped to its line."""
     for name in config.variants:
         if name == "full":
-            fail("experiment", "variants",
-                 "the full model is the comparison reference, not a sweep "
-                 "variant; list reduced models only")
+            raise _err(path, lines.get(("experiment", "variants")),
+                       "the full model is the comparison reference, not a "
+                       "sweep variant; list reduced models only")
         if name not in models.MODEL_NAMES:
-            fail("experiment", "variants",
-                 f"unknown variant {name!r}; expected a subset of "
-                 f"{', '.join(models.MODEL_NAMES)}")
-    if len(set(config.variants)) != len(config.variants):
-        fail("experiment", "variants", "variants listed twice")
-
-    if len(set(config.d0_list)) != len(config.d0_list):
-        fail("experiment", "d0", "d0 values listed twice")
-    for d0 in config.d0_list:
-        if not d0 > 0.0:
-            fail("experiment", "d0", f"d0 must be positive, got {d0:g}")
-
-    for key in ("degrees", "ref_degrees"):
-        value = getattr(config, key)
-        if value is not None and not 1 <= value <= MAX_DEGREE:
-            fail("experiment", key,
-                 f"{key} must lie in 1..{MAX_DEGREE}, got {value}")
-    if not config.mu0 > 0.0:
-        fail("experiment", "mu0", "mu0 must be positive")
-    if config.mu0_gamma is not None and not config.mu0_gamma > 0.0:
-        fail("experiment", "mu0_gamma", "mu0_gamma must be positive")
-    if config.fracture_layers < 1:
-        fail("experiment", "fracture_layers",
-             "fracture_layers must be at least 1")
-
-    if not config.xi > 0.5:
-        fail("experiment", "xi",
-             f"xi = {config.xi:g} rejected: the coupling average weight "
-             f"must satisfy xi > 1/2")
-
-    if not 0.0 < config.tol < 1.0:
-        fail("solver", "tol", "tol must lie strictly between 0 and 1")
-    if config.max_iter is not None and config.max_iter < 0:
-        fail("solver", "max_iter", "max_iter cannot be negative")
+            raise _err(path, lines.get(("experiment", "variants")),
+                       f"unknown variant {name!r}; expected a subset of "
+                       f"{', '.join(models.MODEL_NAMES)}")
 
     if config.preset == "custom":
         if "g" not in config.problem:
@@ -450,72 +387,33 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
                            f"[problem] keys are only read with preset = "
                            f"custom, not {config.preset!r}")
 
-    make = _preset_factory(config)
-    presets = []
-    for d0 in config.d0_list:
-        # scalar bounds only; the reference slab has fracture_layers columns
-        try:
-            preset = make(d0)
-            check_aperture_bounds(preset.domain, preset.profile,
-                                  config.fracture_layers)
-        except ValueError as exc:
-            fail("experiment", "d0", f"d0 = {d0:g}: {exc}")
-        presets.append(preset)
-    trial = presets[0]
-    for name in config.variants:
-        try:
-            models.resolve_mesh_mode(name, trial.profile, config.mesh_mode)
-        except ValueError as exc:
-            fail("experiment", "mesh_mode", str(exc))
-    if config.reference == "exact" and trial.gamma_reference is None:
-        fail("experiment", "reference",
-             f"preset {config.preset!r} has no closed-form interface "
-             f"reference; use reference = full")
-
-    # the lattice counts size every mesh before any is built: the
-    # reduced meshes at h here (both modes count alike), the reference
-    # mesh below
     try:
-        _check_footprint(trial, "curved-reduced", config.h, config.degrees)
-    except MemoryError as exc:
-        fail("experiment", "h",
-             f"the reduced meshes at h cannot be assembled "
-             f"({type(exc).__name__}: {exc}); coarsen h")
-
-    if config.reference == "full":
-        # the preflight builds the mesh the reference run builds; a mesh
-        # or point set too large to allocate (MemoryError) is a config
-        # error too, as it would fail every row of its d0.  ref_h_normal
-        # only spaces the matrix blocks, so it can fail the build but not
-        # the averaging, which depends on the fracture block and the rows
-        key = "ref_h" if config.ref_h is not None else "h"
-        size_key = "ref_h_normal" if config.ref_h_normal is not None else key
-        for d0, preset in zip(config.d0_list, presets):
-            try:
-                _check_footprint(preset, "full", config.ref_h or config.h,
-                                 config.ref_degrees or config.degrees,
-                                 config.fracture_layers,
-                                 config.ref_h_normal)
-                mesh = models.full_mesh(
-                    preset, config.ref_h or config.h,
-                    fracture_layers=config.fracture_layers,
-                    h_normal=config.ref_h_normal)
-            except ValueError as exc:
-                fail("experiment", "d0", f"d0 = {d0:g}: {exc}")
-            except Exception as exc:
-                fail("experiment", size_key,
-                     f"the reference mesh at d0 = {d0:g} cannot be built "
-                     f"({type(exc).__name__}: {exc}); coarsen {size_key}")
-            try:
-                postproc.check_wall_fit(mesh, config.h)
-            except ValueError as exc:
-                fail("experiment", key,
-                     f"the reference mesh at d0 = {d0:g} cannot be "
-                     f"averaged ({exc}); refine {key}")
-            except Exception as exc:
-                fail("experiment", "h",
-                     f"the averaging points at h cannot be built "
-                     f"({type(exc).__name__}: {exc}); coarsen h")
+        presets = postproc.sweep_presets(
+            _preset_factory(config), config.variants, config.d0_list,
+            config.h, degrees=config.degrees, mu0=config.mu0,
+            mu0_gamma=config.mu0_gamma, ref_degrees=config.ref_degrees,
+            fracture_layers=config.fracture_layers,
+            reference=config.reference, tol=config.tol,
+            max_iter=config.max_iter)
+        for name in config.variants:
+            models.resolve_mesh_mode(name, presets[0].profile,
+                                     config.mesh_mode)
+        if config.reference == "full":
+            # the meshes the reference runs build, each checked against
+            # the rows of the error table
+            for d0, preset in zip(config.d0_list, presets):
+                postproc.reference_mesh(
+                    preset, d0, config.h,
+                    config.ref_degrees or config.degrees,
+                    ref_h=config.ref_h, ref_h_normal=config.ref_h_normal,
+                    fracture_layers=config.fracture_layers)
+    except (ValueError, MemoryError) as exc:
+        if not hasattr(exc, "param"):
+            raise
+        section = "solver" if exc.param in ("tol", "max_iter") \
+            else "experiment"
+        key = "d0" if exc.param == "d0_list" else exc.param
+        raise _err(path, lines.get((section, key)), str(exc)) from None
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -23,7 +23,16 @@ __all__ = [
     "PermeabilityData",
     "WellposednessReport",
     "check_wellposedness",
+    "refusal",
 ]
+
+
+def refusal(param: str, message: str, kind=ValueError) -> Exception:
+    """An input refused: a ``kind`` error (ValueError or MemoryError)
+    that names the refused parameter as its ``param``."""
+    error = kind(message)
+    error.param = param
+    return error
 
 
 @dataclass(frozen=True)
@@ -174,7 +183,8 @@ class PermeabilityData:
         if self.k_gamma_perp <= 0.0:
             raise ValueError("k_gamma_perp must be positive")
         if not self.xi > 0.5:
-            raise ValueError(f"coupling parameter xi must exceed 1/2, got {self.xi}")
+            raise refusal("xi", f"xi = {self.xi:g} rejected: the coupling "
+                          "average weight must satisfy xi > 1/2")
         kf = kg if self.k_f is None else _as_tensor(self.k_f)
         _spd_bounds(kf, "k_f")
         object.__setattr__(self, "k1", k1)

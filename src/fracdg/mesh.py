@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import ApertureProfile
+from .geometry import ApertureProfile, refusal
 
 __all__ = [
     "INTERIOR", "BOUNDARY", "GAMMA_1", "GAMMA_2",
@@ -204,15 +204,17 @@ def _ulps(xmin: float, xmax: float) -> float:
 
 def check_aperture_bounds(domain, profile: ApertureProfile,
                           fracture_layers: int) -> None:
-    """Raise ValueError unless the profile's scalar bounds fit the domain
-    in double precision: the walls, ``d_min`` or more apart, fit in its
-    width, and ``fracture_layers`` slab columns stay a few ulps wide."""
+    """Raise a ValueError naming ``profile`` unless the profile's scalar
+    bounds fit the domain in double precision: the walls, ``d_min`` or
+    more apart, fit in its width, and ``fracture_layers`` slab columns
+    stay a few ulps wide."""
     (xmin, _), (xmax, _) = domain
     d_min = profile.d_min
     if not d_min < xmax - xmin:
-        raise ValueError("the fracture walls leave the domain")
+        raise refusal("profile", "the fracture walls leave the domain")
     if not d_min / fracture_layers > _ulps(xmin, xmax):
-        raise ValueError("the fracture slab is too thin for double precision")
+        raise refusal("profile", "the fracture slab is too thin for double "
+                      "precision")
 
 
 def _lattice_counts(domain, gamma0: float, h_target: float,

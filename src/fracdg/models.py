@@ -8,12 +8,15 @@ tangential transport equation keeps the wall-slope terms;
 on.  A :class:`ReducedProblem` is one reduced discretization, a mesh with
 its shared system; a variant is those shared forms plus what its table
 row adds, the transport form for ``I`` and ``I-R``.  The problem presets
-bundle the data of the benchmark configurations.
+bundle the data of the benchmark configurations.  :func:`preflight` holds
+the input rules of a run; the entry points apply it before they mesh.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,11 +25,12 @@ import numpy as np
 from . import solver
 from .assembly import DGSpace, SparseSystem, _aperture, _basis_at, \
     _interface_basis, _wall_trace_matrix, assemble_full, assemble_reduced, \
-    transport_form
+    bulk_assembly_bytes, check_degree, transport_form
 from .geometry import ApertureProfile, PermeabilityData, \
-    WellposednessReport, check_wellposedness
+    WellposednessReport, check_wellposedness, refusal
 from .mesh import MESH_MODES, REDUCED_MESH_MODES, ElementMaps, \
-    InterfaceGrid, Mesh, build_bulk_mesh, build_interface_grid
+    InterfaceGrid, Mesh, build_bulk_mesh, build_interface_grid, \
+    check_aperture_bounds, element_count
 
 logger = logging.getLogger(__name__)
 
@@ -76,8 +80,8 @@ MODEL_NAMES = tuple(_VARIANTS)
 
 def resolve_mesh_mode(variant, profile: ApertureProfile,
                       mesh_mode: str = "auto") -> str:
-    """Mesh mode a reduced variant runs on; raises ValueError if the
-    variant cannot run on ``mesh_mode``.
+    """Mesh mode a reduced variant runs on; raises a ValueError naming
+    ``mesh_mode`` if the variant cannot run on it.
 
     "auto" picks the wall-conforming mesh for the wall-trace variants and
     for any variant with a constant aperture (where the flattened and
@@ -90,20 +94,21 @@ def resolve_mesh_mode(variant, profile: ApertureProfile,
         return ("rectified" if var.uses_rectified_bulk
                 and not profile.is_constant else "curved-reduced")
     if mesh_mode not in MESH_MODES:
-        raise ValueError(f"unknown mesh mode {mesh_mode!r}")
+        raise refusal("mesh_mode", f"unknown mesh mode {mesh_mode!r}")
     if mesh_mode not in REDUCED_MESH_MODES:
-        raise ValueError("reduced variants cannot use a full-dimensional mesh")
+        raise refusal("mesh_mode",
+                      "reduced variants cannot use a full-dimensional mesh")
     if var.uses_rectified_bulk:
         # With a constant aperture the wall-conforming mesh carries the
         # same model (every slope term vanishes and the trace offset is
         # exact), so it is accepted as the canonical degenerate case.
         if mesh_mode == "curved-reduced" and not profile.is_constant:
-            raise ValueError(f"variant {var.name} needs a rectified mesh for "
-                             "non-constant apertures")
+            raise refusal("mesh_mode", f"variant {var.name} needs a "
+                          "rectified mesh for non-constant apertures")
     elif mesh_mode != "curved-reduced":
-        raise ValueError(f"variant {var.name} evaluates traces on the "
-                         "fracture walls and needs a wall-conforming "
-                         f"mesh, got {mesh_mode!r}")
+        raise refusal("mesh_mode", f"variant {var.name} evaluates traces "
+                      "on the fracture walls and needs a wall-conforming "
+                      f"mesh, got {mesh_mode!r}")
     return mesh_mode
 
 
@@ -387,12 +392,53 @@ def effective_velocity(solution: ReducedSolution, t) -> np.ndarray:
 # run orchestration
 
 def _degree_pair(degrees) -> tuple[int, int]:
-    """(bulk, interface) degrees, one or a pair, as given: DGSpace checks."""
+    """(bulk, interface) degrees, one or a pair, as given."""
     if not isinstance(degrees, (tuple, list)):
         degrees = (degrees, degrees)
     if len(degrees) != 2:
-        raise ValueError("degrees must be an int or (bulk, interface)")
+        raise refusal("degrees", "degrees must be an int or (bulk, interface)")
     return degrees[0], degrees[1]
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def preflight(preset: ProblemPreset, h: float, degrees=1, *, mode: str,
+              mu0: float = 10.0, mu0_gamma: float | None = None,
+              fracture_layers: int = 4,
+              h_normal: float | None = None) -> None:
+    """Refuse, before anything is meshed, a run on the ``mode`` mesh at
+    ``h`` ("auto": the reduced meshes of a sweep) that cannot be done:
+    degrees outside 1..MAX_DEGREE, a ``mu0`` or ``mu0_gamma`` that is not
+    positive, ``fracture_layers`` below 1, the preset's ``xi`` and
+    aperture bounds (``profile``), or a bulk assembly whose estimate
+    exceeds the physical memory (``h``, or ``h_normal`` when set).  The
+    ValueError or MemoryError names the parameter as its ``param``."""
+    for k in _degree_pair(degrees):
+        check_degree(k, "degrees")
+    for name, value in (("mu0", mu0), ("mu0_gamma", mu0_gamma)):
+        if value is not None and not value > 0.0:
+            raise refusal(name, f"{name} must be positive")
+    if fracture_layers < 1:
+        raise refusal("fracture_layers", "fracture_layers must be at least 1")
+    preset.permeability()
+    check_aperture_bounds(preset.domain, preset.profile,
+                          fracture_layers if mode == "full" else 1)
+    try:
+        elements = float(element_count(preset.domain, mode, h, preset.gamma0,
+                                       fracture_layers, h_normal))
+    except OverflowError:  # more lattice lines than a float can count
+        elements = math.inf
+    degree = _degree_pair(degrees)[0]
+    need, have = bulk_assembly_bytes(elements, degree), _physical_memory()
+    if need > have:
+        raise refusal("h" if h_normal is None else "h_normal",
+                      f"Unable to allocate the {need / 2**30:.3g} GiB that "
+                      f"assembling {elements:.3g} elements of degree "
+                      f"{degree} needs; the machine has {have / 2**30:.3g} "
+                      "GiB", MemoryError)
 
 
 def full_mesh(preset: ProblemPreset, h: float, *, fracture_layers: int = 4,
@@ -406,10 +452,15 @@ def full_mesh(preset: ProblemPreset, h: float, *, fracture_layers: int = 4,
 
 def prepare_full(preset: ProblemPreset, h: float, degrees=1,
                  mu0: float = 10.0, *, fracture_layers: int = 4,
-                 h_normal: float | None = None):
-    """Mesh, spaces and assembled system of the full-dimensional model."""
-    mesh = full_mesh(preset, h, fracture_layers=fracture_layers,
-                     h_normal=h_normal)
+                 h_normal: float | None = None, mesh: Mesh | None = None):
+    """Mesh, spaces and assembled system of the full-dimensional model
+    after the :func:`preflight`; ``mesh`` is :func:`full_mesh` of the same
+    arguments when the caller has built it."""
+    preflight(preset, h, degrees, mode="full", mu0=mu0,
+              fracture_layers=fracture_layers, h_normal=h_normal)
+    if mesh is None:
+        mesh = full_mesh(preset, h, fracture_layers=fracture_layers,
+                         h_normal=h_normal)
     space = DGSpace.bulk(mesh, _degree_pair(degrees)[0])
     perm = preset.permeability()
     system = assemble_full(mesh, space, perm, preset.q, preset.g, mu0)
@@ -419,11 +470,13 @@ def prepare_full(preset: ProblemPreset, h: float, degrees=1,
 def run_full(preset: ProblemPreset, h: float, degrees=1, mu0: float = 10.0,
              *, fracture_layers: int = 4, h_normal: float | None = None,
              method: str | None = None, tol: float = 1e-10,
-             max_iter: int | None = None) -> FullSolution:
-    """Solve the full-dimensional problem on a fracture-conforming mesh."""
+             max_iter: int | None = None,
+             mesh: Mesh | None = None) -> FullSolution:
+    """Solve the full-dimensional problem on a fracture-conforming mesh
+    (:func:`prepare_full`)."""
     mesh, space, perm, system = prepare_full(
         preset, h, degrees, mu0, fracture_layers=fracture_layers,
-        h_normal=h_normal)
+        h_normal=h_normal, mesh=mesh)
     x, report = solver.solve(system, method=method, tol=tol,
                              max_iter=max_iter)
     logger.info("full run: h=%g dofs=%d %s", h, system.matrix.shape[0],
@@ -465,8 +518,11 @@ class ReducedProblem:
 
         A violated wellposedness bound is logged as a warning and recorded
         on the problem; the bound is sufficient, not necessary, so runs
-        beyond it are legitimate experiments.
+        beyond it are legitimate experiments.  The :func:`preflight` runs
+        before anything is meshed.
         """
+        preflight(preset, h, degrees, mode=mesh_mode, mu0=mu0,
+                  mu0_gamma=mu0_gamma)
         mesh = build_bulk_mesh(preset.domain, preset.profile, mesh_mode, h,
                                gamma0=preset.gamma0)
         grid = build_interface_grid(mesh)

@@ -16,10 +16,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import models
-from .assembly import _aperture, _data_at, segment_rule, tri_basis, \
-    triangle_rule
-from .mesh import FRACTURE, InterfaceGrid, Mesh, _pow2_count
+from . import models, solver
+from .assembly import _aperture, _data_at, check_degree, segment_rule, \
+    tri_basis, triangle_rule
+from .geometry import refusal
+from .mesh import FRACTURE, InterfaceGrid, Mesh, _pow2_count, \
+    check_aperture_bounds
 
 logger = logging.getLogger(__name__)
 
@@ -251,6 +253,90 @@ def _require_converged(report, tol: float) -> None:
                            f"{report.relative_residual:.3e} > tol {tol:g}")
 
 
+def sweep_presets(preset, variants: Sequence[str], d0_list: Sequence[float],
+                  h: float, *, degrees=1, mu0: float = 10.0,
+                  mu0_gamma: float | None = None, ref_degrees=None,
+                  fracture_layers: int = 4, reference: str = "full",
+                  tol: float = 1e-10, max_iter: int | None = None) -> list:
+    """The preset of every d0 of an :func:`aperture_sweep`, once nothing
+    fails the whole sweep: a variant or d0 listed twice, a d0 that is not
+    positive or cannot make its preset, or what the stopping rule and the
+    :func:`~fracdg.models.preflight` of the reduced meshes refuse.  The
+    ValueError or MemoryError names the parameter as its ``param``."""
+    make = preset if callable(preset) else \
+        (lambda d0: models.preset_by_name(preset, d0=d0))
+    if len(set(variants)) != len(variants):
+        raise refusal("variants", "variants listed twice")
+    if len(set(d0_list)) != len(d0_list):
+        raise refusal("d0_list", "d0 values listed twice")
+    for d0 in d0_list:
+        if not d0 > 0.0:
+            raise refusal("d0_list", f"d0 must be positive, got {d0:g}")
+    if reference not in REFERENCES:
+        raise refusal("reference", f"unknown reference {reference!r}")
+    for k in models._degree_pair(1 if ref_degrees is None else ref_degrees):
+        check_degree(k, "ref_degrees")
+    solver.check_stopping(tol, max_iter)
+    presets = []
+    for d0 in d0_list:
+        try:
+            pset = make(d0)
+            models.preflight(pset, h, degrees, mode="auto", mu0=mu0,
+                             mu0_gamma=mu0_gamma,
+                             fracture_layers=fracture_layers)
+            # d0 by the slab bound of its reference, whatever the reference
+            check_aperture_bounds(pset.domain, pset.profile, fracture_layers)
+        except MemoryError as exc:
+            raise refusal("h", f"the reduced meshes at h cannot be "
+                          f"assembled (MemoryError: {exc}); coarsen h",
+                          MemoryError) from None
+        except ValueError as exc:
+            if getattr(exc, "param", "profile") != "profile":
+                raise
+            raise refusal("d0_list", f"d0 = {d0:g}: {exc}") from None
+        if reference == "exact" and pset.gamma_reference is None:
+            raise refusal("reference", f"preset {pset.name!r} has no "
+                          "closed-form interface reference; use reference "
+                          "= full")
+        presets.append(pset)
+    return presets
+
+
+def reference_mesh(preset, d0: float, h: float, degrees=1, *,
+                   ref_h: float | None = None,
+                   ref_h_normal: float | None = None,
+                   fracture_layers: int = 4) -> Mesh:
+    """The full mesh of the reference of one d0 of an error table at
+    spacing ``h``, at ``ref_h`` (or ``h``), once the preflight of its run
+    at ``degrees`` and :func:`check_wall_fit` pass; a refusal names what
+    to change."""
+    key = "ref_h" if ref_h is not None else "h"
+    size_key = "ref_h_normal" if ref_h_normal is not None else key
+    try:
+        models.preflight(preset, ref_h or h, degrees, mode="full",
+                         fracture_layers=fracture_layers,
+                         h_normal=ref_h_normal)
+        mesh = models.full_mesh(preset, ref_h or h,
+                                fracture_layers=fracture_layers,
+                                h_normal=ref_h_normal)
+    except ValueError as exc:
+        raise refusal("d0_list", f"d0 = {d0:g}: {exc}") from None
+    except Exception as exc:
+        raise refusal(size_key, f"the reference mesh at d0 = {d0:g} cannot "
+                      f"be built ({type(exc).__name__}: {exc}); coarsen "
+                      f"{size_key}", MemoryError) from None
+    try:
+        check_wall_fit(mesh, h)
+    except ValueError as exc:
+        raise refusal(key, f"the reference mesh at d0 = {d0:g} cannot be "
+                      f"averaged ({exc}); refine {key}") from None
+    except Exception as exc:
+        raise refusal("h", f"the averaging points at h cannot be built "
+                      f"({type(exc).__name__}: {exc}); coarsen h",
+                      MemoryError) from None
+    return mesh
+
+
 def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                    h: float, *, degrees=1, mu0: float = 10.0,
                    mu0_gamma: float | None = None, ref_h: float | None = None,
@@ -282,36 +368,34 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
     ``on_solution(d0, tag, solution)`` is invoked after every successful
     solve with tag "reference" for the full run and the variant name for
     reduced runs; it can dump fields or matrices without re-solving.
+    What :func:`sweep_presets` refuses raises before anything is meshed,
+    and a :func:`reference_mesh` refused fails its rows before any solve.
     """
-    if callable(preset):
-        make = preset
-    else:
-        make = lambda d0: models.preset_by_name(preset, d0=d0)
-    if reference not in REFERENCES:
-        raise ValueError(f"unknown reference {reference!r}")
-
+    presets = sweep_presets(preset, variants, d0_list, h, degrees=degrees,
+                            mu0=mu0, mu0_gamma=mu0_gamma,
+                            ref_degrees=ref_degrees,
+                            fracture_layers=fracture_layers,
+                            reference=reference, tol=tol, max_iter=max_iter)
     table = ErrorTable()
-    for d0 in d0_list:
+    for d0, pset in zip(d0_list, presets):
         # the last d0's reference, problems and solutions die before this
         # one's reference is assembled, so at most one reference is alive
         full = sol = ref = problem = None
         problems = {}  # mesh mode -> ReducedProblem, or why it failed
-        pset = make(d0)
         ref_note = ""
         if reference == "exact":
-            if pset.gamma_reference is None:
-                raise ValueError(f"preset {pset.name!r} has no closed-form "
-                                 "interface reference")
             ref = pset.gamma_reference
             logger.info("d0=%g: closed-form interface reference", d0)
         else:
             try:
-                full = models.run_full(pset, ref_h or h,
-                                       ref_degrees or degrees, mu0,
-                                       fracture_layers=fracture_layers,
-                                       h_normal=ref_h_normal,
-                                       method=ref_method, tol=tol,
-                                       max_iter=max_iter)
+                full = models.run_full(
+                    pset, ref_h or h, ref_degrees or degrees, mu0,
+                    fracture_layers=fracture_layers, h_normal=ref_h_normal,
+                    method=ref_method, tol=tol, max_iter=max_iter,
+                    mesh=reference_mesh(
+                        pset, d0, h, ref_degrees or degrees, ref_h=ref_h,
+                        ref_h_normal=ref_h_normal,
+                        fracture_layers=fracture_layers))
                 _require_converged(full.report, tol)
                 ref = average_across_fracture(full)
                 logger.info("d0=%g: reference %s", d0, full.report.method)

@@ -40,6 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import _CHUNK_ENTRIES, SparseSystem, _canonical, _search
+from .geometry import refusal
 
 METHODS = ("direct-LU", "CG", "BiCGStab")
 
@@ -217,6 +218,15 @@ def _tol_kwargs(tol: float) -> dict:
     return {"tol": tol, "atol": 0.0}
 
 
+def check_stopping(tol: float, max_iter: int | None) -> None:
+    """Refuse a residual target outside (0, 1) or a negative iteration
+    cap (None picks one); the ValueError names ``tol`` or ``max_iter``."""
+    if not 0.0 < tol < 1.0:
+        raise refusal("tol", "tol must lie strictly between 0 and 1")
+    if max_iter is not None and max_iter < 0:
+        raise refusal("max_iter", "max_iter cannot be negative")
+
+
 def solve(system: SparseSystem, method: str | None = None,
           tol: float = 1e-10,
           max_iter: int | None = None) -> tuple[np.ndarray, SolveReport]:
@@ -227,15 +237,15 @@ def solve(system: SparseSystem, method: str | None = None,
     gradients (subject to the symmetry check).  Iterative non-convergence
     is not an exception: the best iterate is returned with
     ``report.converged`` false.  A singular matrix on the direct path
-    raises.
+    raises, and so do ``tol`` and ``max_iter`` that
+    :func:`check_stopping` refuses.
     """
     matrix = system.matrix.tocsr()
     rhs = np.asarray(system.rhs, dtype=float)
     n = matrix.shape[0]
     if matrix.shape[0] != matrix.shape[1] or len(rhs) != n:
         raise ValueError("system is not square")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    check_stopping(tol, max_iter)
     if max_iter is None:
         max_iter = max(1000, 10 * n)
 

@@ -910,9 +910,9 @@ class TestSizePreflight:
         need = assembly.bulk_assembly_bytes(2 * 16 * (8 + 8 + 4), 1)
         body = self.BODY.format(h="1/16", reference="full",
                                 out=tmp_path / "res")
-        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+        monkeypatch.setattr(models, "_physical_memory", lambda: need)
         parse(tmp_path, body)
-        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(models, "_physical_memory", lambda: need - 1)
         with pytest.raises(cli.ConfigError, match=r":5: the reference mesh "
                            r"at d0 = 0.1 cannot be built \(MemoryError: "
                            r".*coarsen h"):

@@ -10,6 +10,7 @@ runs must collapse variants I and II-R onto each other.
 import dataclasses
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -633,3 +634,95 @@ class TestBatchedEvaluation:
                     sol.wall_trace(side, t), want, rtol=0.0,
                     atol=1e-14 * np.abs(want).max(),
                     err_msg=f"degree {sol.bulk_space.degree}")
+
+
+class TestPreflight:
+    """The library's entry points refuse bad input before they mesh, and
+    every refusal names the parameter it refuses as ``param``."""
+
+    PRESET = models.preset_by_name("perp-asym", d0=0.1)
+
+    @pytest.fixture
+    def no_mesh(self, monkeypatch):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(models, "build_bulk_mesh", refuse)
+        return calls
+
+    @pytest.mark.parametrize("run", [
+        lambda p: models.run_full(p, 1 / 1048576, 1),
+        lambda p: models.ReducedProblem.build(p, "curved-reduced",
+                                              1 / 1048576),
+        lambda p: postproc.aperture_sweep(p.name, ["I"], [0.1], 1 / 1048576),
+    ], ids=["run_full", "ReducedProblem.build", "aperture_sweep"])
+    def test_size_refused_without_meshing(self, no_mesh, run):
+        with pytest.raises(MemoryError, match="2.2e\\+12 elements") as info:
+            run(self.PRESET)
+        assert info.value.param == "h"
+        assert no_mesh == []
+
+    def test_threshold_is_the_physical_memory(self, monkeypatch):
+        # 16 rows of 8 + 8 columns and the four slab columns
+        need = asm.bulk_assembly_bytes(2 * 16 * (8 + 8 + 4), 1)
+        monkeypatch.setattr(models, "_physical_memory", lambda: need)
+        models.preflight(self.PRESET, 1 / 16, mode="full")
+        monkeypatch.setattr(models, "_physical_memory", lambda: need - 1)
+        with pytest.raises(MemoryError):
+            models.preflight(self.PRESET, 1 / 16, mode="full")
+        models.preflight(self.PRESET, 1 / 16, mode="curved-reduced")
+        with pytest.raises(MemoryError) as info:
+            models.preflight(self.PRESET, 1 / 16, mode="full",
+                             h_normal=1 / 16)
+        assert info.value.param == "h_normal"
+
+    def test_mu0_gamma_is_named(self, no_mesh):
+        # it reached the interface penalty as its mu0
+        with pytest.raises(ValueError, match="^mu0_gamma must be "
+                           "positive$") as info:
+            models.ReducedProblem.build(self.PRESET, "curved-reduced", 0.25,
+                                        mu0_gamma=-1.0)
+        assert info.value.param == "mu0_gamma"
+        assert no_mesh == []
+
+    @pytest.mark.parametrize("kwargs, param, message", [
+        ({"degrees": 5}, "degrees", "degrees must lie in 1..4, got 5"),
+        ({"degrees": (1, 0)}, "degrees", "degrees must lie in 1..4, got 0"),
+        ({"degrees": 2.5}, "degrees", "one integer"),
+        ({"mu0": 0.0}, "mu0", "mu0 must be positive"),
+        ({"mu0": math.nan}, "mu0", "mu0 must be positive"),
+        ({"fracture_layers": 0}, "fracture_layers", "at least 1"),
+    ])
+    def test_each_refusal_names_its_parameter(self, no_mesh, kwargs, param,
+                                              message):
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            models.preflight(self.PRESET, 0.25, mode="full", **kwargs)
+        assert info.value.param == param
+        assert no_mesh == []
+
+    def test_preset_data_is_named(self, no_mesh):
+        bad_xi = dataclasses.replace(self.PRESET, xi=0.5)
+        with pytest.raises(ValueError, match="xi > 1/2") as info:
+            models.run_full(bad_xi, 0.25)
+        assert info.value.param == "xi"
+        wide = models.preset_by_name("perp-asym", d0=1e308)
+        with pytest.raises(ValueError, match="leave the domain") as info:
+            models.run_reduced(wide, "I", 0.25)
+        assert info.value.param == "profile"
+        assert no_mesh == []
+
+    def test_mesh_mode_is_named(self):
+        with pytest.raises(ValueError, match="wall-conforming") as info:
+            models.run_reduced(self.PRESET, "I", 0.25, mesh_mode="rectified")
+        assert info.value.param == "mesh_mode"
+
+    def test_given_reference_mesh_is_solved_on(self, monkeypatch):
+        full_mesh = models.full_mesh(self.PRESET, 0.25)
+        want = models.run_full(self.PRESET, 0.25)
+        monkeypatch.setattr(models, "build_bulk_mesh", None)
+        got = models.run_full(self.PRESET, 0.25, mesh=full_mesh)
+        assert got.mesh is full_mesh
+        np.testing.assert_array_equal(got.coefficients, want.coefficients)

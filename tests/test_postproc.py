@@ -8,13 +8,14 @@ integrals.  Field dumps are checked by round trip.
 import dataclasses
 import math
 import pathlib
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from fracdg import assembly as asm
-from fracdg import models, postproc
+from fracdg import models, postproc, solver
 from fracdg.geometry import ApertureProfile
 from fracdg.mesh import build_bulk_mesh, build_interface_grid
 
@@ -459,3 +460,101 @@ class TestFieldDumps:
             old = str(path).replace("new.", "old.")
             assert pathlib.Path(path).read_bytes() == \
                 pathlib.Path(old).read_bytes(), path
+
+
+class TestSweepPreflight:
+    """What would fail a whole sweep is refused before anything is
+    meshed, and a reference mesh the table cannot average fails its rows
+    before any solve; every refusal names its parameter."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = models.build_bulk_mesh
+
+        def counting_build(*args, **kwargs):
+            calls.append(args[2])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(models, "build_bulk_mesh", counting_build)
+        return calls
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = solver.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve", counting_solve)
+        return calls
+
+    @pytest.mark.parametrize("variants, d0_list, param", [
+        (["I", "I"], [0.1], "variants"),
+        (["I"], [0.1, 0.1], "d0_list"),
+    ])
+    def test_repeats_refused_before_meshing(self, builds, variants, d0_list,
+                                            param):
+        # the repeated row used to raise out of the sweep after its solve
+        with pytest.raises(ValueError, match="listed twice") as info:
+            postproc.aperture_sweep("perp-asym", variants, d0_list, 0.25)
+        assert info.value.param == param
+        assert builds == []
+
+    def test_wall_fit_checked_before_any_solve(self, builds, solves):
+        # two mesh rows per wall period: the reference cannot be averaged
+        table = postproc.aperture_sweep("perp-asym", ["I", "II"], [0.1],
+                                        0.25)
+        assert solves == []
+        assert builds == ["full"]
+        assert [r.variant for r in table.rows] == ["I", "II"]
+        for row in table.rows:
+            assert math.isnan(row.l2_error)
+            assert "transversal segment exits the fracture block" in row.note
+
+    def test_one_mesh_per_reference(self, builds):
+        table = postproc.aperture_sweep("perp-asym", models.MODEL_NAMES,
+                                        [0.1], 0.0625, ref_h=0.0625)
+        assert all(np.isfinite(r.l2_error) for r in table.rows)
+        assert builds == ["full", "curved-reduced", "rectified"]
+
+    @pytest.mark.parametrize("kwargs, param, message", [
+        ({"d0_list": [0.1, -0.02]}, "d0_list", "d0 must be positive, got "
+         "-0.02"),
+        ({"d0_list": [1e308]}, "d0_list", "d0 = 1e+308: the fracture walls "
+         "leave the domain"),
+        ({"degrees": 0}, "degrees", "degrees must lie in 1..4, got 0"),
+        ({"ref_degrees": 7}, "ref_degrees", "ref_degrees must lie in 1..4, "
+         "got 7"),
+        ({"mu0_gamma": 0.0}, "mu0_gamma", "mu0_gamma must be positive"),
+        ({"reference": "exact"}, "reference", "no closed-form interface "
+         "reference"),
+        ({"reference": "fuzzy"}, "reference", "unknown reference"),
+        ({"tol": 2.0}, "tol", "tol must lie strictly between 0 and 1"),
+        ({"max_iter": -1}, "max_iter", "max_iter cannot be negative"),
+    ])
+    def test_sweep_refusals_name_their_parameter(self, builds, kwargs, param,
+                                                 message):
+        args = {"variants": ["I"], "d0_list": [0.1], **kwargs}
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            postproc.aperture_sweep("perp-asym", args.pop("variants"),
+                                    args.pop("d0_list"), 0.25, **args)
+        assert info.value.param == param
+        assert builds == []
+
+    def test_reference_mesh_refusals_name_their_parameter(self):
+        preset = models.preset_by_name("perp-asym", d0=0.1)
+        for kwargs, param in (({}, "h"), ({"ref_h": 0.25}, "ref_h")):
+            with pytest.raises(ValueError, match="cannot be averaged.*"
+                               f"refine {param}$") as info:
+                postproc.reference_mesh(preset, 0.1, 1 / 32 if kwargs
+                                        else 0.25, **kwargs)
+            assert info.value.param == param
+        with pytest.raises(MemoryError, match="coarsen ref_h_normal$") \
+                as info:
+            postproc.reference_mesh(preset, 0.1, 1 / 16, ref_h_normal=1e-9)
+        assert info.value.param == "ref_h_normal"
+        mesh = postproc.reference_mesh(preset, 0.1, 1 / 16)
+        assert mesh.mode == "full" and mesh.h_target == 1 / 16

@@ -588,3 +588,19 @@ class TestSymmetricModeLU:
         sol = models.run_full(preset, 1 / 32, 2, method="direct-LU")
         assert sol.report.converged
         assert sol.report.relative_residual <= 1e-13
+
+
+class TestStoppingRule:
+    def test_negative_cap_is_named(self):
+        # it reached scipy's CG and came back as a breakdown
+        with pytest.raises(ValueError, match="max_iter cannot be negative") \
+                as info:
+            solver.solve(full_system(), method="CG", max_iter=-5)
+        assert info.value.param == "max_iter"
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-3, float("nan")])
+    def test_tol_outside_the_unit_interval_is_named(self, tol):
+        with pytest.raises(ValueError, match="tol must lie strictly") \
+                as info:
+            solver.solve(full_system(), tol=tol)
+        assert info.value.param == "tol"
