@@ -24,8 +24,11 @@ Prints one JSON object per case: for every stage its seconds (plain
 run), the peak RSS after it and its traced peak, in MB, and the bytes
 of the CSR matrix solved last. The ``assembly`` stage also gives the
 size preflight's estimate for its mesh (``assembly.bulk_assembly_bytes``
-of its triangles, in MB) and that estimate over the traced peak, which
-stays at 1 or more while the estimate bounds the assembly. The ``cg``
+of its triangles, in MB), that estimate over the traced peak, which
+stays at 1 or more while the estimate bounds the assembly, and the
+traced peak per bulk entry (``bytes_per_entry``, over the 4 *
+n_elements * dim**2 entries the estimate counts), the figure
+``assembly._BYTES_PER_ENTRY`` must bound. The ``cg``
 stage also gives its iteration count and the dimension of the
 two-level method's coarse space (the columns of the system's
 prolongation, or one per element block).
@@ -121,8 +124,10 @@ def run_case(name: str, traced: bool) -> dict:
                     else state["mesh"]
                 estimate = assembly.bulk_assembly_bytes(mesh.n_elements,
                                                         degree)
+                entries = 4 * mesh.n_elements * assembly.tri_dim(degree) ** 2
                 out[stage].update(estimate_mb=estimate / 1e6,
-                                  estimate_over_peak=estimate / peak)
+                                  estimate_over_peak=estimate / peak,
+                                  bytes_per_entry=peak / entries)
         else:
             out[stage] = {"seconds": seconds, "peak_rss_mb": _rss_mb()}
             if stage == "cg":

@@ -8,9 +8,12 @@ integrate products of two basis gradients exactly.
 Every space has one polynomial degree on all of its elements; the bulk
 and the interface space may differ.  The bulk SIPG form is assembled in
 three batches, the volume terms of all elements, the boundary facets and
-the interior flux facets, each batch a few batched products over
-reference-element tables; the facet batches run in chunks of fixed
-size.  Each element-pair block is stored once: an element's own block
+the interior flux facets, each batch a few products of per-element or
+per-facet scalars with reference tables: the maps are affine and the
+mesh conforming, so a facet lies on one of the 6 directed edges of each
+neighbour's reference triangle, whose tables (:func:`_edge_tables`)
+hold the basis there.  The facet batches hold a fixed number of block
+entries.  Each element-pair block is stored once: an element's own block
 sums its volume and facet terms, and every interior flux facet gives
 one block per direction coupling its two elements.  The element graph
 fixes the canonical CSR before any value is computed, and every block
@@ -128,17 +131,9 @@ def triangle_rule(n: int):
     u, wu = segment_rule(n)
     yj, wj = _gauss_jacobi(n)
     y = 0.5 * (yj + 1.0)
-    wy = 0.25 * wj
-    pts = np.empty((n * n, 2))
-    w = np.empty(n * n)
-    idx = 0
-    for j in range(n):
-        for i in range(n):
-            pts[idx, 0] = u[i] * (1.0 - y[j])
-            pts[idx, 1] = y[j]
-            w[idx] = wu[i] * wy[j]
-            idx += 1
-    return pts, w
+    # point j n + i at (u_i (1 - y_j), y_j)
+    pts = np.column_stack([np.outer(1.0 - y, u).ravel(), np.repeat(y, n)])
+    return pts, np.outer(0.25 * wj, wu).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +255,17 @@ def _data_on_t(f, t: np.ndarray) -> np.ndarray:
 
 
 def _basis_at(mesh_maps: ElementMaps, space: DGSpace, elems,
-              x_phys: np.ndarray, grad: bool = False):
-    """Element bases (and physical gradients) at physical points.
+              x_phys: np.ndarray) -> np.ndarray:
+    """Element bases at physical points.
 
     ``elems`` is one element with points of shape (m, 2), or an array of
     N elements with points of shape (N, m, 2) on each.  Values have shape
-    (..., m, dim), gradients (..., m, dim, 2).
+    (..., m, dim).
     """
-    k = space.degree
-    jac_inv = mesh_maps.jac_inv[elems]
-    ref = (x_phys - mesh_maps.v0[elems, None]) @ np.swapaxes(jac_inv, -1, -2)
-    flat = ref.reshape(-1, 2)
-    vals = tri_basis(k, flat).reshape(ref.shape[:-1] + (space.dim,))
-    if not grad:
-        return vals
-    g_ref = tri_basis_grad(k, flat).reshape(vals.shape + (2,))
-    return vals, g_ref @ jac_inv[..., None, :, :]
+    ref = (x_phys - mesh_maps.v0[elems, None]) \
+        @ np.swapaxes(mesh_maps.jac_inv[elems], -1, -2)
+    return tri_basis(space.degree, ref.reshape(-1, 2)).reshape(
+        ref.shape[:-1] + (space.dim,))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +324,6 @@ def interpolate_interface(grid: InterfaceGrid, space: DGSpace, f) -> np.ndarray:
 
 # entries a batch of element blocks, facets or stored entries holds at most
 _CHUNK_ENTRIES = 1 << 14
-# floats the temporaries of a part of a batch of flux facets take at most
-_FACET_FLOATS = 1 << 16
 
 
 def _canonical(matrix: sp.spmatrix) -> sp.csr_matrix:
@@ -529,21 +517,22 @@ class _BlockCSR:
     def __init__(self, n: int, space: DGSpace, e0: np.ndarray,
                  e1: np.ndarray):
         dim = self.dim = space.dim
-        rank = space.offsets // dim
-        n_el = len(rank)
+        n_el = len(space.offsets)
+        nnz = dim * dim * (n_el + 2 * len(e0))
+        # every index array in the CSR's index dtype
+        index = np.int32 if max(n, nnz) < 2**31 else np.int64
+        rank = (space.offsets // dim).astype(index)
         rows = np.concatenate([rank, rank[e0], rank[e1]])
         cols = np.concatenate([rank, rank[e1], rank[e0]])
-        order = np.argsort(rows * n_el + cols)
-        count = np.bincount(rows, minlength=n_el)
-        before = np.concatenate([[0], np.cumsum(count)])
-        slot = np.empty(len(rows), dtype=np.int64)
-        slot[order] = np.arange(len(rows)) - before[rows[order]]
+        order = np.lexsort((cols, rows)).astype(index)
+        count = np.bincount(rows, minlength=n_el).astype(index)
+        before = np.concatenate([[0], np.cumsum(count)]).astype(index)
+        slot = np.empty(len(rows), dtype=index)
+        slot[order] = np.arange(len(rows), dtype=index) - before[rows[order]]
         # entry (a, b) of block i sits at first[i] + stride[i] * a + b
         self.first = dim * (dim * before[rows] + slot)
         self.stride = dim * count[rows]
         self.col0 = dim * cols
-        nnz = dim * dim * len(rows)
-        index = np.int32 if max(n, nnz) < 2**31 else np.int64
         self.indptr = np.full(n + 1, nnz, dtype=index)
         self.indptr[:dim * n_el] = (dim * dim * before[:-1, None]
                                     + dim * count[:, None] * np.arange(dim)
@@ -594,15 +583,49 @@ def _element_permeability(mesh: Mesh, perm: PermeabilityData) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bulk SIPG form
 
+def _frozen(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 @lru_cache(maxsize=None)
-def _gradient_table(k: int) -> np.ndarray:
-    """Reference table ``S[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j``
-    of the degree-k monomials, shape (2, 2, dim, dim)."""
+def _gradient_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-k monomials at ``triangle_rule(k + 2)``: their values
+    ``phi[q, i]`` and ``S[a, b, i, j] = sum_q w_q d_a phi_i d_b phi_j``."""
     pts, w = triangle_rule(k + 2)
     grad = tri_basis_grad(k, pts)
-    table = np.einsum("q,qia,qjb->abij", w, grad, grad)
-    table.flags.writeable = False
-    return table
+    return _frozen(tri_basis(k, pts),
+                   np.einsum("q,qia,qjb->abij", w, grad, grad))
+
+
+# the reference edges from corner a to b; (a, b) is number 2a + b - (b > a)
+_EDGES = tuple((a, b) for a in range(3) for b in range(3) if a != b)
+
+
+@lru_cache(maxsize=None)
+def _edge_tables(k: int) -> tuple[np.ndarray, ...]:
+    """The degree-k monomials on the 6 directed reference edges, at the
+    points ``a + t (b - a)`` of ``segment_rule(k + 2)`` on edge (a, b):
+    the points ``X[e, q]``, values ``phi[e, q, i]`` and reference
+    gradients ``D[e, q, i, c]``, and over the 36 pairs of edges ``M[e, f,
+    i, j] = sum_q w_q phi^e_i phi^f_j`` and ``G[e, f, c, i, j] = sum_q
+    w_q phi^e_i d_c phi^f_j``."""
+    tq, w = segment_rule(k + 2)
+    a, b = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[np.transpose(_EDGES)]
+    pts = a[:, None] + tq[:, None] * (b - a)[:, None]
+    phi = tri_basis(k, pts.reshape(-1, 2)).reshape(pts.shape[:2] + (-1,))
+    grad = tri_basis_grad(k, pts.reshape(-1, 2)).reshape(phi.shape + (2,))
+    return _frozen(pts, phi, grad, np.einsum("q,eqi,fqj->efij", w, phi, phi),
+                   np.einsum("q,eqi,fqjc->efcij", w, phi, grad))
+
+
+def _facet_edges(mesh: Mesh, elems: np.ndarray, facets: np.ndarray):
+    """The directed reference edge that facet ``facets[i]``, from its first
+    vertex to its second, is on element ``elems[i]``."""
+    at = mesh.elements[elems][:, None] == mesh.facets[facets][..., None]
+    a, b = at.argmax(axis=-1).T
+    return 2 * a + b - (b > a)
 
 
 def _bulk_sipg(mesh: Mesh, space: DGSpace, perm: PermeabilityData, q, g,
@@ -618,18 +641,17 @@ def _bulk_sipg(mesh: Mesh, space: DGSpace, perm: PermeabilityData, q, g,
 
     Every element-pair block is written once, in place (:class:`_BlockCSR`):
     each element's own block sums its volume term, its boundary facets
-    and its side of its flux facets, and each flux facet gives the two
-    blocks coupling its elements, one per direction.  The facets run in
-    batches of ``_CHUNK_ENTRIES`` block entries, and a batch of flux
-    facets in parts whose temporaries hold ``_FACET_FLOATS`` floats; a
-    batch's own blocks are summed once its parts are done, so the sums
-    do not depend on the parts.  The maps are affine and K is constant on
-    each element, so the volume term is ``det J^-1 K J^-T : S`` with the
-    reference table S of :func:`_gradient_table`.
+    and its side of its flux facets, and each flux facet gives the block
+    coupling its elements and its transpose.  The facets run in batches
+    of ``_CHUNK_ENTRIES`` block entries.  The maps are affine and K is
+    constant on each element, so the volume term is ``det J^-1 K J^-T :
+    S`` (:func:`_gradient_table`), and a facet side needs only its
+    directed reference edge (:func:`_facet_edges`), |F|, the penalty and
+    ``J^-1 K n``, whose dot product with a reference gradient is the
+    normal flux, contracted with the tables of :func:`_edge_tables`.
     """
     maps = mesh.maps
     h_elem = mesh.element_h
-    perm_elem = _element_permeability(mesh, perm)
     k, dim = space.degree, space.dim
     elems = np.arange(mesh.n_elements)
     dofs = space.dofs(elems)
@@ -638,85 +660,69 @@ def _bulk_sipg(mesh: Mesh, space: DGSpace, perm: PermeabilityData, q, g,
     def add_rhs(at, values):
         rhs[:] += np.bincount(np.ravel(at), np.ravel(values), minlength=n)
 
-    metric = maps.jac_inv @ perm_elem @ np.swapaxes(maps.jac_inv, -1, -2)
-    metric *= maps.det[:, None, None]
-    own = (metric.reshape(-1, 4)
-           @ _gradient_table(k).reshape(4, -1)).reshape(-1, dim, dim)
+    jk = maps.jac_inv @ _element_permeability(mesh, perm)  # J^-1 K
+    metric = jk @ np.swapaxes(maps.jac_inv, -1, -2) * maps.det[:, None, None]
+    phi_vol, stiff = _gradient_table(k)
+    own = (metric.reshape(-1, 4) @ stiff.reshape(4, -1)).reshape(-1, dim, dim)
     if q is not None:
         pts, w = triangle_rule(k + 2)
         qw = _data_at(q, maps.points(elems, pts)) * (w * maps.det[:, None])
-        add_rhs(dofs, np.einsum("qi,eq->ei", tri_basis(k, pts), qw))
+        add_rhs(dofs, np.einsum("qi,eq->ei", phi_vol, qw))
 
     va, vb, length, normal = _facet_geometry(mesh)
     e0, e1 = mesh.facet_elements[:, 0], mesh.facet_elements[:, 1]
-    tq, w = segment_rule(k + 2)
+    _, phi, grad, mass, gflux = _edge_tables(k)
     batch = max(1, _CHUNK_ENTRIES // dim ** 2)
-    # floats per flux facet: its points and weights, the basis values,
-    # gradients, normal fluxes and weighted values of both sides, and
-    # the blocks of the pair
-    part = max(1, _FACET_FLOATS // (len(tq) * (7 + 14 * dim) + 4 * dim ** 2))
 
-    def batches(count, size=batch):
-        return (np.arange(i, min(i + size, count))
-                for i in range(0, count, size))
+    def batches(count):
+        return (np.arange(i, min(i + batch, count))
+                for i in range(0, count, batch))
 
-    def facet_rule(facets):
-        x = va[facets, None] + tq[:, None] * (vb - va)[facets, None]
-        return x, w * length[facets, None]
+    def side(elems, facets):
+        """Directed edges and |F| J^-1 K n of one side of the facets."""
+        return (_facet_edges(mesh, elems, facets), length[facets, None]
+                * np.einsum("fcd,fd->fc", jk[elems], normal[facets]))
 
-    def side(elems, facets, x):
-        """Basis values and normal fluxes K grad phi . n of the elements
-        on one side of the facets."""
-        phi, gphi = _basis_at(maps, space, elems, x, grad=True)
-        kn = np.einsum("fds,fs->fd", perm_elem[elems], normal[facets])
-        return phi, np.einsum("fqnd,fd->fqn", gphi, kn)
+    def flux(edge_i, edge_j, kn_j):
+        """|F| sum_q w_q phi^i (K grad phi^j . n) per facet."""
+        return np.einsum("fcij,fc->fij", gflux[edge_i, edge_j], kn_j)
 
-    def tmul(a, b):
-        """a^T b per facet: (F, q, m), (F, q, n) -> (F, m, n)."""
-        return np.swapaxes(a, -1, -2) @ b
+    def own_terms(edge, kn, mu_f, weight):
+        """mu |F| M - weight (flux + flux^T) on one side."""
+        f = flux(edge, edge, kn)
+        return mu_f[:, None, None] * mass[edge, edge] \
+            - weight * (f + np.swapaxes(f, -1, -2))
 
+    tq, w = segment_rule(k + 2)
     boundary = np.flatnonzero(mesh.facet_class == BOUNDARY)
     for at in batches(len(boundary)):
         facets = boundary[at]
-        x, wq = facet_rule(facets)
-        mu = penalty_bulk(k, h_elem[e0[facets], None], mu0)
-        phi, kdn = side(e0[facets], facets, x)
-        pw = phi * wq[..., None]
-        flux = tmul(pw, kdn)
-        np.add.at(own, e0[facets], mu[:, None, None] * tmul(pw, phi)
-                  - flux - np.swapaxes(flux, -1, -2))
-        gw = _data_at(g, x) * wq
-        add_rhs(dofs[e0[facets]],
-                np.einsum("fqi,fq->fi", mu[:, None, None] * phi - kdn, gw))
+        edge, kn = side(e0[facets], facets)
+        mu_f = length[facets] * penalty_bulk(k, h_elem[e0[facets], None], mu0)
+        np.add.at(own, e0[facets], own_terms(edge, kn, mu_f, 1.0))
+        x = va[facets, None] + tq[:, None] * (vb - va)[facets, None]
+        add_rhs(dofs[e0[facets]], np.einsum(
+            "fq,fqi->fi", _data_at(g, x) * w, mu_f[:, None, None] * phi[edge]
+            - np.einsum("fqic,fc->fqi", grad[edge], kn)))
 
     flux_facets = np.flatnonzero(np.isin(mesh.facet_class, flux_classes)
                                  & (e1 >= 0))
     csr = _BlockCSR(n, space, e0[flux_facets], e1[flux_facets])
-    signs = (1.0, -1.0)
     for at in batches(len(flux_facets)):
-        diag = np.empty((2, len(at), dim, dim))  # own blocks of both sides
-        for sub in batches(len(at), part):
-            facets = flux_facets[at[sub]]
-            x, wq = facet_rule(facets)
-            mu = penalty_bulk(k, np.column_stack([h_elem[e0[facets]],
-                                                  h_elem[e1[facets]]]), mu0)
-            sides = [side(e, facets, x) for e in (e0[facets], e1[facets])]
-            # block ids of the (e0, e1) and (e1, e0) blocks of these facets
-            ids = mesh.n_elements + at[sub]
-            for i, (phi_i, kdn_i) in enumerate(sides):
-                pw_i = phi_i * wq[..., None]
-                kw_i = kdn_i * wq[..., None]
-                for j, (phi_j, kdn_j) in enumerate(sides):
-                    block = (mu * signs[i] * signs[j])[:, None, None] \
-                        * tmul(pw_i, phi_j) \
-                        - 0.5 * signs[i] * tmul(pw_i, kdn_j) \
-                        - 0.5 * signs[j] * tmul(kw_i, phi_j)
-                    if i == j:
-                        diag[i, sub] = block
-                    else:
-                        csr.put(ids + i * len(flux_facets), block)
-        for i, e in enumerate((e0, e1)):
-            np.add.at(own, e[flux_facets[at]], diag[i])
+        facets = flux_facets[at]
+        (edge0, kn0), (edge1, kn1) = (side(e[facets], facets)
+                                      for e in (e0, e1))
+        mu_f = length[facets] * penalty_bulk(
+            k, h_elem[mesh.facet_elements[facets]], mu0)
+        # the jump is v0 - v1 with n out of e0, the flux the mean of both
+        np.add.at(own, e0[facets], own_terms(edge0, kn0, mu_f, 0.5))
+        np.add.at(own, e1[facets], own_terms(edge1, kn1, mu_f, -0.5))
+        block = -mu_f[:, None, None] * mass[edge0, edge1] \
+            - 0.5 * flux(edge0, edge1, kn1) \
+            + 0.5 * np.swapaxes(flux(edge1, edge0, kn0), -1, -2)
+        csr.put(mesh.n_elements + at, block)
+        csr.put(mesh.n_elements + len(flux_facets) + at,
+                np.swapaxes(block, -1, -2))
     for at in batches(mesh.n_elements):
         csr.put(at, own[at])
     return csr.matrix(), rhs
@@ -818,10 +824,6 @@ def _aperture(mesh: Mesh, t: np.ndarray):
     return d1 + d2, dd1 + dd2, dd1, dd2
 
 
-def _tangential_k(perm: PermeabilityData) -> float:
-    return float(perm.k_gamma[1, 1])
-
-
 def _form(b, w, c):
     """B^T diag(w) C."""
     return b.T @ (sp.diags(w) @ c)
@@ -845,7 +847,7 @@ def _interface_forms(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
     off, m = bulk_space.n_dofs, grid.n_elements
     n = off + iface_space.n_dofs
     rhs = np.zeros(n)
-    kt = _tangential_k(perm)
+    kt = float(perm.k_gamma[1, 1])  # the tangential permeability
     kf = iface_space.degree
 
     def iface(elems, t):
@@ -911,7 +913,7 @@ def transport_form(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
         raise ValueError(f"unknown edge_terms {edge_terms!r}")
     off = bulk_space.n_dofs
     n = off + iface_space.n_dofs
-    kt = _tangential_k(perm)
+    kt = float(perm.k_gamma[1, 1])  # the tangential permeability
 
     e, t, w = _coupling_gauss(grid, bulk_space, iface_space)
     dpsi = _interface_basis(grid, iface_space, e, t, n, off, derivative=True)
@@ -936,9 +938,9 @@ def transport_form(mesh: Mesh, grid: InterfaceGrid, bulk_space: DGSpace,
 # public assembly entry points
 
 # the largest traced peak per bulk entry of either assembly path, degrees
-# 1-4, h = 1/32 and 1/64 (38.9, the reduced one at degree 1 and h = 1/32,
-# which holds the bulk CSR beside its sum), rounded up
-_BYTES_PER_ENTRY = 40
+# 1-4, h = 1/32 and 1/64 (36.6, the reduced one at degree 1 and h = 1/32,
+# in a batch of flux facets), rounded up
+_BYTES_PER_ENTRY = 37
 
 
 def bulk_assembly_bytes(n_elements, degree: int):

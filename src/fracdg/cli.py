@@ -231,13 +231,8 @@ def _conv_permeability(text: str) -> np.ndarray:
         if len(coeff) != 2:
             raise ValueError("diag permeability needs two entries: "
                              "diag: a, b")
-        mat = np.diag(coeff)
-    else:
-        mat = _conv_float(text) * np.eye(2)
-    if np.any(np.diag(mat) <= 0.0):
-        raise ValueError(f"permeability entries must be positive, "
-                         f"got {text!r}")
-    return mat
+        return np.diag(coeff)
+    return _conv_float(text) * np.eye(2)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +406,7 @@ def _validate(config: ExperimentConfig, path: str, lines: dict) -> None:
         if not hasattr(exc, "param"):
             raise
         section = "solver" if exc.param in ("tol", "max_iter") \
+            else "problem" if exc.param in ("k1", "k2", "k_f") \
             else "experiment"
         key = "d0" if exc.param == "d0_list" else exc.param
         raise _err(path, lines.get((section, key)), str(exc)) from None

@@ -145,11 +145,12 @@ def _as_tensor(K) -> np.ndarray:
 
 
 def _spd_bounds(K: np.ndarray, label: str) -> tuple[float, float]:
+    """Extreme eigenvalues of an SPD tensor; a refusal names ``label``."""
     if not np.allclose(K, K.T, atol=1e-12 * max(1.0, float(np.abs(K).max()))):
-        raise ValueError(f"{label} must be symmetric")
+        raise refusal(label, f"{label} must be symmetric")
     eig = np.linalg.eigvalsh(K)
     if eig.min() <= 0.0:
-        raise ValueError(f"{label} must be positive definite")
+        raise refusal(label, f"{label} must be positive definite")
     return float(eig.min()), float(eig.max())
 
 
@@ -179,14 +180,15 @@ class PermeabilityData:
         kg = _as_tensor(self.k_gamma)
         _spd_bounds(k1, "k1")
         _spd_bounds(k2, "k2")
+        kf = kg if self.k_f is None else _as_tensor(self.k_f)
+        if self.k_f is not None:  # from_fracture passes it as k_gamma too
+            _spd_bounds(kf, "k_f")
         gmin, gmax = _spd_bounds(kg, "k_gamma")
         if self.k_gamma_perp <= 0.0:
             raise ValueError("k_gamma_perp must be positive")
         if not self.xi > 0.5:
             raise refusal("xi", f"xi = {self.xi:g} rejected: the coupling "
                           "average weight must satisfy xi > 1/2")
-        kf = kg if self.k_f is None else _as_tensor(self.k_f)
-        _spd_bounds(kf, "k_f")
         object.__setattr__(self, "k1", k1)
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "k_gamma", kg)

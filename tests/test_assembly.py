@@ -19,14 +19,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracdg import assembly as asm
 from fracdg import models
 from fracdg.geometry import ApertureProfile, PermeabilityData
 from fracdg.mesh import BOUNDARY, FRACTURE, GAMMA_1, GAMMA_2, INTERIOR, \
-    SIDE_1, SIDE_2, build_bulk_mesh, build_interface_grid
+    SIDE_1, SIDE_2, ElementMaps, build_bulk_mesh, build_interface_grid
 
 DOMAIN = ((0.0, 0.0), (1.0, 1.0))
 
@@ -410,6 +410,65 @@ class TestBatchedBulkForm:
                 degree
             assert np.abs(got_rhs - rhs).max() \
                 <= 1e-13 * np.abs(rhs).max(), degree
+
+
+@st.composite
+def triangles(draw):
+    """Three vertices of a nondegenerate triangle, its smallest angle
+    bounded away from 0 (area over squared longest edge at least 0.05)."""
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    v = np.array(draw(st.lists(st.tuples(coord, coord), min_size=3,
+                               max_size=3)))
+    (ax, ay), (bx, by) = v[1] - v[0], v[2] - v[0]
+    area = 0.5 * abs(ax * by - ay * bx)
+    longest = max(np.sum((v - np.roll(v, 1, axis=0)) ** 2, axis=1))
+    assume(area >= 0.05 * longest and longest > 1e-2)
+    return v
+
+
+class TestEdgeTables:
+    """The facet terms read the basis on the directed reference edges
+    from fixed tables; these must be what the element map gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(triangles())
+    def test_tables_match_basis_at_physical_points(self, vertices):
+        v0 = vertices[0]
+        jac = np.column_stack([vertices[1] - v0, vertices[2] - v0])
+        maps = ElementMaps(v0=v0[None], jac=jac[None],
+                           jac_inv=np.linalg.inv(jac)[None],
+                           det=np.array([np.linalg.det(jac)]))
+        for k in range(1, asm.MAX_DEGREE + 1):
+            space = asm.DGSpace("bulk", k, np.array([0]))
+            tq, _ = asm.segment_rule(k + 2)
+            _, phi, grad, _, _ = asm._edge_tables(k)
+            for e, (a, b) in enumerate(asm._EDGES):
+                x = vertices[a] + tq[:, None] * (vertices[b] - vertices[a])
+                want = asm._basis_at(maps, space, 0, x)
+                assert np.abs(phi[e] - want).max() \
+                    <= 1e-13 * np.abs(want).max()
+                # the physical gradients at the reference images of x
+                ref = (x - v0) @ maps.jac_inv[0].T
+                want_grad = asm.tri_basis_grad(k, ref) @ maps.jac_inv[0]
+                got_grad = grad[e] @ maps.jac_inv[0]
+                assert np.abs(got_grad - want_grad).max() \
+                    <= 1e-13 * np.abs(want_grad).max()
+
+    @pytest.mark.parametrize("mode", ["full", "curved-reduced", "rectified"])
+    def test_both_sides_of_a_facet_give_its_points(self, mode):
+        mesh = build_bulk_mesh(DOMAIN, ApertureProfile.sinusoidal(0.1),
+                               mode, 0.25)
+        maps = mesh.maps
+        facets = np.flatnonzero(mesh.facet_elements[:, 1] >= 0)
+        va, vb = (mesh.vertices[mesh.facets[facets, i]] for i in (0, 1))
+        tq, _ = asm.segment_rule(3)
+        want = va[:, None] + tq[:, None] * (vb - va)[:, None]
+        pts = asm._edge_tables(1)[0]
+        for elems in mesh.facet_elements[facets].T:
+            ref = pts[asm._facet_edges(mesh, elems, facets)]
+            got = maps.v0[elems, None] + ref @ np.swapaxes(maps.jac[elems],
+                                                           1, 2)
+            assert np.abs(got - want).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------

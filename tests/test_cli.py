@@ -499,6 +499,19 @@ class TestCustomProblems:
                 k_f = -0.5
             """)
 
+    def test_indefinite_permeability_names_its_line(self, tmp_path):
+        # the library's positive-definite rule, cited at the k1 line
+        with pytest.raises(cli.ConfigError,
+                           match=r"exp\.cfg:7: k1 must be positive definite"):
+            parse(tmp_path, """
+                [experiment]
+                preset = custom
+
+                [problem]
+                g = inflow-bubble
+                k1 = diag: 1, -1
+            """)
+
     def test_factory_builds_configured_problem(self, tmp_path):
         config = parse(tmp_path, """
             [experiment]

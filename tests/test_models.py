@@ -158,6 +158,46 @@ class TestRunFull:
             sol.evaluate(np.array([[1.4, 0.2]]))
 
 
+class TestShiftInvariant:
+    """g -> g + 3 moves the exact pressure of every model by 3, and so
+    every discretization: the Nitsche terms of the boundary carry the
+    datum, and the interface datum follows as the trace of g.  In the
+    monomial bases the shift is 3 in dof 0 of every element."""
+
+    @staticmethod
+    def unit_constant(space):
+        ones = np.zeros(space.n_dofs)
+        ones[space.offsets] = 1.0
+        return ones
+
+    def assert_shifted(self, got, want, space):
+        gap = got - want - 3.0 * self.unit_constant(space)
+        assert np.abs(gap).max() <= 1e-10 * np.abs(got).max()
+
+    @pytest.fixture(scope="class")
+    def presets(self):
+        preset = models.preset_by_name("perp-asym")
+        return preset, dataclasses.replace(
+            preset, g=lambda x: preset.g(x) + 3.0)
+
+    def test_full_pressure(self, presets):
+        base, shifted = (models.run_full(p, 1 / 16, 2, method="direct-LU")
+                         for p in presets)
+        self.assert_shifted(shifted.coefficients, base.coefficients,
+                            base.space)
+
+    @pytest.mark.parametrize("variant", models.MODEL_NAMES)
+    def test_reduced_pressures(self, presets, variant):
+        mode = models.resolve_mesh_mode(variant, presets[0].profile, "auto")
+        base, shifted = (models.ReducedProblem.build(p, mode, 1 / 16, 2)
+                         .solve(variant, method="direct-LU")
+                         for p in presets)
+        self.assert_shifted(shifted.bulk_coefficients,
+                            base.bulk_coefficients, base.bulk_space)
+        self.assert_shifted(shifted.iface_coefficients,
+                            base.iface_coefficients, base.iface_space)
+
+
 class TestRunReduced:
     def test_rejects_full_variant(self):
         preset = models.constant_aperture_preset()
