@@ -26,6 +26,8 @@ Both blocks of a two-block mesh share the same rows, and the wall lines
 are vertex-snapped to them, so :func:`build_interface_grid` reads the
 interface grid off the lattices: its elements are the rows, and the wall
 trace over each row lives on the triangle of that row next to the wall.
+The facets are read off the lattices too: each block's row-line edges,
+column-line edges and cell diagonals, with their triangles and classes.
 
 Row and column counts are rounded up to powers of two so that halving the
 target mesh size exactly doubles every count, which keeps refinement
@@ -270,42 +272,28 @@ def _build_block(ys: np.ndarray, xs: np.ndarray, col_tags: np.ndarray,
     return verts, elems, tags, lat
 
 
-def _gamma_edge_set(lat: StructuredLattice, line: int) -> set[tuple[int, int]]:
-    ids = lat.vidx[:, line]
-    return {(min(a, b), max(a, b)) for a, b in zip(ids[:-1], ids[1:])}
-
-
-def _edge_keys(edges: np.ndarray) -> np.ndarray:
-    """One int64 per vertex pair (a, b) of ids below 2**32, ordered like
-    the pairs."""
-    edges = np.asarray(edges, dtype=np.int64)
-    return (edges[:, 0] << 32) | edges[:, 1]
-
-
-def _extract_facets(elements: np.ndarray):
-    """All element edges, deduplicated, with adjacency (second id -1 when
-    one-sided)."""
-    ne = len(elements)
-    edges = np.concatenate([elements[:, [0, 1]], elements[:, [1, 2]],
-                            elements[:, [2, 0]]])
-    owner = np.tile(np.arange(ne), 3)
-    edges_sorted = np.sort(edges, axis=1)
-    _, first, inverse, counts = np.unique(
-        _edge_keys(edges_sorted), return_index=True, return_inverse=True,
-        return_counts=True)
-    uniq = edges_sorted[first]
-    if counts.max() > 2:
-        bad = np.nonzero(counts > 2)[0][:5]
-        raise ValueError(f"facets adjacent to more than two elements: {uniq[bad].tolist()}")
-    facet_elements = np.full((len(uniq), 2), -1, dtype=np.int64)
-    order = np.argsort(inverse, kind="stable")
-    sorted_inv = inverse[order]
-    sorted_owner = owner[order]
-    starts = np.searchsorted(sorted_inv, np.arange(len(uniq)))
-    facet_elements[:, 0] = sorted_owner[starts]
-    two = counts == 2
-    facet_elements[two, 1] = sorted_owner[starts[two] + 1]
-    return uniq, facet_elements
+def _lattice_facets(lat: StructuredLattice) -> np.ndarray:
+    """Facets of one block read off its lattice, one row ``(a, b, e0, e1,
+    class)`` each: the row-line edges, the column-line edges and the cell
+    diagonals, from vertex ``a`` to ``b > a``, with the triangle that
+    exists first (``e1 = -1`` on one-sided facets)."""
+    v, lower, upper = lat.vidx, lat.elem_ids[..., 0], lat.elem_ids[..., 1]
+    no_row = np.full((1, lat.n_cols), -1)
+    no_col = np.full((lat.n_rows, 1), -1)
+    # row line r bounds the lower triangles of row r, the upper of row r-1
+    rows = [v[:, :-1], v[:, 1:], np.vstack([lower, upper[-1:]]),
+            np.vstack([no_row, upper[:-1], no_row])]
+    # column line c bounds the upper triangles of column c, the lower of c-1
+    cols = [v[:-1], v[1:], np.hstack([upper, lower[:, -1:]]),
+            np.hstack([no_col, lower[:, :-1], no_col])]
+    diagonals = [v[:-1, :-1], v[1:, 1:], lower, upper]
+    for family in (rows, cols, diagonals):
+        family.append(np.where(family[3] >= 0, INTERIOR, BOUNDARY))
+    for line, tag in ((lat.gamma1_line, GAMMA_1), (lat.gamma2_line, GAMMA_2)):
+        if line is not None:
+            cols[4][:, line] = tag
+    return np.concatenate([np.stack(family, axis=-1).reshape(-1, 5)
+                           for family in (rows, cols, diagonals)])
 
 
 def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
@@ -384,8 +372,6 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
         raise ValueError("a mesh column is too thin for double precision")
 
     all_verts, all_elems, all_tags, lattices = [], [], [], []
-    gamma1_edges: set[tuple[int, int]] = set()
-    gamma2_edges: set[tuple[int, int]] = set()
     v_off = e_off = 0
     for ys_b, xs_b, tags_b, g1_line, g2_line in blocks:
         verts, elems, tags, lat = _build_block(ys_b, xs_b, tags_b, v_off, e_off,
@@ -394,10 +380,6 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
         all_elems.append(elems)
         all_tags.append(tags)
         lattices.append(lat)
-        if g1_line is not None:
-            gamma1_edges |= _gamma_edge_set(lat, g1_line)
-        if g2_line is not None:
-            gamma2_edges |= _gamma_edge_set(lat, g2_line)
         v_off += len(verts)
         e_off += len(elems)
 
@@ -405,12 +387,12 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
     elements = np.concatenate(all_elems)
     subdomain = np.concatenate(all_tags)
 
-    facets, facet_elements = _extract_facets(elements)
-    facet_class = _classify(facets, facet_elements, gamma1_edges, gamma2_edges)
+    facets = np.concatenate([_lattice_facets(lat) for lat in lattices])
 
     mesh = Mesh(vertices=vertices, elements=elements, subdomain=subdomain,
-                mode=mode, facets=facets, facet_elements=facet_elements,
-                facet_class=facet_class, lattices=tuple(lattices),
+                mode=mode, facets=facets[:, :2], facet_elements=facets[:, 2:4],
+                facet_class=facets[:, 4].astype(np.int8),
+                lattices=tuple(lattices),
                 gamma0=gamma0, profile=profile, h_target=h_target)
 
     vol = mesh.element_volumes()
@@ -419,18 +401,6 @@ def build_bulk_mesh(domain, profile: ApertureProfile, mode: str,
         raise ValueError(f"inverted elements: ids {bad[:10].tolist()}"
                          f"{' ...' if len(bad) > 10 else ''}")
     return mesh
-
-
-def _classify(facets: np.ndarray, facet_elements: np.ndarray,
-              gamma1_edges: set, gamma2_edges: set) -> np.ndarray:
-    cls = np.where(facet_elements[:, 1] >= 0, INTERIOR,
-                   BOUNDARY).astype(np.int8)
-    keys = _edge_keys(facets)
-    # side 1 last: it wins a facet listed on both walls
-    for edges, tag in ((gamma2_edges, GAMMA_2), (gamma1_edges, GAMMA_1)):
-        wall = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-        cls[np.isin(keys, _edge_keys(wall))] = tag
-    return cls
 
 
 @dataclass(frozen=True)

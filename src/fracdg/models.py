@@ -412,17 +412,25 @@ def preflight(preset: ProblemPreset, h: float, degrees=1, *, mode: str,
     """Refuse, before anything is meshed, a run on the ``mode`` mesh at
     ``h`` ("auto": the reduced meshes of a sweep) that cannot be done:
     degrees outside 1..MAX_DEGREE, a ``mu0`` or ``mu0_gamma`` that is not
-    positive, ``fracture_layers`` below 1, the preset's ``xi`` and
-    aperture bounds (``profile``), or a bulk assembly whose estimate
-    exceeds the physical memory (``h``, or ``h_normal`` when set).  The
-    ValueError or MemoryError names the parameter as its ``param``."""
+    positive and finite, an ``h`` or ``h_normal`` that is not positive,
+    ``fracture_layers`` that is not an integer of at least 1, the
+    preset's ``xi`` and aperture bounds (``profile``), or a bulk assembly
+    whose estimate exceeds the physical memory (``h``, or ``h_normal`` when
+    set).  The ValueError or MemoryError names the parameter as its
+    ``param``."""
     for k in _degree_pair(degrees):
         check_degree(k, "degrees")
     for name, value in (("mu0", mu0), ("mu0_gamma", mu0_gamma)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise refusal(name, f"{name} must be "
+                          f"{'finite' if value > 0.0 else 'positive'}")
+    for name, value in (("h", h), ("h_normal", h_normal)):
         if value is not None and not value > 0.0:
-            raise refusal(name, f"{name} must be positive")
-    if fracture_layers < 1:
-        raise refusal("fracture_layers", "fracture_layers must be at least 1")
+            raise refusal(name, f"{name} must be positive, got {value}")
+    if not isinstance(fracture_layers, (int, np.integer)) \
+            or fracture_layers < 1:
+        raise refusal("fracture_layers", "fracture_layers must be an "
+                      f"integer of at least 1, got {fracture_layers}")
     preset.permeability()
     check_aperture_bounds(preset.domain, preset.profile,
                           fracture_layers if mode == "full" else 1)

@@ -17,11 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import models, solver
-from .assembly import _aperture, _data_at, check_degree, segment_rule, \
-    tri_basis, triangle_rule
+from .assembly import EDGE_TERMS, _aperture, _data_at, check_degree, \
+    segment_rule, tri_basis, triangle_rule
 from .geometry import refusal
-from .mesh import FRACTURE, InterfaceGrid, Mesh, _pow2_count, \
-    check_aperture_bounds
+from .mesh import FRACTURE, REDUCED_MESH_MODES, InterfaceGrid, Mesh, \
+    _pow2_count, check_aperture_bounds
 
 logger = logging.getLogger(__name__)
 
@@ -257,12 +257,17 @@ def sweep_presets(preset, variants: Sequence[str], d0_list: Sequence[float],
                   h: float, *, degrees=1, mu0: float = 10.0,
                   mu0_gamma: float | None = None, ref_degrees=None,
                   fracture_layers: int = 4, reference: str = "full",
-                  tol: float = 1e-10, max_iter: int | None = None) -> list:
+                  ref_method: str | None = "direct-LU",
+                  mesh_mode: str = "auto", edge_terms: str = "consistent",
+                  method: str | None = None, tol: float = 1e-10,
+                  max_iter: int | None = None) -> list:
     """The preset of every d0 of an :func:`aperture_sweep`, once nothing
     fails the whole sweep: a variant or d0 listed twice, a d0 that is not
-    positive or cannot make its preset, or what the stopping rule and the
-    :func:`~fracdg.models.preflight` of the reduced meshes refuse.  The
-    ValueError or MemoryError names the parameter as its ``param``."""
+    positive or cannot make its preset, an unknown ``reference``,
+    ``method``, ``ref_method``, ``edge_terms`` or ``mesh_mode``, or what
+    the stopping rule and the :func:`~fracdg.models.preflight` of the
+    reduced meshes refuse.  The ValueError or MemoryError names the
+    parameter as its ``param``."""
     make = preset if callable(preset) else \
         (lambda d0: models.preset_by_name(preset, d0=d0))
     if len(set(variants)) != len(variants):
@@ -272,8 +277,15 @@ def sweep_presets(preset, variants: Sequence[str], d0_list: Sequence[float],
     for d0 in d0_list:
         if not d0 > 0.0:
             raise refusal("d0_list", f"d0 must be positive, got {d0:g}")
-    if reference not in REFERENCES:
-        raise refusal("reference", f"unknown reference {reference!r}")
+    for name, value, known in (
+            ("reference", reference, REFERENCES),
+            ("method", method, (None, *solver.METHODS)),
+            ("ref_method", ref_method, (None, *solver.METHODS)),
+            ("edge_terms", edge_terms, EDGE_TERMS),
+            ("mesh_mode", mesh_mode, ("auto", *REDUCED_MESH_MODES))):
+        if value not in known:
+            raise refusal(name, f"unknown {name} {value!r}, expected one "
+                          f"of {known}")
     for k in models._degree_pair(1 if ref_degrees is None else ref_degrees):
         check_degree(k, "ref_degrees")
     solver.check_stopping(tol, max_iter)
@@ -375,7 +387,9 @@ def aperture_sweep(preset, variants: Sequence[str], d0_list: Sequence[float],
                             mu0=mu0, mu0_gamma=mu0_gamma,
                             ref_degrees=ref_degrees,
                             fracture_layers=fracture_layers,
-                            reference=reference, tol=tol, max_iter=max_iter)
+                            reference=reference, ref_method=ref_method,
+                            mesh_mode=mesh_mode, edge_terms=edge_terms,
+                            method=method, tol=tol, max_iter=max_iter)
     table = ErrorTable()
     for d0, pset in zip(d0_list, presets):
         # the last d0's reference, problems and solutions die before this

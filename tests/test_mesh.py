@@ -26,8 +26,6 @@ from fracdg.mesh import (
     Mesh,
     SIDE_1,
     SIDE_2,
-    _classify,
-    _extract_facets,
     build_bulk_mesh,
     build_interface_grid,
     element_count,
@@ -85,16 +83,57 @@ def mesh_quality(mesh: Mesh) -> dict:
             "min_angle": min_angle}
 
 
+def generic_facets(elements):
+    """The oracle of the lattice facets: every element edge once, sorted
+    by its vertex pair, with its one or two elements (the second -1 when
+    one-sided)."""
+    owners = {}
+    for e, tri in enumerate(elements.tolist()):
+        for a, b in zip(tri, tri[1:] + tri[:1]):
+            owners.setdefault((min(a, b), max(a, b)), []).append(e)
+    assert max(map(len, owners.values())) <= 2
+    pairs = sorted(owners)
+    return (np.array(pairs, dtype=np.int64),
+            np.array([owners[p] + [-1] * (2 - len(owners[p])) for p in pairs],
+                     dtype=np.int64))
+
+
 def manual_mesh(vertices, elements):
     vertices = np.asarray(vertices, dtype=float)
     elements = np.asarray(elements, dtype=np.int64)
-    facets, fe = _extract_facets(elements)
-    cls = _classify(facets, fe, set(), set())
+    facets, fe = generic_facets(elements)
+    cls = np.where(fe[:, 1] >= 0, INTERIOR, BOUNDARY).astype(np.int8)
     return Mesh(vertices=vertices, elements=elements,
                 subdomain=np.full(len(elements), SIDE_1, dtype=np.int8),
                 mode="manual", facets=facets, facet_elements=fe,
                 facet_class=cls, lattices=(), gamma0=0.5,
                 profile=ApertureProfile.constant(0.05, 0.05), h_target=1.0)
+
+
+def facet_set(facets, facet_elements, facet_class) -> set:
+    """(a, b, triangles, class) of every facet: the two triangles of a
+    two-sided facet in sorted order, a one-sided facet's as (e, -1)."""
+    return {(a, b, (e0, e1) if e1 < 0 else tuple(sorted((e0, e1))), c)
+            for (a, b), (e0, e1), c in zip(facets.tolist(),
+                                           facet_elements.tolist(),
+                                           np.asarray(facet_class).tolist())}
+
+
+def oracle_facet_set(mesh: Mesh) -> set:
+    """:func:`facet_set` of the generic extraction from ``mesh.elements``:
+    two-sided facets are interior and one-sided ones boundary, except the
+    edges along each lattice wall line, which are wall facets."""
+    facets, fe = generic_facets(mesh.elements)
+    walls = {}
+    for lat in mesh.lattices:
+        for line, tag in ((lat.gamma1_line, GAMMA_1),
+                          (lat.gamma2_line, GAMMA_2)):
+            if line is not None:
+                ids = lat.vidx[:, line].tolist()
+                walls.update(dict.fromkeys(zip(ids[:-1], ids[1:]), tag))
+    cls = [walls.get((a, b), INTERIOR if e1 >= 0 else BOUNDARY)
+           for (a, b), (_, e1) in zip(facets.tolist(), fe.tolist())]
+    return facet_set(facets, fe, cls)
 
 
 class TestFacetExtraction:
@@ -105,10 +144,6 @@ class TestFacetExtraction:
         assert counts["interior"] == 1
         assert counts["exterior-boundary"] == 4
         assert counts["gamma-side-1"] == counts["gamma-side-2"] == 0
-
-    def test_rejects_overshared_edge(self):
-        with pytest.raises(ValueError, match="more than two"):
-            _extract_facets(np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
 
 
 class TestQuality:
@@ -474,6 +509,20 @@ def walls_strategy():
         .filter(lambda d: d[0] + d[1] > 1e-3) \
         .map(lambda d: ApertureProfile.constant(*d))
     return st.one_of(sinusoidal, constant)
+
+
+class TestLatticeFacets:
+    @settings(max_examples=80, deadline=None)
+    @given(mode=st.sampled_from(MESH_MODES), profile=walls_strategy(),
+           gamma0=st.sampled_from((0.5, 0.3)), h=st.floats(1.0 / 32.0, 0.5),
+           layers=st.integers(1, 4))
+    def test_lattice_facets_match_the_generic_extraction(
+            self, mode, profile, gamma0, h, layers):
+        mesh = build_bulk_mesh(UNIT, profile, mode, h, gamma0,
+                               fracture_layers=layers)
+        got = facet_set(mesh.facets, mesh.facet_elements, mesh.facet_class)
+        assert len(got) == mesh.n_facets
+        assert got == oracle_facet_set(mesh)
 
 
 class TestInterfaceGrid:

@@ -743,6 +743,29 @@ class TestPreflight:
         assert info.value.param == param
         assert no_mesh == []
 
+    @pytest.mark.parametrize("run, param, message", [
+        (lambda p: models.run_full(p, 1 / 8, fracture_layers=2.5),
+         "fracture_layers", "an integer of at least 1, got 2.5"),
+        (lambda p: models.run_full(p, 1 / 8, mu0=math.inf), "mu0",
+         "mu0 must be finite"),
+        (lambda p: models.ReducedProblem.build(
+            p, "curved-reduced", 1 / 8, mu0_gamma=math.inf), "mu0_gamma",
+         "mu0_gamma must be finite"),
+        (lambda p: models.run_full(p, math.nan), "h",
+         "h must be positive, got nan"),
+        (lambda p: models.run_full(p, 0.0), "h", "h must be positive"),
+        (lambda p: models.run_full(p, 1 / 8, h_normal=0.0), "h_normal",
+         "h_normal must be positive"),
+    ], ids=["fractional-layers", "infinite-mu0", "infinite-mu0_gamma",
+            "nan-h", "zero-h", "zero-h_normal"])
+    def test_run_refusals_name_their_parameter(self, no_mesh, run, param,
+                                               message):
+        # each used to reach the mesh builder or the factorization
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            run(self.PRESET)
+        assert info.value.param == param
+        assert no_mesh == []
+
     def test_preset_data_is_named(self, no_mesh):
         bad_xi = dataclasses.replace(self.PRESET, xi=0.5)
         with pytest.raises(ValueError, match="xi > 1/2") as info:

@@ -534,6 +534,12 @@ class TestSweepPreflight:
         ({"reference": "fuzzy"}, "reference", "unknown reference"),
         ({"tol": 2.0}, "tol", "tol must lie strictly between 0 and 1"),
         ({"max_iter": -1}, "max_iter", "max_iter cannot be negative"),
+        ({"method": "LU"}, "method", "unknown method 'LU'"),
+        ({"ref_method": "cholesky"}, "ref_method",
+         "unknown ref_method 'cholesky'"),
+        ({"edge_terms": "upwind"}, "edge_terms", "unknown edge_terms"),
+        ({"mesh_mode": "curved"}, "mesh_mode", "unknown mesh_mode"),
+        ({"mesh_mode": "full"}, "mesh_mode", "unknown mesh_mode 'full'"),
     ])
     def test_sweep_refusals_name_their_parameter(self, builds, kwargs, param,
                                                  message):
@@ -543,6 +549,23 @@ class TestSweepPreflight:
                                     args.pop("d0_list"), 0.25, **args)
         assert info.value.param == param
         assert builds == []
+
+    @pytest.mark.parametrize("h", [math.nan, 0.0])
+    def test_spacing_is_named(self, builds, h):
+        # it used to be refused as d0_list
+        with pytest.raises(ValueError, match="h must be positive") as info:
+            postproc.aperture_sweep("perp-asym", ["I"], [0.1], h)
+        assert info.value.param == "h"
+        assert builds == []
+
+    def test_mesh_mode_a_variant_cannot_use_fails_its_row(self, builds):
+        table = postproc.aperture_sweep("perp-asym", ["I", "I-R"], [0.1],
+                                        0.0625, mesh_mode="curved-reduced")
+        ok, refused = table.rows
+        assert np.isfinite(ok.l2_error)
+        assert math.isnan(refused.l2_error)
+        assert "needs a rectified mesh" in refused.note
+        assert builds == ["full", "curved-reduced"]
 
     def test_reference_mesh_refusals_name_their_parameter(self):
         preset = models.preset_by_name("perp-asym", d0=0.1)
